@@ -125,9 +125,8 @@ def ppsp(
     explicit heuristics); all methods accept engine keywords
     (``frontier_mode``, ``pull_relax``, ``kernel``).  ``kernel`` picks
     the relaxation scatter-min implementation from
-    :mod:`repro.kernels` (``"ufunc_at"``, ``"sort_reduceat"``, or the
-    default size-dispatching ``"auto"``); the choice changes speed,
-    never answers.
+    :mod:`repro.kernels` (the default ``"sort_reduceat"``, or the
+    ``"ufunc_at"`` reference); the choice changes speed, never answers.
 
     ``budget`` (a :class:`repro.robustness.Budget`) bounds the search;
     on exhaustion the answer degrades gracefully to the current upper

@@ -606,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(one-pair plain-bids batch; serial-only flags rejected)")
     q.add_argument("--kernel", choices=KERNEL_IMPLS,
                    help="relaxation scatter-min implementation "
-                        "(default: auto dispatch; REPRO_KERNEL overrides)")
+                        "(default: sort_reduceat; REPRO_KERNEL overrides)")
     q.add_argument("--workers", type=int,
                    help="pool size for --backend process (default: cpu count)")
     q.add_argument("--verbose", action="store_true",
@@ -626,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(bit-identical answers; incompatible with --budget)")
     b.add_argument("--kernel", choices=KERNEL_IMPLS,
                    help="relaxation scatter-min implementation "
-                        "(default: auto dispatch; REPRO_KERNEL overrides)")
+                        "(default: sort_reduceat; REPRO_KERNEL overrides)")
     b.add_argument("--workers", type=int,
                    help="pool size for --backend process (default: cpu count)")
     b.add_argument("--checked", action="store_true",
@@ -813,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "backend (extra 'pool' section; never gated)")
     bench.add_argument("--kernel", choices=KERNEL_IMPLS,
                        help="pin the scatter-min kernel for the whole workload "
-                            "(default: auto dispatch)")
+                            "(default: sort_reduceat)")
     bench.add_argument("--check", action="store_true",
                        help="exit nonzero when the tolerance gate fails")
     bench.set_defaults(func=_cmd_bench)

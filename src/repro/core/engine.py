@@ -5,8 +5,8 @@ policies.Policy` supplies the three user-defined functions of the
 framework —
 
 * ``Init``   (:meth:`Policy.bind`: seed elements and distances),
-* ``Prune``  (:meth:`Policy.prune_mask`: skip elements that cannot
-  improve any answer),
+* ``Prune``  (:meth:`Policy.prune_bound`: skip elements whose
+  priority reaches the bound, since they cannot improve any answer),
 * ``UpdateDistance`` (:meth:`Policy.on_relax`: fold freshly relaxed
   elements into the running answer μ),
 
@@ -134,11 +134,10 @@ class PPSPEngine:
         buffer and per-step scatter stay out of the hot path.
     kernel : str, Kernel, or None
         Scatter-min implementation for the relaxation inner loop
-        (:mod:`repro.kernels`): ``"ufunc_at"``, ``"sort_reduceat"``, or
-        ``"auto"`` (the default — per-batch dispatch on a calibrated
-        size threshold).  ``None`` resolves through the ``REPRO_KERNEL``
-        environment variable.  Every implementation is bit-identical;
-        pin one for debugging or benchmarking.
+        (:mod:`repro.kernels`): ``"sort_reduceat"`` (the default) or the
+        ``"ufunc_at"`` reference.  ``None`` resolves through the
+        ``REPRO_KERNEL`` environment variable.  Both implementations are
+        bit-identical.
     """
 
     def __init__(
@@ -252,36 +251,37 @@ class PPSPEngine:
             prio = policy.priority(current, dist)
             theta = self.strategy.threshold(prio)
             take = prio <= theta
-            if take.all():
-                # Whole-frontier steps (Bellman-Ford strategy, bucket
-                # tails) skip the two fancy-index copies.
-                process, deferred = current, empty
-            else:
-                process = current[take]
-                deferred = current[~take]
-            extracted_count = len(process)
-
-            # Prune both halves: processed elements that cannot contribute
-            # are skipped (line 6 of Alg. 2); stale deferred elements are
-            # dropped so μ improvements shrink the frontier immediately.
-            # While the policy cannot prune yet (μ = ∞) the masks are
-            # skipped wholesale.
             step_work = float(len(current))
+
+            # Prune (line 6 of Alg. 2) with one mask over the whole
+            # frontier: extracted elements that cannot contribute are
+            # skipped, and stale deferred ones are dropped so μ
+            # improvements shrink the frontier immediately.  While the
+            # policy cannot prune yet (μ = ∞) the mask is skipped.
+            keep = None
             pruned_count = 0
             pruned_parts: list[np.ndarray] = []
-            prunable = policy.prunable()
-            if prunable and len(process):
-                mask = policy.prune_mask(process, dist)
-                if auditor is not None and mask.any():
-                    pruned_parts.append(process[mask])
-                process = process[~mask]
-            if prunable and len(deferred):
-                mask = policy.prune_mask(deferred, dist)
-                if auditor is not None and mask.any():
-                    pruned_parts.append(deferred[mask])
-                deferred = deferred[~mask]
-                pruned_count += int(mask.sum())
-            pruned_count += extracted_count - len(process)
+            if policy.prunable():
+                pmask = prio >= policy.prune_bound(current)
+                if pmask.any():
+                    keep = ~pmask
+                    pruned_count = int(pmask.sum())
+                    if auditor is not None:
+                        pruned_parts.append(current[pmask])
+            if take.all():
+                # Whole-frontier steps (Bellman-Ford strategy, bucket
+                # tails) skip the split.
+                extracted_count = len(current)
+                process = current if keep is None else current[keep]
+                deferred = empty
+            else:
+                extracted_count = int(take.sum())
+                if keep is None:
+                    process = current[take]
+                    deferred = current[~take]
+                else:
+                    process = current[take & keep]
+                    deferred = current[~take & keep]
             frontier.replace(deferred, assume_sorted=True)
 
             step_edges = 0
@@ -385,14 +385,21 @@ class PPSPEngine:
         Returns the composite ids whose tentative distance strictly
         improved, plus the number of edges touched.
         """
-        v = eids % n
-        src_off = eids - v  # i * n per element
+        if len(dist) == n:
+            # One search: element ids are vertex ids.
+            v = eids
+            src_off = np.zeros(len(eids), dtype=np.int64)
+        else:
+            v = eids % n
+            src_off = eids - v  # i * n per element
 
         if self.pull_relax:
             self._pull_relax(graph, eids, v, src_off, dist)
 
+        # scratch=None: the traced benchmark run (perfbench/spans.py)
+        # wraps this name with a signature that requires the keyword.
         te, new_d, edge_count = gather_relax(
-            graph, eids, v, src_off, dist, scratch=self.kernel.scratch
+            graph, eids, v, src_off, dist, scratch=None
         )
         if edge_count == 0:
             return np.empty(0, dtype=np.int64), 0

@@ -103,22 +103,17 @@ class Frontier:
                 else:
                     self._count += len(np.unique(fresh))
         else:
-            sp = self._sparse
-            if len(eids) > 1 and not (np.diff(eids) > 0).all():
-                eids = np.unique(eids)
-            if len(sp) == 0:
-                self._sparse = eids.copy()
-            else:
-                # _sparse is always sorted-unique: a searchsorted merge
-                # inserts only the genuinely new ids in one O(n + b log n)
-                # pass, replacing the old full unique(concat) re-sort.
-                pos = np.searchsorted(sp, eids)
-                in_range = pos < len(sp)
-                present = np.zeros(len(eids), dtype=bool)
-                present[in_range] = sp[pos[in_range]] == eids[in_range]
-                if not present.all():
-                    new = ~present
-                    self._sparse = np.insert(sp, pos[new], eids[new])
+            merged = np.concatenate((self._sparse, eids))
+            if len(merged) > 1:
+                # _sparse is sorted and the engine's batches are sorted,
+                # so the stable sort (timsort on int64) merges two runs in
+                # linear time; the default quicksort would not.
+                merged.sort(kind="stable")
+                fresh = np.empty(len(merged), dtype=bool)
+                fresh[0] = True
+                np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
+                merged = merged[fresh]
+            self._sparse = merged
         self._maybe_switch()
 
     def replace(self, eids: np.ndarray, *, assume_sorted: bool = False) -> None:

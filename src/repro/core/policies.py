@@ -72,9 +72,14 @@ class Policy:
         """
         return False
 
+    def prune_bound(self, eids: np.ndarray):
+        """Prune threshold: an element is skipped once its priority
+        reaches it (a scalar, or one bound per element of ``eids``)."""
+        return np.inf
+
     def prune_mask(self, eids: np.ndarray, dist: np.ndarray) -> np.ndarray:
         """True where the search at an element should be skipped."""
-        return np.zeros(len(eids), dtype=bool)
+        return self.priority(eids, dist) >= self.prune_bound(eids)
 
     # -- UpdateDistance -------------------------------------------------
     def on_relax(self, eids: np.ndarray, dist: np.ndarray) -> None:
@@ -90,7 +95,7 @@ class Policy:
         return self.graph
 
     def finished(self, frontier_ids: np.ndarray, dist: np.ndarray) -> bool:
-        """Early-termination hook checked once per step."""
+        """Early-termination hook checked once per step (ids sorted)."""
         return False
 
     def result(self):
@@ -150,6 +155,52 @@ class _SingleQueryMixin:
     def trace_mu(self) -> float:
         return float(self.mu)
 
+    def prunable(self):
+        return np.isfinite(self.mu)
+
+    def prune_bound(self, eids):
+        return self.mu
+
+    def on_relax(self, eids, dist):
+        # eids are sorted and unique; membership test via searchsorted.
+        pos = np.searchsorted(eids, self.t)
+        if pos < len(eids) and eids[pos] == self.t:
+            self.mu = min(self.mu, float(dist[self.t]))
+
+
+class _BidirectionalMixin(_SingleQueryMixin):
+    """Shared BiDS / BiD-A* hooks: the two searches meet at μ/2."""
+
+    num_sources = 2
+
+    def source_graph(self, i: int):
+        if i == 1 and self.graph.directed:
+            return self.graph.reverse()
+        return self.graph
+
+    def prune_bound(self, eids):
+        return self.mu / 2.0
+
+    def on_relax(self, eids, dist):
+        n = self.n
+        v = eids % n
+        partner = np.where(eids < n, v + n, v)
+        # Unreached partners give inf, which cannot lower μ.
+        best = float((dist[eids] + dist[partner]).min())
+        if best < self.mu:
+            self.mu = best
+
+    def finished(self, frontier_ids, dist):
+        # App. B disconnected-query optimization: if μ was never set and
+        # one direction's search has drained, the endpoints cannot meet.
+        # The ids are sorted, so the two ends tell which sides remain.
+        if not self.disconnected_early_exit or np.isfinite(self.mu):
+            return False
+        if len(frontier_ids) == 0:
+            return False
+        n = self.n
+        return bool(frontier_ids[-1] < n or frontier_ids[0] >= n)
+
 
 class EarlyTermination(_SingleQueryMixin, Policy):
     """Unidirectional search pruned at the current best distance μ."""
@@ -163,18 +214,6 @@ class EarlyTermination(_SingleQueryMixin, Policy):
         self.n = graph.num_vertices
         self._init_query(graph, self._s_arg, self._t_arg)
         return np.array([self.s]), np.array([0.0])
-
-    def prunable(self):
-        return np.isfinite(self.mu)
-
-    def prune_mask(self, eids, dist):
-        return dist[eids] >= self.mu
-
-    def on_relax(self, eids, dist):
-        # eids are sorted and unique; membership test via searchsorted.
-        pos = np.searchsorted(eids, self.t)
-        if pos < len(eids) and eids[pos] == self.t:
-            self.mu = min(self.mu, float(dist[self.t]))
 
 
 class AStar(_SingleQueryMixin, Policy):
@@ -218,19 +257,8 @@ class AStar(_SingleQueryMixin, Policy):
     def priority(self, eids, dist):
         return dist[eids] + self._h(eids)
 
-    def prunable(self):
-        return np.isfinite(self.mu)
 
-    def prune_mask(self, eids, dist):
-        return dist[eids] + self._h(eids) >= self.mu
-
-    def on_relax(self, eids, dist):
-        pos = np.searchsorted(eids, self.t)
-        if pos < len(eids) and eids[pos] == self.t:
-            self.mu = min(self.mu, float(dist[self.t]))
-
-
-class BiDS(_SingleQueryMixin, Policy):
+class BiDS(_BidirectionalMixin, Policy):
     """Bidirectional search with the order-free μ/2 pruning (Thm. 3.3).
 
     Element ids below ``n`` belong to the forward search (from ``s``);
@@ -238,8 +266,6 @@ class BiDS(_SingleQueryMixin, Policy):
     whose tentative distance from either side reaches μ/2 cannot lie on
     a path shorter than μ and is skipped.
     """
-
-    num_sources = 2
 
     def __init__(self, s: int, t: int, *, disconnected_early_exit: bool = True) -> None:
         Policy.__init__(self)
@@ -252,48 +278,14 @@ class BiDS(_SingleQueryMixin, Policy):
         self._init_query(graph, self._s_arg, self._t_arg)
         return np.array([self.s, self.n + self.t]), np.array([0.0, 0.0])
 
-    def source_graph(self, i: int):
-        if i == 1 and self.graph.directed:
-            return self.graph.reverse()
-        return self.graph
 
-    def prunable(self):
-        return np.isfinite(self.mu)
-
-    def prune_mask(self, eids, dist):
-        return dist[eids] >= self.mu / 2.0
-
-    def on_relax(self, eids, dist):
-        n = self.n
-        v = eids % n
-        partner = np.where(eids < n, v + n, v)
-        total = dist[eids] + dist[partner]
-        finite = np.isfinite(total)
-        if finite.any():
-            best = float(total[finite].min())
-            if best < self.mu:
-                self.mu = best
-
-    def finished(self, frontier_ids, dist):
-        # App. B disconnected-query optimization: if μ was never set and
-        # one direction's search has drained, the endpoints cannot meet.
-        if not self.disconnected_early_exit or np.isfinite(self.mu):
-            return False
-        if len(frontier_ids) == 0:
-            return False
-        n = self.n
-        return bool((frontier_ids < n).all() or (frontier_ids >= n).all())
-
-
-class BiDAStar(_SingleQueryMixin, Policy):
+class BiDAStar(_BidirectionalMixin, Policy):
     """Bidirectional A* with consistent paired heuristics (Thm. 3.4).
 
     ``h_F(v) = (h_t(v) - h_s(v)) / 2``, ``h_B(v) = -h_F(v)``, so the
     induced edge weights agree in both directions and the BiDS μ/2 rule
     remains correct on the induced graph.
     """
-
-    num_sources = 2
 
     def __init__(
         self,
@@ -322,11 +314,6 @@ class BiDAStar(_SingleQueryMixin, Policy):
         self.h_t = self._ht_arg or make_heuristic(graph, self.t, memoize=self._memoize)
         return np.array([self.s, self.n + self.t]), np.array([0.0, 0.0])
 
-    def source_graph(self, i: int):
-        if i == 1 and self.graph.directed:
-            return self.graph.reverse()
-        return self.graph
-
     def _h_signed(self, eids: np.ndarray) -> np.ndarray:
         """h_F for forward elements, h_B for backward ones."""
         n = self.n
@@ -338,31 +325,6 @@ class BiDAStar(_SingleQueryMixin, Policy):
 
     def priority(self, eids, dist):
         return dist[eids] + self._h_signed(eids)
-
-    def prunable(self):
-        return np.isfinite(self.mu)
-
-    def prune_mask(self, eids, dist):
-        return dist[eids] + self._h_signed(eids) >= self.mu / 2.0
-
-    def on_relax(self, eids, dist):
-        n = self.n
-        v = eids % n
-        partner = np.where(eids < n, v + n, v)
-        total = dist[eids] + dist[partner]
-        finite = np.isfinite(total)
-        if finite.any():
-            best = float(total[finite].min())
-            if best < self.mu:
-                self.mu = best
-
-    def finished(self, frontier_ids, dist):
-        if not self.disconnected_early_exit or np.isfinite(self.mu):
-            return False
-        if len(frontier_ids) == 0:
-            return False
-        n = self.n
-        return bool((frontier_ids < n).all() or (frontier_ids >= n).all())
 
 
 class MultiPPSP(Policy):
@@ -413,9 +375,8 @@ class MultiPPSP(Policy):
     def prunable(self):
         return bool(np.isfinite(self.mu_max).any())
 
-    def prune_mask(self, eids, dist):
-        i = eids // self.n
-        return dist[eids] >= self.mu_max[i] / 2.0
+    def prune_bound(self, eids):
+        return self.mu_max[eids // self.n] / 2.0
 
     def on_relax(self, eids, dist):
         n = self.n

@@ -1,36 +1,33 @@
 """Relaxation kernels: the vectorized inner loops of the stepping engine.
 
 The paper's wall-clock wins come from the data-parallel relaxation step;
-this package isolates its two hot primitives behind a pluggable
-interface so the same engine can run them with different low-level
-strategies, all bit-identical:
+this package isolates its two hot primitives:
 
 * :func:`~repro.kernels.scatter.Kernel.scatter_min` — the batched
-  ``write_min`` over relaxation proposals (``ufunc_at`` /
-  ``sort_reduceat`` / ``auto``; see :mod:`repro.kernels.scatter`);
-* :func:`~repro.kernels.relax.gather_relax` — the fused CSR gather that
-  expands frontier elements into per-edge proposals over pooled scratch
-  (:mod:`repro.kernels.relax`);
+  ``write_min`` over relaxation proposals (``sort_reduceat`` in
+  production, ``ufunc_at`` as the reference; see
+  :mod:`repro.kernels.scatter`);
+* :func:`~repro.kernels.relax.gather_relax` — the CSR gather that
+  expands frontier elements into per-edge proposals with two
+  ``np.repeat`` expansions (:mod:`repro.kernels.relax`);
 * :func:`~repro.kernels.calibrate.calibrate_delta` — the paper's
   Sec. 6.1 Δ-doubling procedure, fingerprint-cached
   (:mod:`repro.kernels.calibrate`).
 
-Select an implementation with ``kernel="sort_reduceat"`` on any engine
-entry point, the ``REPRO_KERNEL`` environment variable, or ``--kernel``
-on the CLI.  See ``docs/perf.md`` ("Relaxation kernels").
+Select the scatter implementation with ``kernel="ufunc_at"`` on any
+engine entry point, the ``REPRO_KERNEL`` environment variable, or
+``--kernel`` on the CLI; the default is ``sort_reduceat``.  See
+``docs/perf.md`` ("Relaxation kernels").
 """
 
-from .calibrate import calibrate_delta, calibrate_scatter, scatter_threshold
+from .calibrate import calibrate_delta
 from .relax import gather_relax
-from .scatter import KERNEL_IMPLS, Kernel, ScratchPool, get_kernel
+from .scatter import KERNEL_IMPLS, Kernel, get_kernel
 
 __all__ = [
     "KERNEL_IMPLS",
     "Kernel",
-    "ScratchPool",
     "get_kernel",
     "gather_relax",
     "calibrate_delta",
-    "calibrate_scatter",
-    "scatter_threshold",
 ]

@@ -1,133 +1,19 @@
-"""One-shot calibrations: the scatter crossover and the paper's Δ tuning.
+"""The paper's Δ tuning (Sec. 6.1), cached per graph.
 
-Two measured quantities feed the kernel layer:
-
-* :func:`scatter_threshold` — the batch size above which
-  ``sort_reduceat`` beats ``ufunc_at`` on *this* machine, measured once
-  per process by a seeded microbenchmark over synthetic duplicate-heavy
-  batches.  ``REPRO_KERNEL_THRESHOLD`` pins it (skipping the
-  microbenchmark entirely); ``REPRO_KERNEL_CALIBRATE=0`` falls back to
-  a conservative default.  Dispatch never affects answers — both impls
-  are bit-identical — so a machine-dependent threshold is safe.
-* :func:`calibrate_delta` — the paper's Sec. 6.1 doubling procedure for
-  the Δ*-stepping bucket width: start small, run SSSP, double Δ until
-  the running time stops improving.  Cached by
-  :meth:`Graph.fingerprint`, so repeated engines over the same graph
-  pay the tuning runs once per process.
+:func:`calibrate_delta` runs the doubling procedure for the Δ*-stepping
+bucket width: start small, run SSSP, double Δ until the running time
+stops improving.  Cached by :meth:`Graph.fingerprint`, so repeated
+engines over the same graph pay the tuning runs once per process.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_SCATTER_THRESHOLD",
-    "scatter_threshold",
-    "calibrate_scatter",
-    "calibrate_delta",
-]
+__all__ = ["calibrate_delta"]
 
-#: fallback auto-dispatch crossover when calibration is disabled — the
-#: low end of the crossover band observed across dev machines.
-DEFAULT_SCATTER_THRESHOLD = 512
-
-#: sort_reduceat must beat ufunc_at by this factor at a probe size for
-#: the size to count as past the crossover (guards against noise).
-_WIN_MARGIN = 1.05
-
-_state: dict = {"threshold": None, "profile": None}
-
-
-def scatter_threshold() -> int:
-    """The process-wide auto-dispatch crossover batch size.
-
-    Resolution order: ``REPRO_KERNEL_THRESHOLD`` (explicit pin) →
-    cached calibration result → run :func:`calibrate_scatter` (unless
-    ``REPRO_KERNEL_CALIBRATE`` is ``0``/``no``/``false``, which takes
-    :data:`DEFAULT_SCATTER_THRESHOLD`).
-    """
-    env = os.environ.get("REPRO_KERNEL_THRESHOLD")
-    if env:
-        return max(1, int(env))
-    if _state["threshold"] is None:
-        if os.environ.get("REPRO_KERNEL_CALIBRATE", "1").lower() in ("0", "no", "false"):
-            _state["threshold"] = DEFAULT_SCATTER_THRESHOLD
-        else:
-            _state["threshold"] = calibrate_scatter()["threshold"]
-    return _state["threshold"]
-
-
-def calibrate_scatter(
-    *,
-    seed: int = 1729,
-    sizes: tuple = (128, 256, 512, 1024, 4096),
-    dup_ratio: int = 4,
-    repeats: int = 5,
-) -> dict:
-    """Measure the scatter-min crossover on synthetic batches (cached).
-
-    Each probe batch has ``size`` proposals over ``size // dup_ratio``
-    distinct targets — the duplicate density of a mid-search relaxation
-    wave.  Both impls run interleaved, best-of-``repeats``; the chosen
-    threshold is the smallest probe size where ``sort_reduceat`` wins by
-    :data:`_WIN_MARGIN`, provided every larger probe also wins (a
-    non-monotone win is treated as noise).  If the sort path never wins,
-    the threshold is pushed past every probe so ``auto`` stays on the
-    ufunc loop.
-    """
-    if _state["profile"] is not None:
-        return _state["profile"]
-    from .scatter import _scatter_sort_reduceat, _scatter_ufunc_at
-
-    rng = np.random.default_rng(seed)
-    timings: dict[int, dict[str, float]] = {}
-    for size in sizes:
-        num_targets = max(1, size // dup_ratio)
-        targets = rng.integers(0, num_targets, size=size).astype(np.int64)
-        values = rng.random(size)
-        base = rng.random(num_targets)
-        best = {"ufunc_at": float("inf"), "sort_reduceat": float("inf")}
-        for _ in range(repeats):
-            for name, fn in (
-                ("ufunc_at", _scatter_ufunc_at),
-                ("sort_reduceat", _scatter_sort_reduceat),
-            ):
-                dist = base.copy()
-                t0 = time.perf_counter()
-                fn(dist, targets, values)
-                best[name] = min(best[name], time.perf_counter() - t0)
-        timings[size] = best
-
-    threshold = None
-    for i, size in enumerate(sizes):
-        wins = all(
-            timings[s]["ufunc_at"] >= _WIN_MARGIN * timings[s]["sort_reduceat"]
-            for s in sizes[i:]
-        )
-        if wins:
-            threshold = size
-            break
-    if threshold is None:
-        threshold = int(sizes[-1]) * 4  # sort never won: keep auto on ufunc
-    profile = {
-        "threshold": int(threshold),
-        "seed": seed,
-        "dup_ratio": dup_ratio,
-        "timings": {
-            str(size): dict(best) for size, best in timings.items()
-        },
-    }
-    _state["profile"] = profile
-    _state["threshold"] = profile["threshold"]
-    return profile
-
-
-# ----------------------------------------------------------------------
-# Δ tuning (paper Sec. 6.1)
-# ----------------------------------------------------------------------
 _DELTA_CACHE: dict[str, float] = {}
 
 

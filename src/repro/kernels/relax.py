@@ -1,24 +1,18 @@
-"""Fused CSR gather for relaxation waves.
+"""CSR gather for relaxation waves.
 
-The engine's old gather built the per-edge proposal arrays with
-``expand_ranges`` plus two ``np.repeat`` passes and a per-step
-``indptr[v+1] - indptr[v]`` degree gather (``engine.py`` pre-kernels).
-:func:`gather_relax` fuses the same computation into fewer passes:
+:func:`gather_relax` expands a batch of frontier elements into one
+proposal per out-edge with two ``np.repeat`` expansions over the
+elements' out-degrees:
 
-* out-degrees come from the graph's cached :meth:`Graph.out_degrees`
-  array (one gather instead of two ``indptr`` gathers + a subtract);
-* the edge-id expansion and the source-index expansion share one
-  segment-boundary computation (two in-place cumsums over pooled
-  scratch instead of ``expand_ranges``'s fresh allocations plus two
-  ``np.repeat``);
-* proposal targets and values are accumulated in-place into scratch
-  buffers leased from the kernel's :class:`~repro.kernels.scatter.
-  ScratchPool`, so steady-state waves allocate only the two unavoidable
-  fancy-gather temporaries (``indices[edge_idx]``/``weights[edge_idx]``).
+* the edge ids, as each element's first CSR slot minus its first output
+  slot, repeated per edge, plus the output position;
+* the proposed distances, as each element's tentative distance repeated
+  per edge, plus the edge weight.
 
-The produced floats are element-for-element identical to the old path:
-the same additions happen in the same order per element, only the
-intermediate storage differs.
+Zero-degree elements repeat zero times, so they need no filtering pass.
+Every proposal is the same float64 addition of the same two operands as
+in the textbook ``dist[u] + w(u, v)``, so the values are bit-identical
+to any other construction of the wave.
 """
 
 from __future__ import annotations
@@ -31,53 +25,35 @@ _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 
 
-def gather_relax(graph, eids, v, src_off, dist, *, scratch):
+def gather_relax(graph, eids, v, src_off, dist, *, scratch=None):
     """Expand the out-edges of ``eids`` into per-edge relaxation proposals.
 
     Parameters mirror the engine's batch state: ``eids`` are composite
     element ids, ``v = eids % n`` their vertices, ``src_off = eids - v``
-    their source-row offsets, ``dist`` the flat distance array.
+    their source-row offsets, ``dist`` the flat distance array.  When
+    ``dist`` holds a single search (``len(dist) == n``) the targets are
+    the neighbour ids themselves and ``src_off`` is not read.
+    ``scratch`` is unused; it stays in the signature so that wrappers
+    forwarding it keep working.
 
-    Returns ``(te, new_d, edge_count)``: composite target id and
-    proposed distance per touched edge.  ``te``/``new_d`` are views into
-    ``scratch`` — valid until the next gather on the same kernel, which
-    is fine because the engine consumes them within the step.
+    Returns ``(te, new_d, edge_count)``: composite target id (int64) and
+    proposed distance per touched edge, as fresh arrays.
     """
     counts = graph.out_degrees()[v]
-    starts = graph.indptr[v]
-    nz = counts > 0
-    if not nz.all():
-        eids, src_off = eids[nz], src_off[nz]
-        counts, starts = counts[nz], starts[nz]
-    k = len(counts)
-    if k == 0:
-        return _EMPTY_I8, _EMPTY_F8, 0
     total = int(counts.sum())
+    if total == 0:
+        return _EMPTY_I8, _EMPTY_F8, 0
+    ends = np.cumsum(counts)
+    # Edge id at output slot p of element j: indptr[v_j] + (p - first_j).
+    edge_idx = np.repeat(graph.indptr[v] - (ends - counts), counts)
+    edge_idx += np.arange(total)
 
-    # First output slot of each source's edge segment.
-    pos = np.empty(k, dtype=np.int64)
-    pos[0] = 0
-    np.cumsum(counts[:-1], out=pos[1:])
-
-    # Edge ids by the delta trick: ones everywhere, segment-start deltas
-    # at the boundaries, one in-place cumsum.
-    edge_idx = scratch.take("edge_idx", total, np.int64)
-    edge_idx[:] = 1
-    edge_idx[pos] = starts
-    edge_idx[pos[1:]] -= starts[:-1] + counts[:-1] - 1
-    np.cumsum(edge_idx, out=edge_idx)
-
-    # Source index per edge: boundary markers, one in-place cumsum.
-    src_idx = scratch.take("src_idx", total, np.int64)
-    src_idx[:] = 0
-    src_idx[pos[1:]] = 1
-    np.cumsum(src_idx, out=src_idx)
-
-    te = scratch.take("te", total, np.int64)
-    np.take(src_off, src_idx, out=te)
-    te += graph.indices[edge_idx]
-
-    new_d = scratch.take("new_d", total, np.float64)
-    np.take(dist[eids], src_idx, out=new_d)
+    new_d = np.repeat(dist[eids], counts)
     new_d += graph.weights[edge_idx]
+
+    if len(dist) == graph.num_vertices:
+        te = graph.indices[edge_idx].astype(np.int64)
+    else:
+        te = np.repeat(src_off, counts)
+        te += graph.indices[edge_idx]
     return te, new_d, total

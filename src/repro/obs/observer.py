@@ -242,10 +242,6 @@ class Observer:
             "repro_kernel_elements_total",
             "Elements scattered through each kernel implementation",
             ("impl",))
-        self._kernel_dispatch = r.counter(
-            "repro_kernel_dispatch_total",
-            "Auto-dispatch decisions routed to each implementation",
-            ("impl",))
 
     # ------------------------------------------------------------------
     # Spans
@@ -313,8 +309,8 @@ class Observer:
     def on_kernel(self, stats: dict) -> None:
         """Kernel hook: fold one run's scatter-min tallies into counters.
 
-        ``stats`` maps a concrete impl name to its ``{"calls", "elements",
-        "dispatched"}`` totals, as returned by
+        ``stats`` maps an impl name to its ``{"calls", "elements"}``
+        totals, as returned by
         :meth:`repro.kernels.scatter.Kernel.take_stats`.
         """
         for impl, s in stats.items():
@@ -322,8 +318,6 @@ class Observer:
                 self._kernel_calls.inc(s["calls"], impl=impl)
             if s.get("elements"):
                 self._kernel_elements.inc(s["elements"], impl=impl)
-            if s.get("dispatched"):
-                self._kernel_dispatch.inc(s["dispatched"], impl=impl)
 
     # ------------------------------------------------------------------
     # Batch / cache / fallback hooks

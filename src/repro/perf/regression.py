@@ -533,7 +533,7 @@ def _kernel_section(wl: dict) -> dict:
     from ..core.policies import SsspPolicy
     from ..core.stepping import BellmanFord
     from ..graphs.generators import web_graph
-    from ..kernels.scatter import CONCRETE_IMPLS, Kernel
+    from ..kernels.scatter import KERNEL_IMPLS, Kernel
     from .warm import WarmEngine
 
     cfg = wl["config"]
@@ -548,7 +548,7 @@ def _kernel_section(wl: dict) -> dict:
             self.waves: list = []
 
         def scatter_min(self, dist, targets, values):
-            # targets/values may be scratch views: copy before reuse.
+            # Copies, so the recorded waves own their data.
             self.waves.append((targets.copy(), values.copy()))
             return super().scatter_min(dist, targets, values)
 
@@ -558,12 +558,11 @@ def _kernel_section(wl: dict) -> dict:
     base = np.full(g.num_vertices, np.inf)
     base[source] = 0.0
 
-    impls = ("ufunc_at",) + tuple(i for i in CONCRETE_IMPLS if i != "ufunc_at") + ("auto",)
+    impls = KERNEL_IMPLS  # the ufunc_at reference first
     best = {impl: float("inf") for impl in impls}
     for _ in range(cfg["kernel_rounds"]):
         for impl in impls:
             kern = Kernel(impl)
-            _ = kern.threshold  # resolve calibration outside the timed region
             dist = base.copy()
             t0 = time.perf_counter()
             for targets, values in waves:

@@ -121,8 +121,8 @@ class WarmEngine:
         Fixed engine configuration for every query.
     kernel : str or None
         Scatter-min kernel for every engine run (:mod:`repro.kernels`);
-        ``None`` resolves via ``REPRO_KERNEL`` then ``"auto"``.  All
-        kernels are bit-identical, so warm answers (and the result
+        ``None`` resolves via ``REPRO_KERNEL`` then ``"sort_reduceat"``.
+        Both kernels are bit-identical, so warm answers (and the result
         cache) are unaffected by the choice.
     observer : repro.obs.Observer, optional
         Default-off observability hook.  When attached, every engine run

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.frontier import Frontier
 
@@ -152,6 +154,22 @@ class TestIncrementalCount:
             f.add(batch)
             reference = np.unique(np.concatenate([reference, batch]))
             assert np.array_equal(f.ids(), reference)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.lists(st.integers(0, 199), max_size=60), min_size=1, max_size=8))
+    def test_sparse_add_is_union(self, batches):
+        """Unsorted, duplicated and overlapping batches: the sparse set
+        after each add is exactly the running np.union1d."""
+        f = Frontier(200, mode="sparse")
+        expect = np.empty(0, dtype=np.int64)
+        for batch in batches:
+            arr = np.array(batch, dtype=np.int64)
+            f.add(arr)
+            expect = np.union1d(expect, arr)
+            arr[:] = -1  # the frontier must not alias the caller's batch
+            got = f.ids()
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expect)
 
     def test_sparse_add_beyond_current_max(self):
         """Insertions past the end (searchsorted pos == len) must work."""

@@ -1,4 +1,4 @@
-"""Calibration layer: thresholds, Δ doubling, and the strategy trigger."""
+"""Calibration layer: Δ doubling and the strategy trigger."""
 
 from __future__ import annotations
 
@@ -8,40 +8,13 @@ import pytest
 from repro.core.stepping import CALIBRATE_CV_THRESHOLD, DeltaStepping, default_strategy
 from repro.graphs import build_graph, road_graph
 from repro.kernels import calibrate
-from repro.kernels.calibrate import (
-    DEFAULT_SCATTER_THRESHOLD,
-    calibrate_delta,
-    calibrate_scatter,
-    scatter_threshold,
-)
+from repro.kernels.calibrate import calibrate_delta
 
 
 @pytest.fixture(autouse=True)
 def _fresh_state(monkeypatch):
-    """Isolate the process-wide caches from other tests (and vice versa)."""
-    monkeypatch.setattr(calibrate, "_state", {"threshold": None, "profile": None})
+    """Isolate the process-wide Δ cache from other tests (and vice versa)."""
     monkeypatch.setattr(calibrate, "_DELTA_CACHE", {})
-    monkeypatch.delenv("REPRO_KERNEL_THRESHOLD", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL_CALIBRATE", raising=False)
-
-
-def test_threshold_env_pin(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "777")
-    assert scatter_threshold() == 777
-
-
-def test_threshold_calibration_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_CALIBRATE", "0")
-    assert scatter_threshold() == DEFAULT_SCATTER_THRESHOLD
-
-
-def test_calibrate_scatter_profile_cached():
-    prof = calibrate_scatter(repeats=1)
-    assert prof["threshold"] >= 1
-    assert set(prof["timings"]) == {"128", "256", "512", "1024", "4096"}
-    # Second call returns the cached profile object.
-    assert calibrate_scatter() is prof
-    assert scatter_threshold() == prof["threshold"]
 
 
 def test_calibrate_delta_cached_by_fingerprint():

@@ -13,13 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels.scatter import (
-    CONCRETE_IMPLS,
-    KERNEL_IMPLS,
-    Kernel,
-    ScratchPool,
-    get_kernel,
-)
+from repro.kernels.scatter import DEFAULT_KERNEL, KERNEL_IMPLS, Kernel, get_kernel
 
 NON_REFERENCE = tuple(i for i in KERNEL_IMPLS if i != "ufunc_at")
 
@@ -114,62 +108,28 @@ def test_all_inf_values_still_report_targets(impl):
     assert got_dist.tobytes() == expect_dist.tobytes()
 
 
-def test_auto_dispatches_both_sides_of_threshold(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "64")
-    kern = Kernel("auto")
-    assert kern.threshold == 64
-    dist = np.full(1000, np.inf)
-    rng = np.random.default_rng(0)
-
-    small_t, small_v = _random_batch(rng, 1000, 63)
-    kern.scatter_min(dist, small_t, small_v)
-    big_t, big_v = _random_batch(rng, 1000, 64)
-    kern.scatter_min(dist, big_t, big_v)
-
-    stats = kern.take_stats()
-    assert stats["ufunc_at"]["dispatched"] == 1
-    assert stats["sort_reduceat"]["dispatched"] == 1
+def test_take_stats_snapshots_and_resets():
+    kern = Kernel("sort_reduceat")
+    dist = np.full(10, np.inf)
+    kern.scatter_min(dist, np.array([1, 1], dtype=np.int64), np.array([2.0, 1.0]))
+    assert kern.take_stats() == {"sort_reduceat": {"calls": 1, "elements": 2}}
     # take_stats resets: a second call reports nothing.
     assert kern.take_stats() == {}
 
 
-def test_concrete_impl_never_reports_dispatch():
-    kern = Kernel("sort_reduceat")
-    dist = np.full(10, np.inf)
-    kern.scatter_min(dist, np.array([1, 1], dtype=np.int64), np.array([2.0, 1.0]))
-    stats = kern.take_stats()
-    assert stats["sort_reduceat"]["calls"] == 1
-    assert stats["sort_reduceat"]["elements"] == 2
-    assert stats["sort_reduceat"]["dispatched"] == 0
-
-
 def test_get_kernel_contract(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert get_kernel(None).impl == "auto"
-    monkeypatch.setenv("REPRO_KERNEL", "sort_reduceat")
-    assert get_kernel(None).impl == "sort_reduceat"
+    assert DEFAULT_KERNEL == "sort_reduceat"
+    assert get_kernel(None).impl == DEFAULT_KERNEL
+    monkeypatch.setenv("REPRO_KERNEL", "ufunc_at")
+    assert get_kernel(None).impl == "ufunc_at"
     # Explicit spec wins over the environment.
-    assert get_kernel("ufunc_at").impl == "ufunc_at"
-    kern = Kernel("auto")
+    assert get_kernel("sort_reduceat").impl == "sort_reduceat"
+    kern = Kernel()
+    assert kern.impl == DEFAULT_KERNEL
     assert get_kernel(kern) is kern
     with pytest.raises(ValueError):
         Kernel("no-such-impl")
-    assert set(CONCRETE_IMPLS) < set(KERNEL_IMPLS)
-
-
-def test_scratch_pool_growth_and_reuse():
-    pool = ScratchPool()
-    a = pool.take("x", 10, np.int64)
-    assert len(a) == 10
-    b = pool.take("x", 11, np.int64)
-    # Same pooled buffer serves both: no realloc under the minimum size.
-    assert a.base is b.base or a.base is not None
-    big = pool.take("x", 5000, np.int64)
-    assert len(big) == 5000
-    assert pool.nbytes() > 0
-    # Distinct tags never alias.
-    c = pool.take("y", 10, np.float64)
-    c[:] = 1.0
-    d = pool.take("x", 10, np.int64)
-    d[:] = 7
-    assert (c == 1.0).all()
+    with pytest.raises(ValueError):
+        Kernel("auto")
+    assert set(KERNEL_IMPLS) == {"ufunc_at", "sort_reduceat"}
