@@ -75,7 +75,7 @@ from .verify import (
     build_certificate,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ppsp",

@@ -12,7 +12,19 @@ matching the columns of the paper's Fig. 7:
 * ``sssp-vc``      — full SSSP from a vertex cover of the query graph
   (Sec. 4.3), the minimum set of SSSPs that answers everything.
 
-Each solver returns a :class:`BatchResult` carrying per-query distances
+Every method is one pipeline.  :func:`plan_units` splits the batch into
+independent engine runs (:class:`BatchUnit`): one per query-graph
+connected component for ``multi`` (per component of each query subset
+when ``max_sources`` chunks the batch), one per query for the plain
+modes, one per covering source for the SSSP methods.  :func:`run_unit`
+answers one unit and :func:`reassemble` merges the unit results in the
+serial order with the method's meter-merge structure.  The serial
+backend runs the units inline; the process backend
+(:mod:`repro.parallel.pool`) packs the same units into shards whose
+workers call the same :func:`run_unit`, so the two backends agree bit
+for bit by construction.
+
+Each solve returns a :class:`BatchResult` carrying per-query distances
 and the run's work/depth meter, so simulated parallel times are directly
 comparable across strategies.
 """
@@ -20,19 +32,39 @@ comparable across strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ..parallel.cost_model import WorkDepthMeter
+from ..parallel.cost_model import (
+    WorkDepthMeter,
+    estimate_bids_work,
+    estimate_endpoint_work,
+    estimate_multi_work,
+    estimate_sssp_work,
+)
 from .engine import run_policy
-from .paths import stitch_bidirectional_path, walk_path
+from .paths import PathError, stitch_bidirectional_path, walk_path
 from .policies import BiDS, MultiPPSP, SsspPolicy
 from .query_graph import QueryGraph
 from .stepping import SteppingStrategy
 
-__all__ = ["BatchResult", "solve_batch", "BATCH_METHODS"]
+__all__ = [
+    "BatchResult",
+    "BatchUnit",
+    "BatchPlan",
+    "UnitResult",
+    "solve_batch",
+    "plan_units",
+    "run_unit",
+    "reassemble",
+    "BATCH_METHODS",
+]
 
 BATCH_METHODS = ("multi", "plain-bids", "plain-star-bids", "sssp-plain", "sssp-vc")
+
+#: methods whose units keep no per-query search state (no paths).
+_PLAIN = ("plain-bids", "plain-star-bids")
 
 
 @dataclass
@@ -55,6 +87,7 @@ class BatchResult:
     #: per-pair :class:`repro.verify.Certificate`, keyed like
     #: ``distances``; populated by ``solve_batch(..., certify=True)``.
     certificates: dict | None = field(default=None, repr=False)
+    #: stored key -> the :class:`UnitResult` that answered it.
     _path_state: dict | None = field(default=None, repr=False)
 
     def distance(self, s: int, t: int) -> float:
@@ -83,73 +116,116 @@ class BatchResult:
         over the covering row).  The plain per-query BiDS modes discard
         per-query state; use ``multi`` when paths are needed.
         """
-        st = self._path_state
-        if st is None:
+        units = self._path_state
+        if units is None:
             raise NotImplementedError(
                 f"paths are not retained by method {self.method!r}; "
                 "use method='multi' or an SSSP-based method"
             )
         if s == t:
             return [int(s)]
-        if st["kind"] == "precomputed":
-            # Pool results carry worker-reconstructed paths: the worker
-            # ran the same stitch/walk over the same rows the serial
-            # backend would have used, so the vertices are identical.
-            paths = st["paths"]
-            key = (s, t) if (s, t) in paths else (t, s)
-            if key not in paths:
-                raise KeyError(f"({s}, {t}) was not part of this batch")
-            path = paths[key]
-            if path is None:
-                from .paths import PathError
+        # Directed batches can hold (s, t) and (t, s) as distinct
+        # queries: an exact-orientation match wins over the reversed key.
+        for key in ((s, t), (t, s)):
+            if key in units:
+                path = units[key].path(key)
+                if path is None:
+                    raise PathError(f"no shortest path found for query {key}")
+                return list(path) if key == (s, t) else list(path)[::-1]
+        raise KeyError(f"({s}, {t}) was not part of this batch")
 
-                raise PathError(f"no finite path recorded for query ({s}, {t})")
-            return list(path) if key == (s, t) else list(path)[::-1]
-        if st["kind"] == "chunked":
-            # Directed batches can hold (s, t) and (t, s) as distinct
-            # queries in different chunks: an exact-orientation match
-            # anywhere must win before falling back to the reversed key.
-            for want in ((s, t), (t, s)):
-                for chunk_state in st["chunks"]:
-                    if want in chunk_state["edge_index"]:
-                        proxy = BatchResult(
-                            distances={k: self.distances[k] for k in chunk_state["edge_index"]},
-                            meter=self.meter,
-                            method=self.method,
-                            num_searches=self.num_searches,
-                            _path_state=chunk_state,
-                        )
-                        return proxy.path(s, t)
-            raise KeyError(f"({s}, {t}) was not part of this batch")
-        qg: QueryGraph = st["qg"]
-        graph = st["graph"]
-        # Recover the query edge in its stored orientation.
-        key = (s, t) if (s, t) in self.distances else (t, s)
-        if key not in self.distances:
-            raise KeyError(f"({s}, {t}) was not part of this batch")
-        flipped = key != (s, t)
-        ks, kt = key
-        i, j = st["edge_index"][key]
-        if st["kind"] == "multi":
-            path = stitch_bidirectional_path(
-                graph, st["dist"][i], st["dist"][j], ks, kt
-            )
+
+class BatchUnit(NamedTuple):
+    """One independent engine run of a batch.
+
+    ``pairs`` are the queries the unit answers, as stored keys in answer
+    order.  A ``multi`` unit searches from every endpoint of its pairs
+    (one query-graph component, ``directed`` like its batch); a plain
+    unit runs one BiDS for its one pair; an SSSP unit searches from
+    ``source`` — over the reverse graph when ``reverse`` is set (a
+    directed target copy) — and answers a pair from its source
+    endpoint's row when the matching ``forward`` flag is set, from its
+    target's otherwise.
+    """
+
+    method: str
+    pairs: tuple
+    directed: bool = False
+    source: int = -1
+    reverse: bool = False
+    forward: tuple = ()
+
+    def cost(self, graph) -> float:
+        """A-priori work estimate (cost-model units) to pack shards by."""
+        n, m = graph.num_vertices, graph.num_edges
+        if self.method == "multi":
+            roots = QueryGraph(self.pairs, directed=self.directed).vertices
+            base = estimate_multi_work(len(roots), n, m)
+        elif self.method in _PLAIN:
+            roots = self.pairs[0]
+            base = estimate_bids_work(n, m)
         else:
-            rows, covered = st["rows"], st["covered"]
-            if i in covered:
-                # Row i holds distances from ks (forward orientation).
-                path = walk_path(graph, rows[i], ks, kt)
-            else:
-                # Row j holds distances from kt: over the reverse graph
-                # for directed target copies, over the graph itself
-                # otherwise; both walk kt -> ks, then flip.
-                g_row = (
-                    graph.reverse()
-                    if graph.directed and qg.direction is not None and qg.direction[j] < 0
-                    else graph
-                )
-                path = walk_path(g_row, rows[j], kt, ks)[::-1]
-        return path[::-1] if flipped else path
+            roots = (self.source,)
+            base = estimate_sssp_work(n, m)
+        return base + estimate_endpoint_work(graph, roots)
+
+
+@dataclass
+class BatchPlan:
+    """A batch split into units, and how their results merge back.
+
+    ``owner`` maps every answer key, in result order, to the index of
+    the unit answering it (``None`` for a self pair that no SSSP
+    covers: it is its own answer).  Meters merge concurrently within
+    each of ``groups`` when ``parallel`` is set (sequentially
+    otherwise), and sequentially across groups.  ``max_sources`` is set
+    when ``multi`` ran in query subsets.
+    """
+
+    method: str
+    units: list[BatchUnit]
+    owner: dict
+    groups: list[list[int]]
+    parallel: bool
+    max_sources: int | None = None
+
+
+@dataclass
+class UnitResult:
+    """One unit's answers, meter, certificates and path state.
+
+    Paths are walked on demand from the unit's distance ``rows`` and
+    cached in ``paths``; :meth:`detach` walks them all and drops the
+    rows, which is the compact form a pool worker sends back.
+    """
+
+    distances: dict
+    meter: WorkDepthMeter
+    exact: bool
+    num_searches: int
+    steps: int
+    relaxations: int
+    certificates: dict | None = None
+    paths: dict = field(default_factory=dict)
+    rows: np.ndarray | None = field(default=None, repr=False)
+    _walk: object = field(default=None, repr=False)
+
+    def path(self, key) -> tuple | None:
+        """Witness path for one stored key (``None`` when none walks)."""
+        if key not in self.paths:
+            try:
+                self.paths[key] = tuple(self._walk(key))
+            except (PathError, ValueError, IndexError):
+                self.paths[key] = None
+        return self.paths[key]
+
+    def detach(self) -> "UnitResult":
+        """Walk every path now and drop the rows; returns ``self``."""
+        if self._walk is not None:
+            for key in self.distances:
+                self.path(key)
+        self.rows = self._walk = None
+        return self
 
 
 def solve_batch(
@@ -210,12 +286,13 @@ def solve_batch(
     solver's dist rows are still alive.  Budget-degraded answers get
     one-sided upper-bound certificates.
 
-    ``backend="process"`` ships the batch to a pool of worker processes
-    attached to a shared-memory view of the graph
+    ``backend="process"`` ships the batch's units to a pool of worker
+    processes attached to a shared-memory view of the graph
     (:mod:`repro.parallel.pool`): ``workers`` sets the pool size, or
     pass an existing :class:`~repro.parallel.pool.ProcessPool` as
     ``pool`` to amortize worker startup and graph export across batches.
-    The answers — distances, paths, and certificates — are bit-identical
+    Workers run the same units through the same :func:`run_unit`, so the
+    answers — distances, paths, and certificates — are bit-identical
     to ``backend="serial"``; features that are inherently single-process
     (``budget``, ``arena``, ``strategy_factory``, ``max_sources``) are
     rejected with a ``ValueError``.
@@ -254,73 +331,60 @@ def solve_batch(
     _validate_endpoints(graph, qg)
 
     if backend == "process":
-        from ..parallel.pool import solve_batch_process  # lazy: pool imports this module
+        from ..parallel.pool import run_units, shippable_kwargs  # lazy: pool imports this module
 
-        return solve_batch_process(
-            graph,
-            qg,
-            method=method,
-            strategy=strategy,
-            strategy_factory=strategy_factory,
-            max_sources=max_sources,
+        engine_kwargs, injector = shippable_kwargs(
+            engine_kwargs,
             budget=budget,
             arena=arena,
-            observer=observer,
-            certify=certify,
-            workers=workers,
-            pool=pool,
-            shard_deadline=shard_deadline,
-            hedge=hedge,
-            retry_budget=retry_budget,
-            **engine_kwargs,
-        )
-    if workers is not None or pool is not None:
-        raise ValueError("workers/pool apply to backend='process' only")
-    if shard_deadline is not None or hedge is not None or retry_budget is not None:
-        raise ValueError(
-            "shard_deadline/hedge/retry_budget apply to backend='process' only"
-        )
-    if strategy_factory is None:
-        strategy_factory = (lambda: strategy) if strategy is not None else lambda: None
-    if max_sources is not None and method != "multi":
-        raise ValueError("max_sources applies to the 'multi' method only")
-
-    bmeter = None
-    if budget is not None:
-        bmeter = budget if hasattr(budget, "charge") else budget.start()
-        engine_kwargs = {**engine_kwargs, "budget": bmeter}
-    if arena is not None:
-        engine_kwargs = {**engine_kwargs, "arena": arena}
-    if observer is not None:
-        engine_kwargs = {**engine_kwargs, "observer": observer}
-    if certify:
-        engine_kwargs = {**engine_kwargs, "track_processed": True}
-
-    if method == "multi":
-        if max_sources is not None and qg.num_vertices > max_sources:
-            res = _solve_multi_chunked(
-                graph, qg, strategy_factory, engine_kwargs, max_sources, certify
-            )
-        else:
-            res = _solve_multi(graph, qg, strategy_factory, engine_kwargs, certify)
-    elif method == "plain-bids":
-        res = _solve_plain_bids(
-            graph, qg, strategy_factory, engine_kwargs, concurrent=False, certify=certify
-        )
-    elif method == "plain-star-bids":
-        res = _solve_plain_bids(
-            graph, qg, strategy_factory, engine_kwargs, concurrent=True, certify=certify
-        )
-    elif method == "sssp-plain":
-        sources = _plain_sssp_sources(qg)
-        res = _solve_sssp(
-            graph, qg, sources, strategy_factory, engine_kwargs, "sssp-plain", certify
+            strategy_factory=strategy_factory,
+            max_sources=max_sources,
         )
     else:
-        cover = qg.vertex_cover()
-        res = _solve_sssp(
-            graph, qg, cover, strategy_factory, engine_kwargs, "sssp-vc", certify
+        if workers is not None or pool is not None:
+            raise ValueError("workers/pool apply to backend='process' only")
+        if shard_deadline is not None or hedge is not None or retry_budget is not None:
+            raise ValueError(
+                "shard_deadline/hedge/retry_budget apply to backend='process' only"
+            )
+        if max_sources is not None and method != "multi":
+            raise ValueError("max_sources applies to the 'multi' method only")
+
+    plan = plan_units(graph, qg, method, max_sources=max_sources)
+    if certify:
+        engine_kwargs = {**engine_kwargs, "track_processed": True}
+    bmeter = None
+    if backend == "process":
+        results = run_units(
+            graph,
+            plan.units,
+            label=method,
+            pool=pool,
+            workers=workers,
+            injector=injector,
+            observer=observer,
+            deadline=shard_deadline,
+            hedge=hedge,
+            retry_budget=retry_budget,
+            strategy=strategy,
+            certify=certify,
+            **engine_kwargs,
         )
+    else:
+        if strategy_factory is None:
+            strategy_factory = (lambda: strategy) if strategy is not None else lambda: None
+        if budget is not None:
+            bmeter = budget if hasattr(budget, "charge") else budget.start()
+            engine_kwargs = {**engine_kwargs, "budget": bmeter}
+        if arena is not None:
+            engine_kwargs = {**engine_kwargs, "arena": arena}
+        if observer is not None:
+            engine_kwargs = {**engine_kwargs, "observer": observer}
+        results = [
+            run_unit(graph, unit, strategy=strategy_factory(), certify=certify, **engine_kwargs)
+            for unit in plan.units
+        ]
+    res = reassemble(graph, plan, results, certify=certify)
 
     if bmeter is not None:
         report = bmeter.report()
@@ -346,323 +410,287 @@ def _validate_endpoints(graph, qg: QueryGraph) -> None:
                 )
 
 
+def _keys(qg: QueryGraph) -> list[tuple[int, int]]:
+    """Stored (s, t) answer keys of the query-graph edges, in edge order."""
+    verts = qg.vertices
+    return [(int(verts[i]), int(verts[j])) for i, j in qg.edges]
+
+
 # ----------------------------------------------------------------------
-def _solve_multi(
-    graph, qg: QueryGraph, strategy_factory, engine_kwargs, certify=False
-) -> BatchResult:
-    """Multi-BiDS, decomposed over query-graph connected components.
+# Plan
+# ----------------------------------------------------------------------
+def plan_units(
+    graph, qg: QueryGraph, method: str, *, max_sources: int | None = None
+) -> BatchPlan:
+    """Split a batch into independent units (no engine work, no estimates).
 
-    Queries in different components of ``G_q`` exchange no shortest-path
-    information, but a whole-batch engine run still couples them: the
-    stepping threshold is derived from the *global* frontier minimum, so
-    an unrelated component alters extraction batching (and thereby
-    last-ulp float trajectories) in every other component.  Running each
-    component as its own engine run removes that coupling — the runs are
-    independent, so the simulated machine executes them concurrently
-    (``merge_parallel``) and the process-pool backend can ship them to
-    workers while staying bit-identical to this serial path.
+    ``multi`` runs each query-graph connected component as its own
+    engine run.  Components exchange no shortest-path information, but
+    a whole-batch run would still couple them: the stepping threshold
+    comes from the *global* frontier minimum, so an unrelated component
+    would alter extraction batching (and last-ulp float trajectories)
+    everywhere.  Separate runs are independent, so the simulated machine
+    executes them concurrently (``merge_parallel``).  With
+    ``max_sources`` below the batch's endpoint count, edges are first
+    greedily packed into query subsets whose union of endpoints stays
+    within the bound; subsets run one after another (``merge``).
 
-    Single-component batches take exactly one engine run, identical to
-    the undecomposed solver.
+    The plain modes run one BiDS per query; the SSSP methods one full
+    SSSP per source (all distinct query sources for ``sssp-plain``, a
+    vertex cover for ``sssp-vc``), each answering the queries it covers.
     """
-    comps = qg.components()
-    if len(comps) == 1:
-        return _solve_multi_component(
-            graph, comps[0], strategy_factory(), engine_kwargs, certify
-        )
-    results = [
-        _solve_multi_component(graph, sub, strategy_factory(), engine_kwargs, certify)
-        for sub in comps
-    ]
-    distances: dict[tuple[int, int], float] = {}
-    certs: dict | None = {} if certify else None
-    for res in results:
-        distances.update(res.distances)
-        if certs is not None and res.certificates:
-            certs.update(res.certificates)
-    combined = WorkDepthMeter()
-    combined.merge_parallel([res.meter for res in results])
-    return BatchResult(
-        distances=distances,
-        meter=combined,
-        method="multi",
-        num_searches=sum(res.num_searches for res in results),
-        exact=all(res.exact for res in results),
-        details={
-            "components": len(comps),
-            "steps": sum(res.details["steps"] for res in results),
-            "relaxations": sum(res.details["relaxations"] for res in results),
-        },
-        certificates=certs,
-        _path_state={
-            "kind": "chunked",
-            "chunks": [res._path_state for res in results],
-        },
-    )
-
-
-def _solve_multi_component(
-    graph, qg: QueryGraph, strategy, engine_kwargs, certify=False
-) -> BatchResult:
-    """One Multi-BiDS engine run over a (single-component) query graph."""
-    policy = MultiPPSP(qg)
-    res = run_policy(graph, policy, strategy=strategy, **engine_kwargs)
-    certs = None
-    if certify:
-        from ..verify import build_certificate  # lazy: verify imports obs
-
-        exact = not res.exhausted
-        pd = res.processed_dist
-        certs = {}
-        for key, (i, j) in _edge_index(qg).items():
-            s, t = key
-            # Row j mirrors BatchResult.path: the target copy's search,
-            # traversing the reverse orientation when the query graph
-            # marked it as a backward copy (directed Sec. 4.4 split).
-            rev_j = bool(
-                graph.directed and qg.direction is not None and qg.direction[j] < 0
-            )
-            certs[key] = build_certificate(
-                graph, s, t, "multi", res.answer[key], exact,
-                dist_forward=res.dist[i],
-                dist_backward=res.dist[j],
-                backward_reversed=rev_j,
-                processed_forward=None if pd is None else pd[i],
-                processed_backward=None if pd is None else pd[j],
-                mu=res.answer[key] if exact else None,
-            )
-    return BatchResult(
-        distances=res.answer,
-        meter=res.meter,
-        method="multi",
-        num_searches=qg.num_vertices,
-        exact=not res.exhausted,
-        details={"steps": res.steps, "relaxations": res.relaxations},
-        certificates=certs,
-        _path_state={
-            "kind": "multi",
-            "graph": graph,
-            "qg": qg,
-            "dist": res.dist,
-            "edge_index": _edge_index(qg),
-        },
-    )
-
-
-def _edge_index(qg: QueryGraph) -> dict[tuple[int, int], tuple[int, int]]:
-    """Map stored (s, t) answer keys to their query-graph edge (i, j)."""
-    verts = qg.vertices
-    return {
-        (int(verts[i]), int(verts[j])): (i, j) for i, j in qg.edges
-    }
-
-
-def _solve_multi_chunked(
-    graph, qg: QueryGraph, strategy_factory, engine_kwargs, max_sources: int, certify=False
-) -> BatchResult:
-    """Multi-BiDS over query subsets of bounded endpoint count.
-
-    Edges are greedily packed into chunks whose union of endpoints stays
-    within ``max_sources`` (each chunk still shares sources internally),
-    and the chunks run one after another.
-    """
-    if max_sources < 2:
-        raise ValueError("max_sources must be at least 2 (one query)")
-    verts = qg.vertices
-    chunks: list[list[tuple[int, int]]] = []
-    chunk: list[tuple[int, int]] = []
-    endpoints: set[int] = set()
-    for i, j in qg.edges:
-        pair = (int(verts[i]), int(verts[j]))
-        added = {pair[0], pair[1]} - endpoints
-        if chunk and len(endpoints) + len(added) > max_sources:
-            chunks.append(chunk)
-            chunk, endpoints = [], set()
-        chunk.append(pair)
-        endpoints.update(pair)
-    if chunk:
-        chunks.append(chunk)
-
-    distances: dict[tuple[int, int], float] = {}
-    combined = WorkDepthMeter()
-    searches = 0
-    exact = True
-    chunk_states: list[dict] = []
-    certs: dict | None = {} if certify else None
-    for pairs in chunks:
-        sub = QueryGraph(pairs, directed=qg.directed)
-        res = _solve_multi(graph, sub, strategy_factory, engine_kwargs, certify)
-        distances.update(res.distances)
-        combined.merge(res.meter)
-        searches += res.num_searches
-        exact = exact and res.exact
-        # A multi-component chunk returns a nested chunked state; keep
-        # the stored list flat so path() lookup stays one level deep.
-        if res._path_state["kind"] == "chunked":
-            chunk_states.extend(res._path_state["chunks"])
+    if method == "multi":
+        subsets = [qg]
+        if max_sources is not None and qg.num_vertices > max_sources:
+            subsets = [QueryGraph(pairs, directed=qg.directed)
+                       for pairs in _subsets(qg, max_sources)]
         else:
-            chunk_states.append(res._path_state)
-        if certs is not None and res.certificates:
-            certs.update(res.certificates)
-    return BatchResult(
-        distances=distances,
-        meter=combined,
-        method="multi",
-        num_searches=searches,
-        exact=exact,
-        details={"chunks": len(chunks), "max_sources": max_sources},
-        certificates=certs,
-        _path_state={"kind": "chunked", "chunks": chunk_states},
-    )
+            max_sources = None
+        units: list[BatchUnit] = []
+        groups: list[list[int]] = []
+        for subset in subsets:
+            comps = subset.components()
+            groups.append(list(range(len(units), len(units) + len(comps))))
+            units += [BatchUnit(method, tuple(_keys(sub)), qg.directed) for sub in comps]
+        owner = {key: u for u, unit in enumerate(units) for key in unit.pairs}
+        return BatchPlan(method, units, owner, groups, True, max_sources)
 
-
-def _solve_plain_bids(
-    graph, qg: QueryGraph, strategy_factory, engine_kwargs, *, concurrent: bool, certify=False
-) -> BatchResult:
-    distances: dict[tuple[int, int], float] = {}
-    meters: list[WorkDepthMeter] = []
-    verts = qg.vertices
-    exact = True
-    certs: dict | None = {} if certify else None
-    if certify:
-        from ..verify import certificate_for_run  # lazy: verify imports obs
-    for i, j in qg.edges:
-        s, t = int(verts[i]), int(verts[j])
-        res = run_policy(graph, BiDS(s, t), strategy=strategy_factory(), **engine_kwargs)
-        distances[(s, t)] = res.answer
-        meters.append(res.meter)
-        exact = exact and not res.exhausted
-        if certs is not None:
-            # Built per run, while this run's dist rows are still alive.
-            certs[(s, t)] = certificate_for_run(
-                graph, s, t, "bids", float(res.answer), not res.exhausted, res
-            )
-    combined = WorkDepthMeter()
-    if concurrent:
-        combined.merge_parallel(meters)
-    else:
-        for m in meters:
-            combined.merge(m)
-    return BatchResult(
-        distances=distances,
-        meter=combined,
-        method="plain-star-bids" if concurrent else "plain-bids",
-        num_searches=2 * qg.num_edges,
-        exact=exact,
-        certificates=certs,
-    )
-
-
-def _plain_sssp_sources(qg: QueryGraph) -> np.ndarray:
-    """All distinct *sources* of the original pairs (the naive strategy)."""
-    src = sorted({s for s, _ in qg.original_pairs})
-    return np.array([qg.index_of(s) for s in src], dtype=np.int64)
-
-
-def _solve_sssp(
-    graph, qg: QueryGraph, source_indices: np.ndarray, strategy_factory, engine_kwargs,
-    name: str, certify=False,
-) -> BatchResult:
-    """Run full SSSP from the given query-graph vertices, combine answers.
-
-    Every query must have at least one endpoint among ``source_indices``
-    (guaranteed for a vertex cover; for ``sssp-plain`` by construction).
-    """
-    verts = qg.vertices
-    rows: dict[int, np.ndarray] = {}
-    prows: dict[int, np.ndarray] = {}
-    row_exact: dict[int, bool] = {}
-    row_reversed: dict[int, bool] = {}
-    combined = WorkDepthMeter()
-    exact = True
-    for qi in source_indices:
-        v = int(verts[qi])
-        reverse = (
-            graph.directed
-            and qg.direction is not None
-            and qg.direction[qi] < 0
+    if method in _PLAIN:
+        keys = _keys(qg)
+        units = [BatchUnit(method, (key,)) for key in keys]
+        owner = {key: u for u, key in enumerate(keys)}
+        return BatchPlan(
+            method, units, owner, [list(range(len(units)))], method == "plain-star-bids"
         )
-        g = graph.reverse() if reverse else graph
-        res = run_policy(g, SsspPolicy(v), strategy=strategy_factory(), **engine_kwargs)
-        rows[int(qi)] = res.distances_from(0)
-        combined.merge(res.meter)
-        exact = exact and not res.exhausted
-        row_exact[int(qi)] = not res.exhausted
-        row_reversed[int(qi)] = reverse
-        if certify and res.processed_dist is not None:
-            prows[int(qi)] = res.processed_dist[0]
-    covered = set(int(q) for q in source_indices)
-    distances: dict[tuple[int, int], float] = {}
-    certs: dict | None = {} if certify else None
-    for i, j in qg.edges:
-        s, t = int(verts[i]), int(verts[j])
+
+    if method == "sssp-plain":
+        sources = sorted({s for s, _ in qg.original_pairs})
+        source_indices = [qg.index_of(s) for s in sources]
+    else:
+        source_indices = [int(q) for q in qg.vertex_cover()]
+    slot = {qi: u for u, qi in enumerate(source_indices)}
+    owner: dict = {}
+    answered: list[list[tuple]] = [[] for _ in source_indices]
+    for (i, j), key in zip(qg.edges, _keys(qg)):
+        s, t = key
         if s == t:
             # Self-queries are their own answer and need no covering row.
-            distances[(s, t)] = 0.0
-        elif i in covered:
-            distances[(s, t)] = float(rows[i][t])
-        elif j in covered:
-            distances[(s, t)] = float(rows[j][s])
+            owner[key] = None
+        elif i in slot or j in slot:
+            u = slot[i] if i in slot else slot[j]
+            owner[key] = u
+            answered[u].append((key, i in slot))
         else:
             raise ValueError(
                 f"query ({s}, {t}) not covered by SSSP sources; "
-                f"method {name!r} needs a covering source set"
+                f"method {method!r} needs a covering source set"
             )
+    verts = qg.vertices
+    units = [
+        BatchUnit(
+            method,
+            tuple(key for key, _ in answered[u]),
+            source=int(verts[qi]),
+            reverse=bool(
+                graph.directed and qg.direction is not None and qg.direction[qi] < 0
+            ),
+            forward=tuple(fwd for _, fwd in answered[u]),
+        )
+        for u, qi in enumerate(source_indices)
+    ]
+    return BatchPlan(method, units, owner, [list(range(len(units)))], False)
+
+
+def _subsets(qg: QueryGraph, max_sources: int) -> list[list[tuple[int, int]]]:
+    """Greedy query subsets of at most ``max_sources`` endpoints each."""
+    if max_sources < 2:
+        raise ValueError("max_sources must be at least 2 (one query)")
+    subsets: list[list[tuple[int, int]]] = []
+    subset: list[tuple[int, int]] = []
+    endpoints: set[int] = set()
+    for pair in _keys(qg):
+        added = {pair[0], pair[1]} - endpoints
+        if subset and len(endpoints) + len(added) > max_sources:
+            subsets.append(subset)
+            subset, endpoints = [], set()
+        subset.append(pair)
+        endpoints.update(pair)
+    if subset:
+        subsets.append(subset)
+    return subsets
+
+
+# ----------------------------------------------------------------------
+# Run
+# ----------------------------------------------------------------------
+def run_unit(graph, unit: BatchUnit, *, strategy=None, certify: bool = False,
+             **engine_kwargs) -> UnitResult:
+    """Answer one unit with one engine run (serial inline, or in a worker).
+
+    With ``certify`` (and ``track_processed=True`` among the engine
+    kwargs) each answer gets its certificate while the run's rows are
+    alive; the witness path is walked once and shared by the
+    certificate and the unit's path cache.
+    """
+    certs: dict | None = None
+    if certify:
+        from ..verify import build_certificate, certificate_for_run  # lazy: verify imports obs
+
+        certs = {}
+    if unit.method in _PLAIN:
+        (key,) = unit.pairs
+        s, t = key
+        res = run_policy(graph, BiDS(s, t), strategy=strategy, **engine_kwargs)
         if certs is not None:
-            certs[(s, t)] = _sssp_certificate(
-                graph, qg, name, s, t, i, j, distances[(s, t)],
-                rows, prows, covered, row_exact, row_reversed,
+            certs[key] = certificate_for_run(
+                graph, s, t, "bids", float(res.answer), not res.exhausted, res
             )
+        return UnitResult(
+            {key: res.answer}, res.meter, not res.exhausted, 2,
+            res.steps, res.relaxations, certs,
+        )
+
+    if unit.method == "multi":
+        qg = QueryGraph(unit.pairs, directed=unit.directed)
+        res = run_policy(graph, MultiPPSP(qg), strategy=strategy, **engine_kwargs)
+        index = dict(zip(unit.pairs, qg.edges))
+        dist = res.dist  # the walk keeps the rows alive, not the whole run
+        out = UnitResult(
+            res.answer, res.meter, not res.exhausted, qg.num_vertices,
+            res.steps, res.relaxations, certs, rows=dist,
+            _walk=lambda key: _stitch(graph, dist, index[key], key),
+        )
+        if certs is not None:
+            exact, pd = out.exact, res.processed_dist
+            for key, (i, j) in index.items():
+                d = res.answer[key]
+                # Row j is the target copy's search, over the reverse
+                # orientation for a directed backward copy (Sec. 4.4).
+                rev_j = bool(graph.directed and qg.direction is not None
+                             and qg.direction[j] < 0)
+                certs[key] = build_certificate(
+                    graph, key[0], key[1], "multi", d, exact,
+                    dist_forward=res.dist[i],
+                    dist_backward=res.dist[j],
+                    backward_reversed=rev_j,
+                    processed_forward=None if pd is None else pd[i],
+                    processed_backward=None if pd is None else pd[j],
+                    mu=d if exact else None,
+                    path=out.path(key) if np.isfinite(d) else None,
+                )
+        return out
+
+    g = graph.reverse() if unit.reverse else graph
+    res = run_policy(g, SsspPolicy(unit.source), strategy=strategy, **engine_kwargs)
+    row = res.distances_from(0)
+    forward = dict(zip(unit.pairs, unit.forward))
+    out = UnitResult(
+        {(s, t): float(row[t] if forward[(s, t)] else row[s]) for s, t in unit.pairs},
+        res.meter, not res.exhausted, 1, res.steps, res.relaxations, certs, rows=row,
+        _walk=lambda key: _walk_row(g, row, forward[key], key),
+    )
+    if certs is not None:
+        prow = None if res.processed_dist is None else res.processed_dist[0]
+        for key in unit.pairs:
+            d = out.distances[key]
+            path = out.path(key) if np.isfinite(d) else None
+            if forward[key]:
+                certs[key] = build_certificate(
+                    graph, key[0], key[1], unit.method, d, out.exact,
+                    dist_forward=row, processed_forward=prow, path=path,
+                )
+            else:
+                certs[key] = build_certificate(
+                    graph, key[0], key[1], unit.method, d, out.exact,
+                    dist_backward=row, backward_reversed=unit.reverse,
+                    processed_backward=prow, path=path,
+                )
+    return out
+
+
+def _stitch(graph, dist: np.ndarray, edge: tuple[int, int], key) -> list[int]:
+    """Multi-BiDS path for one stored key from its edge's two rows."""
+    s, t = key
+    if s == t:
+        return [s]
+    i, j = edge
+    return stitch_bidirectional_path(graph, dist[i], dist[j], s, t)
+
+
+def _walk_row(g, row: np.ndarray, forward: bool, key) -> list[int]:
+    """SSSP path for one stored key from the covering row.
+
+    A source-covered key walks ``s -> t`` over the row.  A target-covered
+    key walks ``t -> s`` over the graph the row was searched on (the
+    reverse graph for a directed target copy), then flips.
+    """
+    s, t = key
+    if forward:
+        return walk_path(g, row, s, t)
+    return walk_path(g, row, t, s)[::-1]
+
+
+# ----------------------------------------------------------------------
+# Reassemble
+# ----------------------------------------------------------------------
+def reassemble(graph, plan: BatchPlan, results: list[UnitResult], *,
+               certify: bool = False) -> BatchResult:
+    """Merge unit results into one :class:`BatchResult`.
+
+    Keys come out in the plan's order with their unit's distance and
+    certificate; meters fold concurrently within a plan group and
+    sequentially across groups, a lone meter passing through as is.
+    """
+    distances: dict[tuple[int, int], float] = {}
+    certs: dict | None = None
+    if certify:
+        from ..verify import build_certificate  # lazy: verify imports obs
+
+        certs = {}
+    units: dict = {}
+    for key, u in plan.owner.items():
+        if u is None:
+            distances[key] = 0.0
+            if certs is not None:
+                certs[key] = build_certificate(graph, key[0], key[1], plan.method, 0.0, True)
+            continue
+        res = results[u]
+        distances[key] = res.distances[key]
+        if certs is not None:
+            certs[key] = res.certificates[key]
+        units[key] = res
+    meter = _merge(
+        [_merge([results[u].meter for u in group], plan.parallel) for group in plan.groups],
+        False,
+    )
+    details: dict = {}
+    if plan.max_sources is not None:
+        details = {"chunks": len(plan.groups), "max_sources": plan.max_sources}
+    elif plan.method == "multi":
+        if len(results) > 1:
+            details["components"] = len(results)
+        details["steps"] = sum(res.steps for res in results)
+        details["relaxations"] = sum(res.relaxations for res in results)
     return BatchResult(
         distances=distances,
-        meter=combined,
-        method=name,
-        num_searches=len(source_indices),
-        exact=exact,
+        meter=meter,
+        method=plan.method,
+        num_searches=sum(res.num_searches for res in results),
+        exact=all(res.exact for res in results),
+        details=details,
         certificates=certs,
-        _path_state={
-            "kind": "sssp",
-            "graph": graph,
-            "qg": qg,
-            "rows": rows,
-            "covered": covered,
-            "edge_index": _edge_index(qg),
-        },
+        _path_state=None if plan.method in _PLAIN else units,
     )
 
 
-def _sssp_certificate(
-    graph, qg, name, s, t, i, j, distance, rows, prows, covered, row_exact, row_reversed
-):
-    """Certificate for one query answered by a covering SSSP row.
-
-    Mirrors :meth:`BatchResult.path` orientation logic: a query covered
-    by its target endpoint walks the target's row (over the reverse
-    orientation for directed target copies) and flips the result.
-    """
-    from ..core.paths import PathError, walk_path
-    from ..verify import build_certificate
-
-    if s == t:
-        return build_certificate(graph, s, t, name, 0.0, True)
-    if i in covered:
-        return build_certificate(
-            graph, s, t, name, distance, row_exact[i],
-            dist_forward=rows[i],
-            processed_forward=prows.get(i),
-        )
-    rev = bool(row_reversed[j])
-    g_row = graph.reverse() if (graph.directed and rev) else graph
-    path = None
-    if np.isfinite(distance):
-        try:
-            path = walk_path(g_row, rows[j], t, s)[::-1]
-        except (PathError, ValueError, IndexError):
-            path = None
-    return build_certificate(
-        graph, s, t, name, distance, row_exact[j],
-        dist_backward=rows[j],
-        backward_reversed=rev,
-        processed_backward=prows.get(j),
-        path=path,
-    )
+def _merge(meters: list[WorkDepthMeter], parallel: bool) -> WorkDepthMeter:
+    """Fold meters into one (a single meter is returned as is)."""
+    if len(meters) == 1:
+        return meters[0]
+    combined = WorkDepthMeter()
+    if parallel:
+        combined.merge_parallel(meters)
+    else:
+        for meter in meters:
+            combined.merge(meter)
+    return combined

@@ -2,7 +2,7 @@
 
 The cost model and fork-join simulator *simulate* the paper's machine;
 :mod:`repro.parallel.pool` (imported lazily — it pulls in the batch
-solvers, which import this package) runs batches on real worker
+solvers, which import this package) runs a batch's units on real worker
 processes over a shared-memory graph.
 """
 
@@ -38,10 +38,10 @@ __all__ = [
     "expand_ranges",
     "ProcessPool",
     "WorkerCrashError",
-    "solve_batch_process",
+    "run_units",
 ]
 
-_POOL_EXPORTS = {"ProcessPool", "WorkerCrashError", "solve_batch_process"}
+_POOL_EXPORTS = {"ProcessPool", "WorkerCrashError", "run_units"}
 
 
 def __getattr__(name):

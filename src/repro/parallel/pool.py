@@ -1,26 +1,21 @@
 """Process-pool batch backend: real workers over a shared-memory graph.
 
 The rest of :mod:`repro.parallel` *simulates* the paper's machine; this
-module runs a batch on actual worker processes.  The decomposition is
-the one the batch solvers already use (PR lineage: MBQ-style inter-query
-parallelism):
-
-* ``multi``            — one work unit per query-graph connected
-  component (the serial solver runs the same components one by one);
-* ``plain-bids`` / ``plain-star-bids`` — one unit per query edge;
-* ``sssp-plain`` / ``sssp-vc``        — one unit per covering SSSP
-  source, carrying the queries that source answers.
-
-Units are packed into one shard per worker by the cost model's a-priori
-work estimates (:func:`~repro.parallel.cost_model.balance_shards`), so
-the simulated machine's load-balancing story is checkable against real
-wall-clock.  Workers attach the graph zero-copy via
-:meth:`~repro.graphs.csr.Graph.from_shm` (fingerprint-gated) and return
-plain per-unit payloads; the parent reassembles them in the exact order
-— and with the exact meter-merge structure — the serial backend uses,
-which is what makes the merged :class:`~repro.core.batch.BatchResult`
-**bit-identical** to ``backend="serial"``: same distances, same paths,
-same certificates, same work/depth meter.
+module runs a batch on actual worker processes.  It owns no batch
+logic: :func:`~repro.core.batch.solve_batch` plans the batch's units
+(:func:`~repro.core.batch.plan_units`) and merges their results
+(:func:`~repro.core.batch.reassemble`) for both backends, and
+:func:`run_units` here only executes the units.  It packs them into one
+shard per worker by their cost estimates
+(:func:`~repro.parallel.cost_model.balance_shards`), so the simulated
+machine's load-balancing story is checkable against real wall-clock.
+Workers attach the graph zero-copy via
+:meth:`~repro.graphs.csr.Graph.from_shm` (fingerprint-gated), answer
+each unit with the serial backend's own
+:func:`~repro.core.batch.run_unit`, walk its paths, and send the unit
+results back.  Results are therefore **bit-identical** to
+``backend="serial"`` by construction: same distances, same paths, same
+certificates, same work/depth meter.
 
 Worker death (SIGKILL, OOM) surfaces as :class:`WorkerCrashError`; the
 serve pipeline treats that as a shard failure, so its breakers and
@@ -28,7 +23,8 @@ checkpoint/resume machinery recover exactly as for any other fault.
 
 Inherently single-process features — ``budget``, ``arena``,
 ``strategy_factory``, ``max_sources``, auditors/tracing — are rejected
-up front rather than silently diverging from serial semantics.
+up front (:func:`shippable_kwargs`) rather than silently diverging from
+serial semantics.
 """
 
 from __future__ import annotations
@@ -41,25 +37,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context
+from multiprocessing import get_context, resource_tracker
 
-from ..core.batch import BatchResult, _plain_sssp_sources, _solve_multi_component
-from ..core.engine import run_policy
-from ..core.paths import PathError, walk_path
-from ..core.policies import BiDS, SsspPolicy
-from ..core.query_graph import QueryGraph
+from ..core.batch import run_unit
 from ..graphs.csr import Graph
 from ..graphs.shm import SharedGraph, export_graph
-from .cost_model import (
-    WorkDepthMeter,
-    balance_shards,
-    estimate_bids_work,
-    estimate_endpoint_work,
-    estimate_multi_work,
-    estimate_sssp_work,
-)
+from .cost_model import balance_shards
 
-__all__ = ["ProcessPool", "WorkerCrashError", "solve_batch_process"]
+__all__ = ["ProcessPool", "WorkerCrashError", "run_units", "shippable_kwargs"]
 
 logger = logging.getLogger("repro.pool")
 
@@ -195,6 +180,11 @@ class ProcessPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # Workers must fork with this process's resource tracker
+            # already running, or each starts its own on first attach
+            # and that tracker unlinks the live shared graph as "leaked"
+            # when its worker exits.
+            resource_tracker.ensure_running()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=self._mp_context
             )
@@ -216,6 +206,7 @@ class ProcessPool:
         queue behind the very straggler it is meant to beat.
         """
         if self._hedge_executor is None:
+            resource_tracker.ensure_running()  # see _ensure_executor
             self._hedge_executor = ProcessPoolExecutor(
                 max_workers=self.hedge_workers, mp_context=self._mp_context
             )
@@ -286,8 +277,8 @@ class ProcessPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         executor = self._ensure_executor()
-        futures = [executor.submit(_pool_ping, i) for i in range(self.workers)]
         try:
+            futures = [executor.submit(_pool_ping, i) for i in range(self.workers)]
             for future in futures:
                 future.result(timeout=timeout)
         except (BrokenProcessPool, _FuturesTimeout, TimeoutError, OSError) as exc:
@@ -321,8 +312,10 @@ class ProcessPool:
         A worker death poisons the executor (every pending shard with
         it), so the executor is discarded and :class:`WorkerCrashError`
         raised — the caller retries the whole batch or fails the shard
-        upward.  Any ordinary exception from a worker propagates as-is,
-        exactly as the serial backend would raise it.
+        upward.  That holds whether the death is found at a result or
+        already at submission (a worker that died while idle).  Any
+        ordinary exception from a worker propagates as-is, exactly as
+        the serial backend would raise it.
 
         With ``deadline`` (per-shard wall seconds) and/or ``hedge`` (a
         :class:`~repro.serve.hedging.HedgePolicy`, or ``True`` for the
@@ -349,22 +342,22 @@ class ProcessPool:
             )
         executor = self._ensure_executor()
         start = time.perf_counter()
-        futures = [executor.submit(_pool_worker, task) for task in tasks]
         results: list[dict] = []
-        for future in futures:
-            try:
+        try:
+            futures = [executor.submit(_pool_worker, task) for task in tasks]
+            for future in futures:
                 results.append(future.result())
-            except BrokenProcessPool:
-                elapsed = time.perf_counter() - start
-                self._discard_executor()
                 if observer is not None:
-                    observer.on_pool_crash()
-                    observer.on_pool_shard("crashed", elapsed)
-                raise WorkerCrashError(
-                    "a pool worker died mid-shard; the batch produced no answers"
-                ) from None
+                    observer.on_pool_shard("ok", time.perf_counter() - start)
+        except BrokenProcessPool:
+            elapsed = time.perf_counter() - start
+            self._discard_executor()
             if observer is not None:
-                observer.on_pool_shard("ok", time.perf_counter() - start)
+                observer.on_pool_crash()
+                observer.on_pool_shard("crashed", elapsed)
+            raise WorkerCrashError(
+                "a pool worker died mid-shard; the batch produced no answers"
+            ) from None
         return results
 
     def _run_shards_supervised(
@@ -535,144 +528,29 @@ def _pool_worker(task: dict) -> dict:
             time.sleep(stall_s)
         if kill_at is not None and pos == kill_at:
             os.kill(os.getpid(), signal.SIGKILL)
-        out.append(_run_unit(graph, task, unit))
+        # The rows stay here: the parent gets the walked paths instead.
+        out.append(run_unit(graph, unit, **task["run"]).detach())
     if kill_at is not None and kill_at >= len(units):  # pragma: no cover
         os.kill(os.getpid(), signal.SIGKILL)
     return {"shard": task["shard"], "units": out}
 
 
-def _run_unit(graph, task: dict, unit: dict) -> dict:
-    method = task["method"]
-    strategy = task["strategy"]
-    ek = dict(task["engine_kwargs"])
-    certify = task["certify"]
-    if certify:
-        ek["track_processed"] = True
-    if method == "multi":
-        return _run_multi_unit(graph, task, unit, strategy, ek, certify)
-    if method in ("plain-bids", "plain-star-bids"):
-        return _run_bids_unit(graph, unit, strategy, ek, certify)
-    return _run_sssp_unit(graph, task, unit, strategy, ek, certify)
-
-
-def _run_multi_unit(graph, task, unit, strategy, ek, certify) -> dict:
-    sub = QueryGraph(unit["pairs"], directed=task["directed"])
-    res = _solve_multi_component(graph, sub, strategy, ek, certify)
-    paths: dict[tuple[int, int], list[int] | None] = {}
-    for key in res.distances:
-        try:
-            paths[key] = res.path(*key)
-        except (PathError, ValueError, IndexError, KeyError):
-            paths[key] = None
-    return {
-        "index": unit["index"],
-        "distances": res.distances,
-        "meter": res.meter,
-        "num_searches": res.num_searches,
-        "exact": res.exact,
-        "steps": res.details["steps"],
-        "relaxations": res.details["relaxations"],
-        "certs": res.certificates,
-        "paths": paths,
-    }
-
-
-def _run_bids_unit(graph, unit, strategy, ek, certify) -> dict:
-    s, t = unit["s"], unit["t"]
-    res = run_policy(graph, BiDS(s, t), strategy=strategy, **ek)
-    cert = None
-    if certify:
-        from ..verify import certificate_for_run  # lazy: verify imports obs
-
-        cert = certificate_for_run(
-            graph, s, t, "bids", float(res.answer), not res.exhausted, res
-        )
-    return {
-        "index": unit["index"],
-        "distance": res.answer,
-        "meter": res.meter,
-        "exact": not res.exhausted,
-        "cert": cert,
-    }
-
-
-def _run_sssp_unit(graph, task, unit, strategy, ek, certify) -> dict:
-    from ..core.batch import _sssp_certificate
-
-    qi = unit["qi"]
-    reverse = unit["reverse"]
-    g = graph.reverse() if reverse else graph
-    res = run_policy(g, SsspPolicy(unit["v"]), strategy=strategy, **ek)
-    row = res.distances_from(0)
-    exact = not res.exhausted
-    rows = {qi: row}
-    prows = {}
-    if certify and res.processed_dist is not None:
-        prows[qi] = res.processed_dist[0]
-    covered = task["covered"]
-    answers: dict[tuple[int, int], float] = {}
-    certs: dict | None = {} if certify else None
-    paths: dict[tuple[int, int], list[int] | None] = {}
-    for pair in unit["pairs"]:
-        (s, t), i, j = pair["key"], pair["i"], pair["j"]
-        # The same elif chain the serial combiner walks: prefer the
-        # source endpoint's row when it is covered.
-        if i in covered:
-            answers[(s, t)] = float(row[t])
-        else:
-            answers[(s, t)] = float(row[s])
-        if certs is not None:
-            certs[(s, t)] = _sssp_certificate(
-                graph, None, task["method"], s, t, i, j, answers[(s, t)],
-                rows, prows, covered, {qi: exact}, {qi: reverse},
-            )
-        try:
-            if i in covered:
-                paths[(s, t)] = walk_path(graph, row, s, t)
-            else:
-                g_row = graph.reverse() if (graph.directed and reverse) else graph
-                paths[(s, t)] = walk_path(g_row, row, t, s)[::-1]
-        except (PathError, ValueError, IndexError, KeyError):
-            paths[(s, t)] = None
-    return {
-        "index": unit["index"],
-        "meter": res.meter,
-        "exact": exact,
-        "answers": answers,
-        "certs": certs,
-        "paths": paths,
-    }
-
-
 # ----------------------------------------------------------------------
-# Parent side: plan units, pack shards, dispatch, reassemble.
+# Parent side: check what can ship, pack shards, dispatch.
 # ----------------------------------------------------------------------
-def solve_batch_process(
-    graph,
-    qg: QueryGraph,
+def shippable_kwargs(
+    engine_kwargs: dict,
     *,
-    method: str,
-    strategy=None,
-    strategy_factory=None,
-    max_sources=None,
     budget=None,
     arena=None,
-    observer=None,
-    certify: bool = False,
-    workers: int | None = None,
-    pool: ProcessPool | None = None,
-    shard_deadline: float | None = None,
-    hedge=None,
-    retry_budget=None,
-    **engine_kwargs,
-) -> BatchResult:
-    """Answer a batch on worker processes, bit-identical to serial.
+    strategy_factory=None,
+    max_sources=None,
+) -> tuple[dict, object]:
+    """Reject what cannot run on workers; split off the fault injector.
 
-    Called through ``solve_batch(..., backend="process")``; ``qg`` is
-    already validated.  Pass an existing :class:`ProcessPool` to reuse
-    workers and the shared graph across batches; otherwise an ephemeral
-    pool of ``workers`` processes is created and torn down (segments
-    unlinked) around this one batch, exception paths included.
+    Returns ``(engine_kwargs, injector)``: the engine kwargs to ship and
+    the :class:`~repro.robustness.FaultInjector` (or ``None``) whose
+    pool-level kill/stall faults stay parent-side.
     """
     for arg, label in (
         (budget, "budget"),
@@ -685,6 +563,7 @@ def solve_batch_process(
                 f"{label} is not supported by backend='process'; "
                 "it is inherently single-process — use backend='serial'"
             )
+    engine_kwargs = dict(engine_kwargs)
     injector = engine_kwargs.pop("fault_injector", None)
     if injector is not None and _has_engine_faults(injector):
         raise ValueError(
@@ -705,27 +584,46 @@ def solve_batch_process(
             "kernel as a string impl (e.g. 'sort_reduceat'), not a Kernel "
             "instance — workers build their own"
         )
+    return engine_kwargs, injector
 
+
+def run_units(
+    graph,
+    units: list,
+    *,
+    label: str,
+    pool: ProcessPool | None = None,
+    workers: int | None = None,
+    injector=None,
+    observer=None,
+    deadline: float | None = None,
+    hedge=None,
+    retry_budget=None,
+    **run_kwargs,
+) -> list:
+    """Run batch units on worker processes; results in unit order.
+
+    Each worker answers its shard's units with
+    ``run_unit(graph, unit, **run_kwargs)``.  ``label`` names the batch
+    method for the observer.  Pass an existing :class:`ProcessPool` to
+    reuse workers and the shared graph across batches; otherwise an
+    ephemeral pool of ``workers`` processes is created and torn down
+    (segments unlinked) around this one call, exception paths included.
+    """
     own_pool = pool is None
     if own_pool:
         pool = ProcessPool(workers)
     try:
-        units, costs, extras = _plan_units(graph, qg, method)
-        shards = balance_shards(costs, pool.workers)
+        shards = balance_shards([unit.cost(graph) for unit in units], pool.workers)
         descriptor = pool.share(graph)
         tasks = []
         for shard_idx, unit_ids in enumerate(shards):
             task = {
                 "shard": shard_idx,
                 "graph": descriptor,
-                "method": method,
-                "directed": qg.directed,
-                "strategy": strategy,
-                "engine_kwargs": engine_kwargs,
-                "certify": certify,
                 "units": [units[u] for u in unit_ids],
+                "run": run_kwargs,
             }
-            task.update(extras)
             if injector is not None:
                 if injector.take_worker_kill(shard_idx):
                     task["kill"] = True
@@ -734,26 +632,23 @@ def solve_batch_process(
                     task["stall"] = stall
             tasks.append(task)
         if observer is not None:
-            observer.on_pool_batch(method, pool.workers, len(tasks))
-        shard_results = pool.run_shards(
+            observer.on_pool_batch(label, pool.workers, len(tasks))
+        done = pool.run_shards(
             tasks,
             observer=observer,
-            deadline=shard_deadline,
+            deadline=deadline,
             hedge=hedge,
             retry_budget=retry_budget,
         )
-        by_unit: dict[int, dict] = {}
-        for shard in shard_results:
-            for unit_res in shard["units"]:
-                by_unit[unit_res["index"]] = unit_res
-        ordered = [by_unit[i] for i in range(len(units))]
-        res = _reassemble(graph, qg, method, ordered, extras, certify)
     finally:
         if own_pool:
             pool.close()
-    if observer is not None:
-        observer.on_batch(method, res)
-    return res
+    by_shard = {shard["shard"]: shard["units"] for shard in done}
+    results: list = [None] * len(units)
+    for shard_idx, unit_ids in enumerate(shards):
+        for u, res in zip(unit_ids, by_shard[shard_idx]):
+            results[u] = res
+    return results
 
 
 def _has_engine_faults(injector) -> bool:
@@ -763,182 +658,4 @@ def _has_engine_faults(injector) -> bool:
         getattr(injector, "perturb_heuristic", False)
         or getattr(injector, "flip_cache_payload", False)
         or getattr(injector, "flip_checkpoint", False)
-    )
-
-
-def _plan_units(graph, qg: QueryGraph, method: str):
-    """Decompose the batch into work units + cost estimates + task extras."""
-    n, m = graph.num_vertices, graph.num_edges
-    verts = qg.vertices
-    if method == "multi":
-        comps = qg.components()
-        units = [
-            {"index": k, "pairs": sub.original_pairs} for k, sub in enumerate(comps)
-        ]
-        costs = [
-            estimate_multi_work(sub.num_vertices, n, m)
-            + estimate_endpoint_work(graph, sub.vertices)
-            for sub in comps
-        ]
-        return units, costs, {}
-    if method in ("plain-bids", "plain-star-bids"):
-        units = []
-        for pos, (i, j) in enumerate(qg.edges):
-            units.append({"index": pos, "s": int(verts[i]), "t": int(verts[j])})
-        base = estimate_bids_work(n, m)
-        costs = [
-            base + estimate_endpoint_work(graph, [u["s"], u["t"]]) for u in units
-        ]
-        return units, costs, {}
-    # SSSP methods: one unit per covering source, carrying its queries.
-    if method == "sssp-plain":
-        source_indices = _plain_sssp_sources(qg)
-    else:
-        source_indices = qg.vertex_cover()
-    covered = set(int(q) for q in source_indices)
-    pairs_by_source: dict[int, list[dict]] = {q: [] for q in covered}
-    self_pairs: list[tuple[tuple[int, int], int, int]] = []
-    for i, j in qg.edges:
-        s, t = int(verts[i]), int(verts[j])
-        if s == t:
-            self_pairs.append(((s, t), i, j))
-        elif i in covered:
-            pairs_by_source[i].append({"key": (s, t), "i": i, "j": j})
-        elif j in covered:
-            pairs_by_source[j].append({"key": (s, t), "i": i, "j": j})
-        else:
-            raise ValueError(
-                f"query ({s}, {t}) not covered by SSSP sources; "
-                f"method {method!r} needs a covering source set"
-            )
-    units = []
-    for pos, qi in enumerate(source_indices):
-        qi = int(qi)
-        units.append(
-            {
-                "index": pos,
-                "qi": qi,
-                "v": int(verts[qi]),
-                "reverse": bool(
-                    graph.directed
-                    and qg.direction is not None
-                    and qg.direction[qi] < 0
-                ),
-                "pairs": pairs_by_source[qi],
-            }
-        )
-    base = estimate_sssp_work(n, m)
-    costs = [base + estimate_endpoint_work(graph, [u["v"]]) for u in units]
-    return units, costs, {"covered": covered, "self_pairs": self_pairs}
-
-
-def _reassemble(
-    graph, qg: QueryGraph, method: str, ordered: list[dict], extras: dict, certify: bool
-) -> BatchResult:
-    """Merge per-unit payloads exactly the way the serial backend does."""
-    if method == "multi":
-        return _reassemble_multi(qg, ordered, certify)
-    if method in ("plain-bids", "plain-star-bids"):
-        return _reassemble_bids(qg, method, ordered, certify)
-    return _reassemble_sssp(graph, qg, method, ordered, extras, certify)
-
-
-def _reassemble_multi(qg: QueryGraph, ordered: list[dict], certify: bool) -> BatchResult:
-    distances: dict[tuple[int, int], float] = {}
-    paths: dict[tuple[int, int], list[int] | None] = {}
-    certs: dict | None = {} if certify else None
-    for unit in ordered:
-        distances.update(unit["distances"])
-        paths.update(unit["paths"])
-        if certs is not None and unit["certs"]:
-            certs.update(unit["certs"])
-    if len(ordered) == 1:
-        # Single component: the serial backend returns the engine run's
-        # meter as-is, with no merge step.
-        meter = ordered[0]["meter"]
-        details = {
-            "steps": ordered[0]["steps"],
-            "relaxations": ordered[0]["relaxations"],
-        }
-    else:
-        meter = WorkDepthMeter()
-        meter.merge_parallel([unit["meter"] for unit in ordered])
-        details = {
-            "components": len(ordered),
-            "steps": sum(unit["steps"] for unit in ordered),
-            "relaxations": sum(unit["relaxations"] for unit in ordered),
-        }
-    return BatchResult(
-        distances=distances,
-        meter=meter,
-        method="multi",
-        num_searches=sum(unit["num_searches"] for unit in ordered),
-        exact=all(unit["exact"] for unit in ordered),
-        details=details,
-        certificates=certs,
-        _path_state={"kind": "precomputed", "paths": paths},
-    )
-
-
-def _reassemble_bids(
-    qg: QueryGraph, method: str, ordered: list[dict], certify: bool
-) -> BatchResult:
-    verts = qg.vertices
-    distances: dict[tuple[int, int], float] = {}
-    certs: dict | None = {} if certify else None
-    for pos, (i, j) in enumerate(qg.edges):
-        key = (int(verts[i]), int(verts[j]))
-        distances[key] = ordered[pos]["distance"]
-        if certs is not None:
-            certs[key] = ordered[pos]["cert"]
-    combined = WorkDepthMeter()
-    meters = [unit["meter"] for unit in ordered]
-    if method == "plain-star-bids":
-        combined.merge_parallel(meters)
-    else:
-        for meter in meters:
-            combined.merge(meter)
-    return BatchResult(
-        distances=distances,
-        meter=combined,
-        method=method,
-        num_searches=2 * qg.num_edges,
-        exact=all(unit["exact"] for unit in ordered),
-        certificates=certs,
-        # The serial plain modes discard per-query state; paths raise
-        # NotImplementedError there, so they must raise here too.
-        _path_state=None,
-    )
-
-
-def _reassemble_sssp(
-    graph, qg: QueryGraph, method: str, ordered: list[dict], extras: dict, certify: bool
-) -> BatchResult:
-    distances: dict[tuple[int, int], float] = {}
-    paths: dict[tuple[int, int], list[int] | None] = {}
-    certs: dict | None = {} if certify else None
-    combined = WorkDepthMeter()
-    for unit in ordered:
-        combined.merge(unit["meter"])
-        distances.update(unit["answers"])
-        paths.update(unit["paths"])
-        if certs is not None and unit["certs"]:
-            certs.update(unit["certs"])
-    for key, _i, _j in extras["self_pairs"]:
-        # Self-queries are their own answer; the serial combiner never
-        # consults a row for them, and path() short-circuits to [s].
-        distances[key] = 0.0
-        if certs is not None:
-            from ..verify import build_certificate  # lazy: verify imports obs
-
-            s, t = key
-            certs[key] = build_certificate(graph, s, t, method, 0.0, True)
-    return BatchResult(
-        distances=distances,
-        meter=combined,
-        method=method,
-        num_searches=len(ordered),
-        exact=all(unit["exact"] for unit in ordered),
-        certificates=certs,
-        _path_state={"kind": "precomputed", "paths": paths},
     )

@@ -282,15 +282,17 @@ def build_certificate(
     ``processed_*`` are the matching ``track_processed`` snapshots used
     to sample relaxation facts.  ``path="auto"`` reconstructs the
     witness path from the rows; pass an explicit sequence (or ``None``)
-    for solvers that already walked it.  Reconstruction failures —
-    expected when the rows are corrupt or the run was cut short — yield
-    ``path=None``, which the checker treats as refuting any finite exact
-    claim (the producer always supplies a witness when one exists).
+    for solvers that already walked it — a tuple of ints is kept as the
+    same object, so a solver's path cache and its certificate share it.
+    Reconstruction failures — expected when the rows are corrupt or the
+    run was cut short — yield ``path=None``, which the checker treats as
+    refuting any finite exact claim (the producer always supplies a
+    witness when one exists).
     """
     distance = float(distance)
     if path == "auto":
         path = _reconstruct_path(graph, source, target, distance, dist_forward, dist_backward)
-    elif path is not None:
+    elif path is not None and not isinstance(path, tuple):
         path = tuple(int(v) for v in path)
 
     facts: list[RelaxFact] = []

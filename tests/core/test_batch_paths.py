@@ -100,3 +100,38 @@ class TestChunkedPaths:
         res = solve_batch(small_road, [(0, 9), (20, 30)], method="multi", max_sources=2)
         with pytest.raises(KeyError):
             res.path(0, 30)
+
+
+class TestUnitPathWalks:
+    """Each unit walks a path at most once, and only when asked."""
+
+    @pytest.fixture
+    def stitches(self, monkeypatch):
+        import repro.core.batch as batch
+
+        calls = []
+        real = batch.stitch_bidirectional_path
+
+        def counted(graph, d_fwd, d_bwd, s, t):
+            calls.append((s, t))
+            return real(graph, d_fwd, d_bwd, s, t)
+
+        monkeypatch.setattr(batch, "stitch_bidirectional_path", counted)
+        return calls
+
+    def test_certified_unit_walks_once_for_cert_and_path(self, small_road, stitches):
+        from repro.core.batch import plan_units, run_unit
+
+        (unit,) = plan_units(small_road, QueryGraph.clique([0, 40, 90]), "multi").units
+        res = run_unit(small_road, unit, certify=True, track_processed=True).detach()
+        assert sorted(stitches) == sorted(unit.pairs)
+        for key in unit.pairs:
+            # One object: the certificate's witness is the cached walk.
+            assert res.certificates[key].path is res.paths[key]
+
+    def test_serial_batch_walks_only_asked_paths(self, small_road, stitches):
+        res = solve_batch(small_road, QueryGraph.clique([0, 40, 90]), method="multi")
+        assert stitches == []
+        res.path(90, 0)
+        res.path(0, 90)
+        assert stitches == [(0, 90)]

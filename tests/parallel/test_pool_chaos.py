@@ -12,6 +12,12 @@ clock, never correctness.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import dijkstra
@@ -126,3 +132,71 @@ class TestWorkerKill:
             # answers, possibly an ulp off the batch reference.
             assert resumed.distances[key] == pytest.approx(want, rel=1e-12), key
         assert resumed.exact == reference.exact
+
+
+#: Runs in a fresh interpreter: the fault needs a process whose
+#: resource tracker is not running yet when the pool forks, which a
+#: test process that already exported a segment can no longer show.
+_IDLE_KILL_SCRIPT = textwrap.dedent(
+    """
+    import os, signal, time
+    from multiprocessing import shared_memory
+
+    from repro.core.batch import solve_batch
+    from repro.parallel.pool import ProcessPool, WorkerCrashError
+    from tests.test_differential import _random_geometric
+
+    graph, pairs = _random_geometric(2)
+    serial = solve_batch(graph, pairs, method="multi", certify=True)
+    pool = ProcessPool(2).open()  # the service's warm(): open, then share
+    name = pool.share(graph)["shm_name"]
+    solve_batch(graph, pairs, method="multi", backend="process", pool=pool)
+
+    victim = next(iter(pool._executor._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join()
+    # A worker-side tracker unlinks the segment within milliseconds of
+    # its worker's death; give it ample time to show.
+    time.sleep(1.0)
+    shared_memory.SharedMemory(name=name).close()  # FileNotFoundError if gone
+
+    while not pool._executor._broken:
+        time.sleep(0.01)
+    try:
+        solve_batch(graph, pairs, method="multi", backend="process", pool=pool)
+    except WorkerCrashError:
+        pass  # the break is found at dispatch; the executor is dropped
+    else:
+        raise AssertionError("a broken executor answered a batch")
+    again = solve_batch(
+        graph, pairs, method="multi", certify=True, backend="process", pool=pool
+    )
+    assert pool.respawns == 1, pool.respawns
+    assert again.distances == serial.distances
+    assert again.meter.step_work == serial.meter.step_work
+    assert {k: c.to_dict() for k, c in again.certificates.items()} == {
+        k: c.to_dict() for k, c in serial.certificates.items()
+    }
+    pool.close()
+    print("survived")
+    """
+)
+
+
+class TestIdleWorkerKill:
+    def test_shared_graph_survives_and_pool_respawns(self):
+        """SIGKILL an idle worker of an opened-then-shared pool: the
+        shared graph must outlive it, the next dispatch must report the
+        crash, and the batch after that must be answered by respawned
+        workers, bit-identical to serial."""
+        root = Path(__file__).resolve().parents[2]
+        paths = [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _IDLE_KILL_SCRIPT],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "survived"
+        # One tracker, owned by the pool's process: nothing "leaked".
+        assert "leaked shared_memory" not in proc.stderr

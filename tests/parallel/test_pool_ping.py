@@ -1,20 +1,24 @@
-"""ProcessPool.ping failure accounting — no real workers involved.
+"""ProcessPool.ping and dispatch failure accounting — no real workers.
 
 A probe that dies with an ``OSError`` (a torn pipe, not a worker
 crash) must not be silently folded into a bare ``False``: the failure
 class is logged, counted per exception type on the observer, and the
-executor is respawned.  The fake executor below keeps this tier-1
-(fork-free); the real-pool behaviour rides in the fork-heavy suites.
+executor is respawned.  An executor that broke while idle fails at
+``submit`` already; dispatch must treat that like a break at a result.
+The fake executor below keeps this tier-1 (fork-free); the real-pool
+behaviour rides in the fork-heavy suites.
 """
 
 from __future__ import annotations
 
 import logging
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.obs import Observer
-from repro.parallel.pool import ProcessPool
+from repro.parallel.pool import ProcessPool, WorkerCrashError
 
 
 class _FakeFuture:
@@ -28,11 +32,14 @@ class _FakeFuture:
 
 
 class _FakeExecutor:
-    def __init__(self, exc=None):
+    def __init__(self, exc=None, submit_exc=None):
         self.exc = exc
+        self.submit_exc = submit_exc
         self.submissions = 0
 
     def submit(self, fn, *args, **kwargs):
+        if self.submit_exc is not None:
+            raise self.submit_exc
         self.submissions += 1
         return _FakeFuture(self.exc)
 
@@ -89,3 +96,27 @@ def test_ping_on_closed_pool_raises():
     p.close()
     with pytest.raises(RuntimeError, match="closed"):
         p.ping()
+
+
+def test_ping_broken_at_submit_respawns(pool):
+    p, fake, calls = pool
+    fake.submit_exc = BrokenProcessPool("a worker died while idle")
+    assert p.ping() is False
+    counter = p.observer.registry.get("repro_pool_ping_failures_total")
+    assert counter.value(error="BrokenProcessPool") == 1
+    assert calls["discard"] == 1
+
+
+def test_run_shards_broken_at_submit_raises_crash_and_discards(pool):
+    """An idle worker death breaks the executor before any shard runs:
+    ``submit`` raises, and dispatch must report a worker crash and drop
+    the executor so the next batch respawns, not leak the raw error."""
+    p, fake, calls = pool
+    fake.submit_exc = BrokenProcessPool("a worker died while idle")
+    with pytest.raises(WorkerCrashError):
+        p.run_shards([{"shard": 0}, {"shard": 1}])
+    assert calls["discard"] == 1
+    crashes = p.observer.registry.get("repro_pool_worker_crashes_total")
+    assert crashes.value() == 1
+    shards = p.observer.registry.get("repro_pool_shards_total")
+    assert shards.value(status="crashed") == 1
