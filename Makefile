@@ -50,9 +50,11 @@ test-service:
 test-hedge:
 	$(PYTHON) -m pytest tests/parallel/test_pool_stall_chaos.py -q -m hedge
 
-# Scatter-min kernel suites: property/bit-identity checks for every
-# implementation plus the cross-kernel differential slice (all methods,
-# all batch solvers, answers byte-equal to the ufunc_at reference).
+# Scatter-min kernel suites: byte-for-byte property checks of the
+# sort_reduceat kernel against the np.minimum.at oracle kept in
+# tests/kernels/, plus the differential slice (every single-query and
+# batch method run with the oracle through kernel=, distances and
+# paths byte-equal to default runs).
 test-kernels:
 	$(PYTHON) -m pytest tests/kernels/ -q
 

@@ -47,7 +47,7 @@ from .core import (
     sssp,
 )
 from .graphs import Graph
-from .perf import BufferArena, WarmAnswer, WarmEngine
+from .perf import WarmAnswer, WarmEngine
 from .robustness import (
     Budget,
     FaultInjector,
@@ -75,7 +75,7 @@ from .verify import (
     build_certificate,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "ppsp",
@@ -83,7 +83,6 @@ __all__ = [
     "warm",
     "WarmEngine",
     "WarmAnswer",
-    "BufferArena",
     "PPSPAnswer",
     "PPSP_METHODS",
     "BATCH_METHODS",

@@ -11,8 +11,8 @@ Methods map to the paper's algorithms: ``sssp`` (no pruning), ``et``
 are documented in :mod:`repro.core.batch`.
 
 For repeated queries against one graph, :func:`warm` returns a
-:class:`repro.perf.WarmEngine` — the same algorithms behind pooled
-buffers, cached heuristics, and a result cache (see ``docs/perf.md``).
+:class:`repro.perf.WarmEngine` — the same algorithms behind cached
+heuristics and a result cache (see ``docs/perf.md``).
 """
 
 from __future__ import annotations
@@ -123,10 +123,9 @@ def ppsp(
 
     ``astar``/``bidastar`` need vertex coordinates on the graph (or
     explicit heuristics); all methods accept engine keywords
-    (``frontier_mode``, ``pull_relax``, ``kernel``).  ``kernel`` picks
-    the relaxation scatter-min implementation from
-    :mod:`repro.kernels` (the default ``"sort_reduceat"``, or the
-    ``"ufunc_at"`` reference); the choice changes speed, never answers.
+    (``frontier_mode``, ``pull_relax``, ``kernel``).  ``kernel`` takes a
+    caller-built :class:`repro.kernels.Kernel` (e.g. a subclass that
+    times the scatter); it never changes answers.
 
     ``budget`` (a :class:`repro.robustness.Budget`) bounds the search;
     on exhaustion the answer degrades gracefully to the current upper
@@ -216,9 +215,8 @@ def batch_ppsp(graph, queries, *, method: str = "multi", **kwargs) -> BatchResul
 
     Endpoints are validated up front (``ValueError`` names the first
     offending vertex id); an empty batch returns an empty result.
-    Engine keywords ride through to every solver — ``kernel=`` picks
-    the scatter-min implementation (pass it as a string impl name when
-    combined with ``backend="process"``).
+    Raw pairs on a directed graph are directed queries.  Engine keywords
+    ride through to every solver.
     """
     return solve_batch(graph, queries, method=method, **kwargs)
 
@@ -227,10 +225,10 @@ def warm(graph, **kwargs):
     """A :class:`repro.perf.WarmEngine` bound to ``graph``.
 
     The warm counterpart of :func:`ppsp`/:func:`batch_ppsp`: identical
-    answers, but repeated queries reuse pooled ``(k, n)`` buffers,
-    cached heuristic rows, and an LRU result cache.  Keyword arguments
-    are forwarded to :class:`~repro.perf.warm.WarmEngine` (cache sizes,
-    ``landmarks=``, a shared ``arena=``, a pinned ``kernel=``, ...).
+    answers, but repeated queries reuse cached heuristic rows and an
+    LRU result cache.  Keyword arguments are forwarded to
+    :class:`~repro.perf.warm.WarmEngine` (cache sizes, ``landmarks=``,
+    ...).
     """
     from .perf.warm import WarmEngine  # lazy: perf imports this module
 

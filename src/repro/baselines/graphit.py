@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ..heuristics.geometric import PointHeuristic
-from ..kernels.scatter import get_kernel
+from ..kernels.scatter import Kernel
 from ..parallel.cost_model import WorkDepthMeter
 from ..parallel.primitives import expand_ranges
 
@@ -41,14 +41,13 @@ def graphit_ppsp(
     use_astar: bool = False,
     meter: WorkDepthMeter | None = None,
     max_buckets: int = 1 << 22,
-    kernel=None,
 ) -> float:
     """GI-ET (``use_astar=False``) or GI-A* distance query.
 
     ``delta`` is the bucket width (tuned per graph, as in the paper's
-    experiments).  Returns the exact s-t distance.  ``kernel`` selects
-    the scatter-min implementation (:mod:`repro.kernels`), so baseline
-    timings ride the same inner loop as the engine.
+    experiments).  Returns the exact s-t distance.  The scatter-min is
+    the engine's :class:`~repro.kernels.Kernel`, so baseline timings
+    ride the same inner loop.
     """
     n = graph.num_vertices
     if not (0 <= source < n and 0 <= target < n):
@@ -64,7 +63,7 @@ def graphit_ppsp(
         h = PointHeuristic(graph.coords, target, graph.coord_system)
 
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    kern = get_kernel(kernel)
+    kern = Kernel()
     degs = graph.out_degrees()
     dist = np.full(n, np.inf)
     dist[source] = 0.0

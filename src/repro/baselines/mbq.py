@@ -25,7 +25,7 @@ import heapq
 import numpy as np
 
 from ..heuristics.geometric import PointHeuristic
-from ..kernels.scatter import get_kernel
+from ..kernels.scatter import Kernel
 from ..parallel.cost_model import WorkDepthMeter
 from ..parallel.primitives import expand_ranges
 
@@ -42,15 +42,13 @@ def mbq_ppsp(
     bucket_shift: int = 0,
     priority_scale: float = 1.0,
     meter: WorkDepthMeter | None = None,
-    kernel=None,
 ) -> float:
     """MBQ-ET (``use_astar=False``) or MBQ-A* distance query.
 
     Distances are multiplied by ``priority_scale`` and rounded to int
     for scheduling (answers are still computed on the true floats);
     ``bucket_shift`` coarsens priorities as MBQ's bucket mapping does.
-    ``kernel`` selects the scatter-min implementation
-    (:mod:`repro.kernels`).
+    The scatter-min is the engine's :class:`~repro.kernels.Kernel`.
     """
     n = graph.num_vertices
     if not (0 <= source < n and 0 <= target < n):
@@ -66,7 +64,7 @@ def mbq_ppsp(
         h = PointHeuristic(graph.coords, target, graph.coord_system)
 
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    kern = get_kernel(kernel)
+    kern = Kernel()
     degs = graph.out_degrees()
     dist = np.full(n, np.inf)
     dist[source] = 0.0

@@ -94,10 +94,9 @@ def _cmd_query(args) -> int:
             raise SystemExit("--budget is serial-only; drop --backend process")
         from .core.batch import solve_batch
 
-        kernel_kw = {"kernel": args.kernel} if args.kernel else {}
         res = solve_batch(
             graph, [(args.source, args.target)], method="plain-bids",
-            backend="process", workers=args.workers, **kernel_kw,
+            backend="process", workers=args.workers,
         )
         dist = res.distances[(args.source, args.target)]
         payload = {
@@ -120,10 +119,8 @@ def _cmd_query(args) -> int:
     if args.resilient:
         from .robustness.resilient import resilient_ppsp
 
-        kernel_kw = {"kernel": args.kernel} if args.kernel else {}
         res = resilient_ppsp(
-            graph, args.source, args.target, budget=budget,
-            checked=args.checked, **kernel_kw,
+            graph, args.source, args.target, budget=budget, checked=args.checked
         )
         payload = {
             "source": res.source,
@@ -140,10 +137,9 @@ def _cmd_query(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    kernel_kw = {"kernel": args.kernel} if args.kernel else {}
     ans = ppsp(
         graph, args.source, args.target, method=args.method,
-        budget=budget, checked=args.checked, trace=trace, **kernel_kw,
+        budget=budget, checked=args.checked, trace=trace,
     )
     payload = {
         "source": ans.source,
@@ -210,7 +206,6 @@ def _cmd_bench(args) -> int:
         wall_tolerance=args.wall_tolerance,
         check=args.check,
         backend=args.backend,
-        kernel=args.kernel,
     )
     print(json.dumps(
         {
@@ -245,8 +240,6 @@ def _cmd_batch(args) -> int:
         kwargs["backend"] = args.backend
         if args.workers is not None:
             kwargs["workers"] = args.workers
-    if args.kernel:
-        kwargs["kernel"] = args.kernel
     res = batch_ppsp(graph, pairs, method=args.method, **kwargs)
     payload = {
         "method": res.method,
@@ -449,7 +442,6 @@ def _cmd_serve(args) -> int:
         deadline_ms=args.deadline_ms,
         max_queue=args.max_queue,
         observer=observer,
-        overload=False if args.no_overload else None,
         codel_target_ms=args.codel_target_ms,
         codel_interval_ms=args.codel_interval_ms,
         shed_multiple=args.shed_multiple,
@@ -579,8 +571,6 @@ def _cmd_stats(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .kernels.scatter import KERNEL_IMPLS
-
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -604,9 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--backend", default="serial", choices=("serial", "process"),
                    help="process: route through the multi-process pool "
                         "(one-pair plain-bids batch; serial-only flags rejected)")
-    q.add_argument("--kernel", choices=KERNEL_IMPLS,
-                   help="relaxation scatter-min implementation "
-                        "(default: sort_reduceat; REPRO_KERNEL overrides)")
     q.add_argument("--workers", type=int,
                    help="pool size for --backend process (default: cpu count)")
     q.add_argument("--verbose", action="store_true",
@@ -624,9 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--backend", default="serial", choices=("serial", "process"),
                    help="process: shard the batch across a process pool "
                         "(bit-identical answers; incompatible with --budget)")
-    b.add_argument("--kernel", choices=KERNEL_IMPLS,
-                   help="relaxation scatter-min implementation "
-                        "(default: sort_reduceat; REPRO_KERNEL overrides)")
     b.add_argument("--workers", type=int,
                    help="pool size for --backend process (default: cpu count)")
     b.add_argument("--checked", action="store_true",
@@ -738,10 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--retry-budget", type=float, metavar="TOKENS",
                      help="token-bucket capacity shared by hedges and "
                           "resilient-chain retries (default: unbounded)")
-    srv.add_argument("--no-overload", action="store_true",
-                     help="disable adaptive overload control (CoDel queue-"
-                          "delay shedding + AIMD pressure); static "
-                          "pressure only")
     srv.add_argument("--codel-target-ms", type=float, default=100.0,
                      help="queue-sojourn target; sojourn persistently above "
                           "it for a full interval means overloaded")
@@ -811,9 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--backend", default="serial", choices=("serial", "process"),
                        help="process: additionally measure the process-pool "
                              "backend (extra 'pool' section; never gated)")
-    bench.add_argument("--kernel", choices=KERNEL_IMPLS,
-                       help="pin the scatter-min kernel for the whole workload "
-                            "(default: sort_reduceat)")
     bench.add_argument("--check", action="store_true",
                        help="exit nonzero when the tolerance gate fails")
     bench.set_defaults(func=_cmd_bench)

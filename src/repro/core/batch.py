@@ -87,23 +87,31 @@ class BatchResult:
     #: per-pair :class:`repro.verify.Certificate`, keyed like
     #: ``distances``; populated by ``solve_batch(..., certify=True)``.
     certificates: dict | None = field(default=None, repr=False)
+    #: a directed batch answers each pair in its asked orientation only.
+    directed: bool = False
     #: stored key -> the :class:`UnitResult` that answered it.
     _path_state: dict | None = field(default=None, repr=False)
 
-    def distance(self, s: int, t: int) -> float:
-        """The answered distance for one queried pair (either orientation).
+    def _keys(self, s: int, t: int) -> tuple:
+        """Lookup keys for one pair: also the reversed one when undirected."""
+        return ((s, t),) if self.directed else ((s, t), (t, s))
 
-        Pairs the serve pipeline shed (or otherwise never reached — see
-        ``shed``) return ``inf``: they were part of the batch but carry
-        no answer.  A pair that was never in the batch at all raises a
-        ``ValueError`` naming it, rather than a bare ``KeyError`` on the
-        reversed key.
+    def distance(self, s: int, t: int) -> float:
+        """The answered distance for one queried pair.
+
+        An undirected batch answers either orientation; a directed one
+        only the pair as asked.  Pairs the serve pipeline shed (or
+        otherwise never reached — see ``shed``) return ``inf``: they
+        were part of the batch but carry no answer.  A pair that was
+        never in the batch at all raises a ``ValueError`` naming it,
+        rather than a bare ``KeyError`` on the reversed key.
         """
         s, t = int(s), int(t)
-        for key in ((s, t), (t, s)):
+        keys = self._keys(s, t)
+        for key in keys:
             if key in self.distances:
                 return self.distances[key]
-        for key in ((s, t), (t, s)):
+        for key in keys:
             if key in self.shed:
                 return float("inf")
         raise ValueError(f"pair ({s}, {t}) was never part of this batch")
@@ -124,9 +132,7 @@ class BatchResult:
             )
         if s == t:
             return [int(s)]
-        # Directed batches can hold (s, t) and (t, s) as distinct
-        # queries: an exact-orientation match wins over the reversed key.
-        for key in ((s, t), (t, s)):
+        for key in self._keys(s, t):
             if key in units:
                 path = units[key].path(key)
                 if path is None:
@@ -237,7 +243,6 @@ def solve_batch(
     strategy_factory=None,
     max_sources: int | None = None,
     budget=None,
-    arena=None,
     observer=None,
     certify: bool = False,
     backend: str = "serial",
@@ -251,11 +256,13 @@ def solve_batch(
     """Answer a batch of PPSP queries.
 
     ``queries`` is a :class:`QueryGraph` or a sequence of (s, t) pairs;
-    an empty sequence yields an empty result.  Endpoints are validated
-    against the graph before any engine run.  ``strategy_factory`` (a
-    zero-argument callable) is required instead of ``strategy`` for
-    methods that launch several engine runs, since strategies are
-    stateful.
+    an empty sequence yields an empty result.  Raw pairs are directed
+    exactly when the graph is; a directed graph rejects an undirected
+    :class:`QueryGraph`, whose searches would ignore arc direction.
+    Endpoints are validated against the graph before any engine run.
+    ``strategy_factory`` (a zero-argument callable) is required instead
+    of ``strategy`` for methods that launch several engine runs, since
+    strategies are stateful.
 
     ``max_sources`` (Multi-BiDS only) bounds concurrent searches: the
     engine's distance table is ``O(n · |V_q|)``, so very large batches
@@ -267,14 +274,6 @@ def solve_batch(
     whole batch: one meter covers every engine run, and on exhaustion
     the result degrades gracefully (``exact=False``, current upper
     bounds, ``inf`` for unreached queries).
-
-    ``arena`` (a :class:`repro.perf.BufferArena`) pools the per-search
-    distance matrices across the batch's engine runs — methods that
-    launch many runs (``plain-bids``, ``sssp-vc``, chunked ``multi``)
-    then allocate one buffer per distinct shape instead of one per run.
-    The buffers stay leased because ``BatchResult`` path state views
-    them; releasing is the caller's job
-    (:meth:`repro.perf.WarmEngine.batch` scopes this automatically).
 
     ``observer`` (a :class:`repro.obs.Observer`) is threaded into every
     engine run this batch launches and receives one ``on_batch``
@@ -294,8 +293,8 @@ def solve_batch(
     Workers run the same units through the same :func:`run_unit`, so the
     answers — distances, paths, and certificates — are bit-identical
     to ``backend="serial"``; features that are inherently single-process
-    (``budget``, ``arena``, ``strategy_factory``, ``max_sources``) are
-    rejected with a ``ValueError``.
+    (``budget``, ``strategy_factory``, ``max_sources``, a ``kernel``)
+    are rejected with a ``ValueError``.
 
     ``shard_deadline`` (per-shard wall seconds), ``hedge`` (a
     :class:`~repro.serve.hedging.HedgePolicy` or ``True``), and
@@ -306,10 +305,9 @@ def solve_batch(
     hedged answers stay bit-identical to serial.  Process backend only.
 
     Remaining keyword arguments flow into every engine run this batch
-    launches (all five solvers) — notably ``kernel=`` selects the
-    scatter-min implementation (:mod:`repro.kernels`); with
-    ``backend="process"`` pass it as a string impl name so it ships to
-    the workers.  Kernel choice never changes answers.
+    launches (all five solvers), e.g. a caller-built ``kernel=``
+    (:class:`repro.kernels.Kernel`) that observes the serial runs'
+    scatter.
     """
     if method not in BATCH_METHODS:
         raise ValueError(f"unknown batch method {method!r}; options: {BATCH_METHODS}")
@@ -325,9 +323,14 @@ def solve_batch(
                 num_searches=0,
                 details={"empty": True},
             )
-        qg = QueryGraph(queries)
+        qg = QueryGraph(queries, directed=graph.directed)
     else:
         qg = queries
+        if graph.directed and not qg.directed:
+            raise ValueError(
+                f"graph {graph.name!r} is directed but the QueryGraph is not; "
+                "build it with QueryGraph(pairs, directed=True)"
+            )
     _validate_endpoints(graph, qg)
 
     if backend == "process":
@@ -336,7 +339,6 @@ def solve_batch(
         engine_kwargs, injector = shippable_kwargs(
             engine_kwargs,
             budget=budget,
-            arena=arena,
             strategy_factory=strategy_factory,
             max_sources=max_sources,
         )
@@ -376,8 +378,6 @@ def solve_batch(
         if budget is not None:
             bmeter = budget if hasattr(budget, "charge") else budget.start()
             engine_kwargs = {**engine_kwargs, "budget": bmeter}
-        if arena is not None:
-            engine_kwargs = {**engine_kwargs, "arena": arena}
         if observer is not None:
             engine_kwargs = {**engine_kwargs, "observer": observer}
         results = [
@@ -385,6 +385,7 @@ def solve_batch(
             for unit in plan.units
         ]
     res = reassemble(graph, plan, results, certify=certify)
+    res.directed = qg.directed
 
     if bmeter is not None:
         report = bmeter.report()

@@ -110,13 +110,6 @@ class PPSPEngine:
     fault_injector : FaultInjector or None
         Chaos hook (:mod:`repro.robustness.faults`); production runs
         leave this None.
-    arena : BufferArena or None
-        Buffer pool (:mod:`repro.perf.arena`).  When set, the ``(k*n,)``
-        distance array and dense frontier masks are acquired from the
-        pool instead of freshly allocated; the distance buffer stays
-        leased inside the returned :class:`RunResult` (``result.dist``
-        is a view of it) and it is the *caller's* job to release it —
-        :class:`~repro.perf.warm.WarmEngine` scopes this automatically.
     observer : Observer or None
         Observability hook (:mod:`repro.obs`), duck-typed like the
         robustness hooks so the core stays import-free of repro.obs.
@@ -132,12 +125,11 @@ class PPSPEngine:
         relaxed *all* its out-edges, so ``dist[v] <= snapshot[u] + w``
         must hold at termination.  Off by default — the extra ``(k*n,)``
         buffer and per-step scatter stay out of the hot path.
-    kernel : str, Kernel, or None
-        Scatter-min implementation for the relaxation inner loop
-        (:mod:`repro.kernels`): ``"sort_reduceat"`` (the default) or the
-        ``"ufunc_at"`` reference.  ``None`` resolves through the
-        ``REPRO_KERNEL`` environment variable.  Both implementations are
-        bit-identical.
+    kernel : Kernel or None
+        Scatter-min kernel for the relaxation inner loop
+        (:mod:`repro.kernels`); ``None`` builds a fresh one.  A caller
+        passes its own (sub)class instance to observe or time the
+        scatter; answers never depend on it.
     """
 
     def __init__(
@@ -151,7 +143,6 @@ class PPSPEngine:
         budget=None,
         auditor=None,
         fault_injector=None,
-        arena=None,
         observer=None,
         track_processed: bool = False,
         kernel=None,
@@ -164,7 +155,6 @@ class PPSPEngine:
         self.budget = budget
         self.auditor = auditor
         self.fault_injector = fault_injector
-        self.arena = arena
         self.observer = observer
         self.track_processed = track_processed
         self.kernel = get_kernel(kernel)
@@ -191,13 +181,9 @@ class PPSPEngine:
             trace = observer.begin_run(policy, trace)
         n = graph.num_vertices
         k = policy.num_sources
-        if self.arena is not None:
-            dist = self.arena.acquire(k * n, dtype=np.float64, fill=np.inf)
-        else:
-            dist = np.full(k * n, np.inf, dtype=np.float64)
+        dist = np.full(k * n, np.inf, dtype=np.float64)
         meter = meter if meter is not None else WorkDepthMeter()
         # Certificate support: snapshot of dist[e] at e's last extraction.
-        # Allocated outside the arena — it outlives the run inside results.
         pdist = (
             np.full(k * n, np.inf, dtype=np.float64)
             if self.track_processed
@@ -210,9 +196,7 @@ class PPSPEngine:
         dist[seeds] = np.asarray(seed_vals, dtype=np.float64)
         policy.on_relax(seeds, dist)
 
-        frontier = Frontier(
-            k * n, mode=self.frontier_mode, arena=self.arena, observer=observer
-        )
+        frontier = Frontier(k * n, mode=self.frontier_mode, observer=observer)
         frontier.add(seeds)
 
         # Robustness hooks are duck-typed so the core stays import-free
@@ -354,9 +338,6 @@ class PPSPEngine:
                 bmeter.charge(steps=1, relaxations=step_edges)
             steps += 1
 
-        # Dense frontier masks go straight back to the pool; the dist
-        # buffer stays leased because RunResult.dist views it.
-        frontier.dispose()
         result = RunResult(
             answer=policy.result(),
             dist=dist.reshape(k, n),
@@ -475,7 +456,6 @@ def run_policy(
     budget=None,
     auditor=None,
     fault_injector=None,
-    arena=None,
     observer=None,
     trace=None,
     track_processed: bool = False,
@@ -491,7 +471,6 @@ def run_policy(
         budget=budget,
         auditor=auditor,
         fault_injector=fault_injector,
-        arena=arena,
         observer=observer,
         track_processed=track_processed,
         kernel=kernel,

@@ -27,21 +27,23 @@ __all__ = ["Frontier"]
 
 
 class Frontier:
-    """Set of composite element ids with batched add / threshold-extract."""
+    """Set of composite element ids with batched add / replace.
+
+    The engine performs ``F.Extract(θ)`` of Alg. 2 itself: it splits
+    :meth:`ids` by priority and keeps the deferred part with
+    :meth:`replace`, which lets one prune mask cover both halves.
+    """
 
     #: auto mode goes dense above this fraction of capacity.
     DENSE_FRACTION = 0.05
     #: ... and back to sparse below this fraction (hysteresis).
     SPARSE_FRACTION = 0.02
 
-    def __init__(
-        self, capacity: int, mode: str = "auto", *, arena=None, observer=None
-    ) -> None:
+    def __init__(self, capacity: int, mode: str = "auto", *, observer=None) -> None:
         if mode not in ("auto", "sparse", "dense"):
             raise ValueError(f"unknown frontier mode {mode!r}")
         self.capacity = int(capacity)
         self.mode = mode
-        self._arena = arena
         self._observer = observer
         self._sparse: np.ndarray = np.empty(0, dtype=np.int64)
         self._dense: np.ndarray | None = None
@@ -49,25 +51,7 @@ class Frontier:
         self._count = 0
         self._use_dense = mode == "dense"
         if self._use_dense:
-            self._dense = self._new_dense()
-
-    def _new_dense(self) -> np.ndarray:
-        """A zeroed membership array, pooled when an arena is attached."""
-        if self._arena is not None:
-            return self._arena.acquire(self.capacity, dtype=bool, fill=False)
-        return np.zeros(self.capacity, dtype=bool)
-
-    def _drop_dense(self) -> None:
-        if self._arena is not None and self._dense is not None:
-            self._arena.release(self._dense)
-        self._dense = None
-
-    def dispose(self) -> None:
-        """Return any pooled storage to the arena (end of an engine run)."""
-        if self._use_dense:
-            self._sparse = np.flatnonzero(self._dense) if len(self) else np.empty(0, dtype=np.int64)
-            self._use_dense = False
-        self._drop_dense()
+            self._dense = np.zeros(self.capacity, dtype=bool)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -132,32 +116,13 @@ class Frontier:
             self._sparse = eids if assume_sorted else np.sort(eids)
         self._maybe_switch()
 
-    def extract(self, priorities_of, threshold: float) -> np.ndarray:
-        """Remove and return all elements with priority <= ``threshold``.
-
-        ``priorities_of`` maps an id array to its priority array (tentative
-        distance, or distance+heuristic for A*); elements above the
-        threshold stay for later steps — the ``F.Extract(θ)`` of Alg. 2.
-        """
-        current = self.ids()
-        if len(current) == 0:
-            return current
-        prio = priorities_of(current)
-        take = prio <= threshold
-        extracted = current[take]
-        self.replace(current[~take])
-        return extracted
-
-    def clear(self) -> None:
-        self.replace(np.empty(0, dtype=np.int64))
-
     # ------------------------------------------------------------------
     def _maybe_switch(self) -> None:
         if self.mode != "auto":
             return
         size = len(self)
         if not self._use_dense and size > self.DENSE_FRACTION * self.capacity:
-            dense = self._new_dense()
+            dense = np.zeros(self.capacity, dtype=bool)
             dense[self._sparse] = True
             self._dense = dense
             self._sparse = np.empty(0, dtype=np.int64)
@@ -167,7 +132,7 @@ class Frontier:
                 self._observer.on_frontier_switch(True, size)
         elif self._use_dense and size < self.SPARSE_FRACTION * self.capacity:
             self._sparse = np.flatnonzero(self._dense)
-            self._drop_dense()
+            self._dense = None
             self._use_dense = False
             if self._observer is not None:
                 self._observer.on_frontier_switch(False, size)

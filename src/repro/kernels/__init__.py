@@ -4,9 +4,8 @@ The paper's wall-clock wins come from the data-parallel relaxation step;
 this package isolates its two hot primitives:
 
 * :func:`~repro.kernels.scatter.Kernel.scatter_min` — the batched
-  ``write_min`` over relaxation proposals (``sort_reduceat`` in
-  production, ``ufunc_at`` as the reference; see
-  :mod:`repro.kernels.scatter`);
+  ``write_min`` over relaxation proposals (segmented ``sort_reduceat``;
+  see :mod:`repro.kernels.scatter`);
 * :func:`~repro.kernels.relax.gather_relax` — the CSR gather that
   expands frontier elements into per-edge proposals with two
   ``np.repeat`` expansions (:mod:`repro.kernels.relax`);
@@ -14,18 +13,14 @@ this package isolates its two hot primitives:
   Sec. 6.1 Δ-doubling procedure, fingerprint-cached
   (:mod:`repro.kernels.calibrate`).
 
-Select the scatter implementation with ``kernel="ufunc_at"`` on any
-engine entry point, the ``REPRO_KERNEL`` environment variable, or
-``--kernel`` on the CLI; the default is ``sort_reduceat``.  See
-``docs/perf.md`` ("Relaxation kernels").
+See ``docs/perf.md`` ("Relaxation kernels").
 """
 
 from .calibrate import calibrate_delta
 from .relax import gather_relax
-from .scatter import KERNEL_IMPLS, Kernel, get_kernel
+from .scatter import Kernel, get_kernel
 
 __all__ = [
-    "KERNEL_IMPLS",
     "Kernel",
     "get_kernel",
     "gather_relax",

@@ -21,10 +21,10 @@ Worker death (SIGKILL, OOM) surfaces as :class:`WorkerCrashError`; the
 serve pipeline treats that as a shard failure, so its breakers and
 checkpoint/resume machinery recover exactly as for any other fault.
 
-Inherently single-process features — ``budget``, ``arena``,
-``strategy_factory``, ``max_sources``, auditors/tracing — are rejected
-up front (:func:`shippable_kwargs`) rather than silently diverging from
-serial semantics.
+Inherently single-process features — ``budget``,
+``strategy_factory``, ``max_sources``, a caller's ``kernel``,
+auditors/tracing — are rejected up front (:func:`shippable_kwargs`)
+rather than silently diverging from serial semantics.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ logger = logging.getLogger("repro.pool")
 #: engine kwargs that are safe to ship to workers: pure per-run knobs
 #: with no cross-run or parent-side state.
 _SHIPPABLE_ENGINE_KWARGS = frozenset(
-    {"frontier_mode", "pull_relax", "max_steps", "track_processed", "kernel"}
+    {"frontier_mode", "pull_relax", "max_steps", "track_processed"}
 )
 
 #: FaultInjector knobs that act inside an engine run.  An injector's
@@ -542,7 +542,6 @@ def shippable_kwargs(
     engine_kwargs: dict,
     *,
     budget=None,
-    arena=None,
     strategy_factory=None,
     max_sources=None,
 ) -> tuple[dict, object]:
@@ -550,11 +549,12 @@ def shippable_kwargs(
 
     Returns ``(engine_kwargs, injector)``: the engine kwargs to ship and
     the :class:`~repro.robustness.FaultInjector` (or ``None``) whose
-    pool-level kill/stall faults stay parent-side.
+    pool-level kill/stall faults stay parent-side.  ``kernel=None`` is
+    dropped (workers build their own kernel); a caller's kernel
+    instance cannot ship.
     """
     for arg, label in (
         (budget, "budget"),
-        (arena, "arena"),
         (strategy_factory, "strategy_factory"),
         (max_sources, "max_sources"),
     ):
@@ -564,6 +564,8 @@ def shippable_kwargs(
                 "it is inherently single-process — use backend='serial'"
             )
     engine_kwargs = dict(engine_kwargs)
+    if engine_kwargs.get("kernel", False) is None:
+        del engine_kwargs["kernel"]
     injector = engine_kwargs.pop("fault_injector", None)
     if injector is not None and _has_engine_faults(injector):
         raise ValueError(
@@ -577,12 +579,6 @@ def shippable_kwargs(
         raise ValueError(
             f"engine kwargs {sorted(unsupported)} are not supported by "
             f"backend='process'; shippable: {sorted(_SHIPPABLE_ENGINE_KWARGS)}"
-        )
-    if not isinstance(engine_kwargs.get("kernel"), (str, type(None))):
-        raise ValueError(
-            "backend='process' ships the kernel selection by name; pass "
-            "kernel as a string impl (e.g. 'sort_reduceat'), not a Kernel "
-            "instance — workers build their own"
         )
     return engine_kwargs, injector
 

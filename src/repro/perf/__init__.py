@@ -3,23 +3,19 @@
 Everything here amortizes per-query overhead across a query stream on
 one graph (the serving scenario of the ROADMAP north star):
 
-* :class:`BufferArena` (:mod:`repro.perf.arena`) — pools the large
-  ``(k, n)`` numpy buffers the engine allocates per run;
 * :class:`LRUCache` / :class:`ResultCache` (:mod:`repro.perf.cache`) —
   bounded caches for exact answers and per-target heuristics;
 * :class:`WarmEngine` (:mod:`repro.perf.warm`) — the user-facing
-  handle combining pooling + heuristic caching + result caching;
+  handle combining heuristic caching + result caching;
 * :mod:`repro.perf.regression` — the ``repro bench`` harness that
   freezes a seeded workload and gates each ``BENCH_<i>.json`` snapshot
   against the previous one.
 """
 
-from .arena import BufferArena
 from .cache import LRUCache, ResultCache
 from .warm import WarmAnswer, WarmEngine
 
 __all__ = [
-    "BufferArena",
     "LRUCache",
     "ResultCache",
     "WarmAnswer",

@@ -59,9 +59,6 @@ VERIFY_MAX_OVERHEAD = 0.25
 #: a warm persistent pool vs per-call process-backend batches (which
 #: pay pool spin-up + graph export every call).
 MIN_SERVICE_SPEEDUP = 2.0
-#: the acceptance bar: the segmented scatter-min kernels replaying the
-#: stepping-dominated wave trace vs the ``ufunc_at`` reference.
-MIN_KERNEL_SPEEDUP = 1.5
 # Wall-clock baselines shorter than this are too noisy to gate on.
 _WALL_FLOOR_S = 5e-3
 
@@ -69,8 +66,7 @@ SCALES = {
     "tiny": dict(road_side=8, knn_points=120, num_pairs=3, repeats=2,
                  warm_rounds=4, batch_pairs=4,
                  verify_road_side=16, verify_pairs=6,
-                 service_pairs=8, service_chunk=4, service_rounds=2,
-                 kernel_graph_n=2000, kernel_rounds=2),
+                 service_pairs=8, service_chunk=4, service_rounds=2),
     "small": dict(road_side=16, knn_points=400, num_pairs=4, repeats=3,
                   warm_rounds=6, batch_pairs=6,
                   # Large enough that the serve baseline clears the wall
@@ -79,13 +75,7 @@ SCALES = {
                   # The stream coalesces to one full batch at the
                   # service's default flush size (the acceptance
                   # workload); it *arrives* in client chunks of 8.
-                  service_pairs=32, service_chunk=8, service_rounds=3,
-                  # Hub-heavy graph: Bellman-Ford waves reach ~40k
-                  # duplicate-rich proposals, the regime the segmented
-                  # scatter kernels exist for; big enough that the
-                  # ufunc_at replay clears the wall floor and the
-                  # kernel-speedup gate engages.
-                  kernel_graph_n=16000, kernel_rounds=5),
+                  service_pairs=32, service_chunk=8, service_rounds=3),
 }
 
 
@@ -142,7 +132,6 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
     repeats, warm_rounds = cfg["repeats"], cfg["warm_rounds"]
     single: dict[str, dict] = {}
     batch: dict[str, dict] = {}
-    arena_checks: dict[str, dict] = {}
 
     for name in sorted(wl["graphs"]):
         g = wl["graphs"][name]
@@ -175,8 +164,8 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
             warm_s = (time.perf_counter() - t0) / (warm_rounds * len(qpairs))
 
             # Warm, result cache bypassed: the engine still runs, but
-            # buffers are pooled and heuristic rows cached — isolates the
-            # arena + h-table effect for the A* family.
+            # heuristic rows are cached — isolates the h-table effect
+            # for the A* family.
             t0 = time.perf_counter()
             for _ in range(repeats):
                 for s, t in qpairs:
@@ -192,13 +181,6 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
                 "steps": steps,
                 "relaxations": relax,
             }
-        stats = engine.stats()
-        arena_checks[name] = {
-            "allocations": stats["arena"]["allocations"],
-            "reuses": stats["arena"]["reuses"],
-            "result_hits": stats["results"]["hits"],
-            "heuristic_hits": stats["heuristics"]["hits"],
-        }
 
         bpairs = wl["batch_pairs"][name]
         batch[name] = {}
@@ -220,8 +202,7 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
 
     verify = _verify_overhead(wl)
     service = _service_section(wl)
-    kernels = _kernel_section(wl)
-    gates = _gates(single, verify, service, kernels)
+    gates = _gates(single, verify, service)
     pool = _pool_section(wl) if backend == "process" else None
     return {
         "schema": SCHEMA,  # additive sections (e.g. "obs", "verify") do NOT
@@ -243,11 +224,9 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
         },
         "single": single,
         "batch": batch,
-        "arena": arena_checks,
         "obs": _observed_metrics(wl),
         "verify": verify,
         "service": service,
-        "kernels": kernels,
         **({"pool": pool} if pool is not None else {}),
         "gates": gates,
     }
@@ -504,133 +483,7 @@ def _service_section(wl: dict, *, workers: int = 2) -> dict:
     }
 
 
-def _kernel_section(wl: dict) -> dict:
-    """Additive ``"kernels"`` section: scatter-min kernels on real waves.
-
-    Two halves, both against the ``ufunc_at`` reference implementation:
-
-    **Speed** — one Bellman-Ford SSSP from the top hub of a seeded
-    hub-heavy web graph is run once with a recording kernel, capturing
-    the exact ``(targets, values)`` batch of every ``scatter_min`` call
-    (waves of tens of thousands of duplicate-rich proposals — the
-    stepping-dominated regime).  Each implementation then replays the
-    identical wave trace; rounds interleave the impls (machine drift
-    cancels) and each keeps its best-of-N.  Replaying isolates the
-    kernel: a full engine run dilutes the scatter with gather/frontier
-    work that is byte-for-byte shared across impls.  A reference replay
-    under ``_WALL_FLOOR_S`` is recorded but ungated.
-
-    **Identity** — every impl must answer bit-identically to
-    ``ufunc_at``: all five single-query methods, cold (:func:`ppsp`)
-    and warm (:class:`WarmEngine`), on every workload graph, plus a
-    process-backend batch (workers build their own kernel from the
-    shipped name).  A host that cannot run the process pool records the
-    error and passes that check vacuously, like ``_service_section``.
-    """
-    from ..api import ppsp
-    from ..core.batch import solve_batch
-    from ..core.engine import run_policy
-    from ..core.policies import SsspPolicy
-    from ..core.stepping import BellmanFord
-    from ..graphs.generators import web_graph
-    from ..kernels.scatter import KERNEL_IMPLS, Kernel
-    from .warm import WarmEngine
-
-    cfg = wl["config"]
-    g = web_graph(cfg["kernel_graph_n"], seed=SEED, name="bench-kernel-web")
-    source = int(np.argmax(g.out_degrees()))
-
-    class _Recorder(Kernel):
-        __slots__ = ("waves",)
-
-        def __init__(self) -> None:
-            super().__init__("ufunc_at")
-            self.waves: list = []
-
-        def scatter_min(self, dist, targets, values):
-            # Copies, so the recorded waves own their data.
-            self.waves.append((targets.copy(), values.copy()))
-            return super().scatter_min(dist, targets, values)
-
-    recorder = _Recorder()
-    run_policy(g, SsspPolicy(source), strategy=BellmanFord(), kernel=recorder)
-    waves = recorder.waves
-    base = np.full(g.num_vertices, np.inf)
-    base[source] = 0.0
-
-    impls = KERNEL_IMPLS  # the ufunc_at reference first
-    best = {impl: float("inf") for impl in impls}
-    for _ in range(cfg["kernel_rounds"]):
-        for impl in impls:
-            kern = Kernel(impl)
-            dist = base.copy()
-            t0 = time.perf_counter()
-            for targets, values in waves:
-                kern.scatter_min(dist, targets, values)
-            best[impl] = min(best[impl], time.perf_counter() - t0)
-    ref_s = best["ufunc_at"]
-    speedups = {
-        impl: (ref_s / best[impl] if best[impl] > 0 else float("inf"))
-        for impl in impls if impl != "ufunc_at"
-    }
-    gated = ref_s >= _WALL_FLOOR_S
-
-    # Identity: every impl vs the ufunc_at answers, all methods.
-    identical: dict[str, bool] = {}
-    for impl in [i for i in impls if i != "ufunc_at"]:
-        ok = True
-        for name in sorted(wl["graphs"]):
-            wg = wl["graphs"][name]
-            qpairs = wl["pairs"][name]
-            warm_ref = WarmEngine(wg, kernel="ufunc_at")
-            warm_impl = WarmEngine(wg, kernel=impl)
-            for method in METHODS:
-                for s_, t_ in qpairs:
-                    ref = ppsp(wg, s_, t_, method=method, kernel="ufunc_at")
-                    got = ppsp(wg, s_, t_, method=method, kernel=impl)
-                    ok &= got.distance == ref.distance
-                    wr = warm_ref.query(s_, t_, method=method, use_cache=False)
-                    wi = warm_impl.query(s_, t_, method=method, use_cache=False)
-                    ok &= wi.distance == wr.distance
-        identical[impl] = ok
-
-    pool_identity: dict[str, object]
-    try:
-        wg = wl["graphs"]["road"]
-        bpairs = wl["batch_pairs"]["road"]
-        ref = solve_batch(wg, bpairs, method="multi", kernel="ufunc_at")
-        pool_ok = True
-        for impl in [i for i in impls if i != "ufunc_at"]:
-            proc = solve_batch(
-                wg, bpairs, method="multi", backend="process", workers=2,
-                kernel=impl,
-            )
-            pool_ok &= proc.distances == ref.distances
-        pool_identity = {"identical": pool_ok}
-    except Exception as exc:  # noqa: BLE001 — a poolless host is not a regression
-        pool_identity = {"error": f"{type(exc).__name__}: {exc}", "identical": None}
-
-    identity_pass = all(identical.values()) and pool_identity["identical"] is not False
-    return {
-        "workload": {
-            "graph_n": g.num_vertices, "graph_m": g.num_edges,
-            "source": source, "strategy": "bellman-ford",
-            "waves": len(waves),
-            "wave_elements": int(sum(len(t) for t, _ in waves)),
-            "rounds": cfg["kernel_rounds"],
-        },
-        "replay_s": {impl: best[impl] for impl in impls},
-        "speedups": speedups,
-        "identical": identical,
-        "pool_identity": pool_identity,
-        "gated": gated,
-        "min_required_speedup": MIN_KERNEL_SPEEDUP,
-        "pass": identity_pass
-        and ((not gated) or all(v >= MIN_KERNEL_SPEEDUP for v in speedups.values())),
-    }
-
-
-def _gates(single: dict, verify: dict, service: dict, kernels: dict) -> dict:
+def _gates(single: dict, verify: dict, service: dict) -> dict:
     """The acceptance gates computed from the measured workload."""
     speedups = {}
     for method in ("astar", "bidastar"):
@@ -648,10 +501,8 @@ def _gates(single: dict, verify: dict, service: dict, kernels: dict) -> dict:
         "verify_overhead": verify["worst_gated_overhead"],
         "min_required_service_speedup": MIN_SERVICE_SPEEDUP,
         "service_speedup": service.get("speedup"),
-        "min_required_kernel_speedup": MIN_KERNEL_SPEEDUP,
-        "kernel_speedups": kernels.get("speedups"),
         "pass": all(v >= MIN_WARM_SPEEDUP for v in speedups.values())
-        and verify["pass"] and service["pass"] and kernels["pass"],
+        and verify["pass"] and service["pass"],
     }
 
 
@@ -768,39 +619,16 @@ def bench_command(
     wall_tolerance: float = 1.00,
     check: bool = False,
     backend: str = "serial",
-    kernel: str | None = None,
 ) -> tuple[dict, int]:
     """Run, compare, write, and summarize one benchmark snapshot.
 
     Returns ``(payload, exit_code)``; the exit code is nonzero only when
     ``check`` is set and the gate failed (a comparable baseline showed a
     regression, or the warm-speedup gate missed).
-
-    ``kernel`` pins the scatter-min implementation for the whole
-    workload (engine runs, warm layer, pool workers) through the
-    ``REPRO_KERNEL`` override; the pin is recorded in the snapshot.
     """
-    import os
-
     directory = Path(directory)
     out_path = Path(output) if output else next_bench_path(directory)
-    if kernel is not None:
-        from ..kernels.scatter import KERNEL_IMPLS
-
-        if kernel not in KERNEL_IMPLS:
-            raise ValueError(f"unknown kernel {kernel!r}; options: {KERNEL_IMPLS}")
-        prev = os.environ.get("REPRO_KERNEL")
-        os.environ["REPRO_KERNEL"] = kernel
-        try:
-            payload = run_benchmark(scale, backend=backend)
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_KERNEL", None)
-            else:
-                os.environ["REPRO_KERNEL"] = prev
-        payload["kernel_pin"] = kernel
-    else:
-        payload = run_benchmark(scale, backend=backend)
+    payload = run_benchmark(scale, backend=backend)
 
     base_path = Path(baseline) if baseline else find_baseline(directory, exclude=out_path)
     if base_path is not None and base_path.exists():
@@ -836,14 +664,11 @@ def main(argv=None) -> int:
     parser.add_argument("--wall-tolerance", type=float, default=1.00)
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero on gate failure")
-    parser.add_argument("--kernel",
-                        help="pin the scatter-min kernel for the whole workload")
     args = parser.parse_args(argv)
     payload, rc = bench_command(
         scale=args.scale, output=args.output, baseline=args.baseline,
         directory=args.dir, work_tolerance=args.work_tolerance,
         wall_tolerance=args.wall_tolerance, check=args.check,
-        kernel=args.kernel,
     )
     summary = {
         "output": payload["output_file"],

@@ -1,15 +1,11 @@
 """The warm engine: amortize per-query overheads across a query stream.
 
-A cold :func:`repro.ppsp` call pays three fixed costs every time: fresh
-``(k, n)`` numpy allocations, a new policy + heuristic (recomputing
-``h`` rows A* already computed for the last query to the same target),
-and — trivially but measurably — re-deriving the answer for a query the
-service just answered.  :class:`WarmEngine` binds all three
-amortizations to one graph:
+A cold :func:`repro.ppsp` call pays two avoidable costs every time: a
+new policy + heuristic (recomputing ``h`` rows A* already computed for
+the last query to the same target), and — trivially but measurably —
+re-deriving the answer for a query the service just answered.
+:class:`WarmEngine` binds both amortizations to one graph:
 
-* **buffer pooling** — one :class:`~repro.perf.arena.BufferArena`
-  recycles distance arrays and dense frontier masks, so the steady
-  state performs zero new ``(k, n)`` allocations;
 * **heuristic caching** — memoized per-target heuristics are kept in an
   LRU, so repeated A*/BiD-A* queries toward a target reuse its ``h``
   table (geometric graphs) or its landmark row
@@ -39,7 +35,6 @@ from ..core.engine import PPSPEngine
 from ..core.paths import stitch_bidirectional_path, walk_path
 from ..core.policies import AStar, BiDAStar, BiDS, EarlyTermination, SsspPolicy
 from ..heuristics.geometric import Heuristic, make_heuristic
-from .arena import BufferArena
 from .cache import LRUCache, ResultCache
 
 __all__ = ["WarmAnswer", "WarmEngine"]
@@ -52,12 +47,11 @@ _METHODS = ("sssp", "et", "astar", "bids", "bidastar")
 class WarmAnswer:
     """One warm query's answer — values only, no live engine state.
 
-    Unlike :class:`repro.api.PPSPAnswer`, this carries no ``RunResult``:
-    the distance matrix lived in a pooled buffer that went back to the
-    arena when the query finished, which is what makes the warm path
-    allocation-free.  ``path()`` returns the shortest path when the
-    query was made with ``path=True``; ``cached`` says the answer came
-    straight from the result cache.
+    Unlike :class:`repro.api.PPSPAnswer`, this carries no ``RunResult``,
+    so a cached answer keeps no ``(k, n)`` distance matrix alive.
+    ``path()`` returns the shortest path when the query was made with
+    ``path=True``; ``cached`` says the answer came straight from the
+    result cache.
     """
 
     source: int
@@ -96,7 +90,7 @@ class WarmAnswer:
 
 
 class WarmEngine:
-    """Serve many queries against one graph with pooled, cached state.
+    """Serve many queries against one graph with cached state.
 
     Parameters
     ----------
@@ -110,20 +104,12 @@ class WarmEngine:
         LRU capacity of the exact-answer cache (0 disables).
     heuristic_cache_size : int
         LRU capacity of the per-target heuristic cache.
-    arena : BufferArena, optional
-        Share one pool between several engines on same-size graphs;
-        defaults to a private arena.
     strategy_factory : callable, optional
         Zero-argument callable producing a fresh
         :class:`~repro.core.stepping.SteppingStrategy` per query;
         defaults to the engine's Δ*-stepping default.
     frontier_mode, pull_relax :
         Fixed engine configuration for every query.
-    kernel : str or None
-        Scatter-min kernel for every engine run (:mod:`repro.kernels`);
-        ``None`` resolves via ``REPRO_KERNEL`` then ``"sort_reduceat"``.
-        Both kernels are bit-identical, so warm answers (and the result
-        cache) are unaffected by the choice.
     observer : repro.obs.Observer, optional
         Default-off observability hook.  When attached, every engine run
         reports work/depth/steps, the result and heuristic caches emit
@@ -154,11 +140,9 @@ class WarmEngine:
         landmarks=None,
         result_cache_size: int = 1024,
         heuristic_cache_size: int = 64,
-        arena: BufferArena | None = None,
         strategy_factory=None,
         frontier_mode: str = "auto",
         pull_relax: bool = False,
-        kernel=None,
         observer=None,
         verify_hits: bool = False,
         checker=None,
@@ -169,13 +153,11 @@ class WarmEngine:
         self.observer = observer
         if landmarks is not None and observer is not None:
             landmarks.observer = observer
-        self.arena = arena if arena is not None else BufferArena()
         self.results = ResultCache(result_cache_size)
         self._heuristics: LRUCache = LRUCache(heuristic_cache_size)
         self._strategy_factory = strategy_factory
         self._frontier_mode = frontier_mode
         self._pull_relax = pull_relax
-        self._kernel = kernel
         self.verify_hits = bool(verify_hits)
         self.fault_injector = fault_injector
         self._checker = checker
@@ -196,8 +178,6 @@ class WarmEngine:
             strategy=strategy,
             frontier_mode=self._frontier_mode,
             pull_relax=self._pull_relax,
-            kernel=self._kernel,
-            arena=self.arena,
             observer=self.observer,
             track_processed=self.verify_hits,
         )
@@ -272,12 +252,11 @@ class WarmEngine:
         """Exact shortest s-t distance, warm.
 
         Semantically identical to ``repro.ppsp(graph, s, t,
-        method=...)`` — same engine, same policies — but buffers come
-        from the pool, heuristics from the heuristic cache, and repeat
-        queries from the result cache.  ``path=True`` captures a
-        shortest path while the distance matrix is still alive (pooled
-        buffers are recycled when the call returns, so the path cannot
-        be derived later).
+        method=...)`` — same engine, same policies — but heuristics come
+        from the heuristic cache and repeat queries from the result
+        cache.  ``path=True`` captures a shortest path while the
+        distance matrix is still alive (the answer keeps no matrix, so
+        the path cannot be derived later).
 
         ``budget`` (a :class:`repro.robustness.Budget` or live meter)
         bounds this one query's engine run; an answer whose budget ran
@@ -305,32 +284,28 @@ class WarmEngine:
         bmeter = None
         if budget is not None:
             bmeter = budget if hasattr(budget, "charge") else budget.start()
-        with self.arena.scope():
-            run = self._engine.run(
-                self._make_policy(source, target, method), budget=bmeter
-            )
-            if method == "sssp":
-                distance = float(run.answer[target])
-            else:
-                distance = float(run.answer)
-            path_vertices = None
-            if path and np.isfinite(distance) and source != target:
-                if method in _BIDIRECTIONAL:
-                    p = stitch_bidirectional_path(
-                        self.graph, run.dist[0], run.dist[1], source, target
-                    )
-                else:
-                    p = walk_path(self.graph, run.dist[0], source, target)
-                path_vertices = tuple(int(v) for v in p)
-            certificate = None
-            if self.verify_hits:
-                # Built while the pooled dist rows are still alive.
-                from ..verify import certificate_for_run
-
-                certificate = certificate_for_run(
-                    self.graph, source, target, method,
-                    distance, not run.exhausted, run,
+        run = self._engine.run(self._make_policy(source, target, method), budget=bmeter)
+        if method == "sssp":
+            distance = float(run.answer[target])
+        else:
+            distance = float(run.answer)
+        path_vertices = None
+        if path and np.isfinite(distance) and source != target:
+            if method in _BIDIRECTIONAL:
+                p = stitch_bidirectional_path(
+                    self.graph, run.dist[0], run.dist[1], source, target
                 )
+            else:
+                p = walk_path(self.graph, run.dist[0], source, target)
+            path_vertices = tuple(int(v) for v in p)
+        certificate = None
+        if self.verify_hits:
+            from ..verify import certificate_for_run
+
+            certificate = certificate_for_run(
+                self.graph, source, target, method,
+                distance, not run.exhausted, run,
+            )
 
         answer = WarmAnswer(
             source=source,
@@ -387,41 +362,23 @@ class WarmEngine:
             observer.on_quarantine("result-cache")
         return None
 
-    def batch(
-        self,
-        queries,
-        *,
-        method: str = "multi",
-        keep_paths: bool = False,
-        **kwargs,
-    ) -> BatchResult:
-        """Answer a batch of (s, t) pairs with pooled engine buffers.
+    def batch(self, queries, *, method: str = "multi", **kwargs) -> BatchResult:
+        """Answer a batch of (s, t) pairs through :func:`solve_batch`.
 
-        By default the per-search distance matrices go back to the pool
-        as soon as the distances are extracted, so ``BatchResult.path``
-        is unavailable (``keep_paths=True`` opts out of pooling for
-        this call and retains full path state).  The per-pair answers
-        are folded into the result cache under their single-query method
-        equivalents, so a later ``query(s, t, method='bids')`` hits.
+        The result keeps its path state, like a cold batch.  The
+        per-pair answers are folded into the result cache under their
+        single-query method equivalents, so a later
+        ``query(s, t, method='bids')`` hits.
         """
         if method not in BATCH_METHODS:
             raise ValueError(f"unknown batch method {method!r}; options: {BATCH_METHODS}")
         self.batches += 1
         if self.observer is not None and "observer" not in kwargs:
             kwargs = {**kwargs, "observer": self.observer}
-        if self._kernel is not None:
-            kwargs.setdefault("kernel", self._kernel)
         if self.verify_hits:
             # Certified folds: later verified hits need evidence.
             kwargs.setdefault("certify", True)
-        if keep_paths:
-            res = solve_batch(self.graph, queries, method=method, **kwargs)
-        else:
-            with self.arena.scope():
-                res = solve_batch(
-                    self.graph, queries, method=method, arena=self.arena, **kwargs
-                )
-                res._path_state = None
+        res = solve_batch(self.graph, queries, method=method, **kwargs)
         if res.exact:
             certs = res.certificates or {}
             for (s, t), d in res.distances.items():
@@ -440,8 +397,7 @@ class WarmEngine:
         """Drop every cached answer and heuristic row.
 
         Call this after mutating the bound graph *in place* (weights or
-        topology); pooled buffers are shape-keyed and carry no graph
-        values, so the arena survives invalidation untouched.
+        topology).
         """
         self.results.invalidate()
         self._heuristics.clear()
@@ -455,7 +411,6 @@ class WarmEngine:
             "batches": self.batches,
             "results": self.results.stats(),
             "heuristics": self._heuristics.stats(),
-            "arena": self.arena.stats(),
         }
         if self.verify_hits:
             out["quarantined"] = self.quarantined

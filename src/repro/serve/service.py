@@ -21,11 +21,10 @@ A batch is flushed when the first of three triggers fires:
 * **pressure** — the backlog exceeds the *adaptive* pressure limit (a
   burst), so the batcher stops waiting and drains in ``max_batch``
   chunks.  The limit is an AIMD concurrency control
-  (:class:`~repro.serve.overload.OverloadController`): it starts at the
-  configured ``pressure`` (default ``4 x max_batch``, which is also its
-  ceiling — a healthy service behaves exactly like the old static
-  rule), halves when a batch comes back with timeouts or failures, and
-  recovers additively while batches stay healthy.
+  (:class:`~repro.serve.overload.OverloadController`): it starts at
+  ``4 x max_batch``, which is also its ceiling, halves when a batch
+  comes back with timeouts or failures, and recovers additively while
+  batches stay healthy.
 
 On top of the flush triggers sits a degradation ladder — **exact ->
 inexact -> shed**: when queue sojourn stays above the CoDel-style
@@ -68,7 +67,7 @@ from dataclasses import dataclass, field
 from ..api import validate_query
 from ..robustness.clock import as_clock
 from .admission import FAILED, SHED, ServeQuery
-from .overload import AIMDLimiter, OverloadController
+from .overload import OverloadController
 from .pipeline import ServePipeline
 
 __all__ = [
@@ -188,18 +187,16 @@ class QueryService:
         pipeline shard per flush).
     max_wait_ms : float
         Longest a queued query waits before a partial batch flushes.
-    pressure : int or None
-        Backlog size that triggers immediate draining (default
-        ``4 * max_batch``); must be >= ``max_batch``.  This is the
-        *ceiling* of the AIMD limiter — overloaded batches pull the
-        live limit down toward ``max_batch``, healthy ones restore it.
-    overload : OverloadController, False, or None
+        A backlog of ``pressure`` queries (``4 * max_batch``, the
+        ceiling of the AIMD limiter) drains immediately; overloaded
+        batches pull that limit down toward ``max_batch``, healthy
+        ones restore it.
+    overload : OverloadController or None
         ``None`` (default) builds an :class:`~repro.serve.overload.
         OverloadController` from the ``codel_target_ms`` /
         ``codel_interval_ms`` / ``shed_multiple`` /
-        ``degrade_budget_ms`` knobs; pass ``False`` to disable
-        adaptive control (static pressure only) or a controller to
-        share one across services.
+        ``degrade_budget_ms`` knobs; pass a controller to share one
+        across services.
     certify, collect_paths : bool
         Attach each answer's certificate / shortest path to its
         :class:`ServiceResult`.
@@ -217,7 +214,6 @@ class QueryService:
         method: str = "multi",
         max_batch: int = 32,
         max_wait_ms: float = 5.0,
-        pressure: int | None = None,
         backend: str = "serial",
         workers: int | None = None,
         pool=None,
@@ -240,18 +236,12 @@ class QueryService:
         self.graph = graph
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait_ms) / 1000.0
-        self.pressure = 4 * self.max_batch if pressure is None else int(pressure)
-        if self.pressure < self.max_batch:
-            raise ValueError(
-                f"pressure ({self.pressure}) must be >= max_batch ({self.max_batch})"
-            )
+        self.pressure = 4 * self.max_batch
         self._clock = as_clock(clock)
         self._real_clock = clock is None
         self.observer = observer
         self.backend = backend
-        if overload is False:
-            self._overload = None
-        elif overload is not None:
+        if overload is not None:
             self._overload = overload
             if self._overload.observer is None:
                 self._overload.observer = observer
@@ -262,7 +252,6 @@ class QueryService:
                 interval_ms=codel_interval_ms,
                 shed_multiple=shed_multiple,
                 degrade_budget_ms=degrade_budget_ms,
-                aimd=AIMDLimiter(initial=self.pressure / self.max_batch),
                 observer=observer,
             )
 
@@ -325,7 +314,7 @@ class QueryService:
 
     @property
     def overload(self):
-        """The adaptive overload controller (``None`` when disabled)."""
+        """The adaptive overload controller."""
         return self._overload
 
     def start(self) -> "QueryService":
@@ -424,7 +413,7 @@ class QueryService:
                 if self.observer is not None:
                     self.observer.on_service_dedup()
             else:
-                if self._overload is not None and self._pending:
+                if self._pending:
                     # Door shedding: a *new* query is refused outright
                     # when the oldest queued one has waited past the
                     # shed threshold — the queue has stopped draining,
@@ -509,8 +498,6 @@ class QueryService:
 
     def _pressure_limit(self) -> int:
         """The live pressure threshold (AIMD-adapted, static ceiling)."""
-        if self._overload is None:
-            return self.pressure
         return min(self.pressure, self._overload.pressure_limit(self.max_batch))
 
     def _drain_full_batches(self) -> None:
@@ -554,26 +541,24 @@ class QueryService:
             self._next_batch_index += 1
             if self.observer is not None:
                 self.observer.on_service_flush(reason, len(entries), waited)
-            if self._overload is not None:
-                # Degradation ladder, middle rung: under persistent
-                # queue delay (CoDel) with degrade_budget_ms set, the
-                # batch runs under a wall budget — certified upper
-                # bounds now beat exact answers later.
-                if self._overload.flush_mode(waited) == "inexact":
-                    degrade_deadline = flushed_at + self._overload.degrade_budget_s
-                    for e in entries:
-                        q = e.query
-                        q.deadline = (
-                            degrade_deadline if q.deadline is None
-                            else min(q.deadline, degrade_deadline)
-                        )
-                    self._counts["degraded"] += len(entries)
+            # Degradation ladder, middle rung: under persistent queue
+            # delay (CoDel) with degrade_budget_ms set, the batch runs
+            # under a wall budget — certified upper bounds now beat
+            # exact answers later.
+            if self._overload.flush_mode(waited) == "inexact":
+                degrade_deadline = flushed_at + self._overload.degrade_budget_s
+                for e in entries:
+                    q = e.query
+                    q.deadline = (
+                        degrade_deadline if q.deadline is None
+                        else min(q.deadline, degrade_deadline)
+                    )
+                self._counts["degraded"] += len(entries)
             try:
                 res = self._pipeline.run([e.query for e in entries])
             except Exception as exc:  # noqa: BLE001 — futures must resolve
                 self._counts["errors"] += 1
-                if self._overload is not None:
-                    self._overload.on_batch_done({"failed": len(entries)})
+                self._overload.on_batch_done({"failed": len(entries)})
                 for e in entries:
                     s, t = e.query.key
                     for f in e.futures:
@@ -601,12 +586,11 @@ class QueryService:
                 for f in e.futures:
                     f._resolve(result)
             self._counts["executed"] += len(entries)
-            if self._overload is not None:
-                tally: dict[str, int] = {}
-                for e in entries:
-                    out = res.outcomes.get(e.query.key, FAILED)
-                    tally[out] = tally.get(out, 0) + 1
-                self._overload.on_batch_done(tally)
+            tally: dict[str, int] = {}
+            for e in entries:
+                out = res.outcomes.get(e.query.key, FAILED)
+                tally[out] = tally.get(out, 0) + 1
+            self._overload.on_batch_done(tally)
             self._record_batch(entries, reason, index, waited)
             self._note_respawns()
 
@@ -679,11 +663,10 @@ class QueryService:
                 "flush_reasons": dict(self._flush_reasons),
                 "respawns": 0 if self._pool is None else self._pool.respawns,
                 "breakers": self._pipeline.breakers.states(),
-            }
-            if self._overload is not None:
-                out["overload"] = {
+                "overload": {
                     "pressure_limit": self._pressure_limit(),
                     "aimd_limit": self._overload.aimd.limit,
                     "decisions": dict(self._overload.counts),
-                }
+                },
+            }
             return out

@@ -340,8 +340,7 @@ def certificate_for_run(
     Knows the engine's dist-row layout per method: bidirectional methods
     keep the forward search in row 0 and the backward search in row 1
     (traversing the reverse graph when directed); everything else is a
-    single forward row.  Must be called while ``run.dist`` is alive —
-    arena-backed buffers are reused after the scope closes.
+    single forward row.  Reads ``run.dist`` and ``run.processed_dist``.
     """
     bidir = method in _BIDIRECTIONAL
     pd = run.processed_dist

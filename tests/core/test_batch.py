@@ -151,6 +151,52 @@ class TestSolveBatch:
                 assert res.distances[key] == pytest.approx(val), (method, key)
 
 
+@pytest.fixture(scope="module")
+def one_way():
+    """A one-way street grid, six random pairs (none asked both ways)
+    and each pair's Dijkstra distance."""
+    from repro.experiments.ext_directed import directed_road
+
+    g = directed_road(400, seed=5)
+    rng = np.random.default_rng(5)
+    pairs = [tuple(int(v) for v in rng.choice(g.num_vertices, 2, replace=False))
+             for _ in range(6)]
+    assert not {(t, s) for s, t in pairs} & set(pairs)
+    truth = {(s, t): float(dijkstra(g, s)[t]) for s, t in pairs}
+    return g, pairs, truth
+
+
+class TestDirectedBatch:
+    """A directed batch answers each pair in its asked orientation only."""
+
+    @pytest.mark.parametrize("form", ["pairs", "query-graph"])
+    @pytest.mark.parametrize("method", BATCH_METHODS)
+    def test_matches_dijkstra(self, one_way, method, form):
+        g, pairs, truth = one_way
+        queries = pairs if form == "pairs" else QueryGraph(pairs, directed=True)
+        res = solve_batch(g, queries, method=method)
+        for (s, t), want in truth.items():
+            assert res.distance(s, t) == pytest.approx(want, rel=1e-9), (s, t)
+            # (t, s) was never asked: no answer, and no path, in either form.
+            with pytest.raises(ValueError, match="never part of this batch"):
+                res.distance(t, s)
+            if method in ("plain-bids", "plain-star-bids"):
+                continue  # these modes keep no paths at all
+            with pytest.raises(KeyError):
+                res.path(t, s)
+            if np.isfinite(want):
+                path = res.path(s, t)
+                assert path[0] == s and path[-1] == t
+                hops = [g.neighbor_weights(u)[g.neighbors(u) == v] for u, v in zip(path, path[1:])]
+                assert all(len(w) for w in hops), "path uses a non-arc"
+                assert sum(float(w.min()) for w in hops) == pytest.approx(want, rel=1e-9)
+
+    def test_undirected_query_graph_rejected(self, one_way):
+        g, pairs, _ = one_way
+        with pytest.raises(ValueError, match="directed"):
+            solve_batch(g, QueryGraph(pairs), method="multi")
+
+
 class TestBatchResult:
     def test_distance_lookup_both_orders(self, line_graph):
         res = solve_batch(line_graph, [(0, 3)])

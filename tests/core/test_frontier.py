@@ -12,6 +12,15 @@ def ids(*xs):
     return np.array(xs, dtype=np.int64)
 
 
+def extract(f, priorities_of, threshold):
+    """The engine's ``F.Extract(θ)``: split ``ids()`` by priority and
+    keep the deferred part with ``replace`` (a subsequence, so sorted)."""
+    current = f.ids()
+    take = priorities_of(current) <= threshold
+    f.replace(current[~take], assume_sorted=True)
+    return current[take]
+
+
 class TestBasics:
     def test_starts_empty(self):
         f = Frontier(100)
@@ -44,7 +53,7 @@ class TestBasics:
     def test_clear(self):
         f = Frontier(100)
         f.add(ids(1, 2))
-        f.clear()
+        f.replace(np.empty(0, dtype=np.int64))
         assert len(f) == 0
 
     def test_invalid_mode_rejected(self):
@@ -57,20 +66,20 @@ class TestExtract:
         f = Frontier(100)
         f.add(ids(0, 1, 2, 3))
         prio = {0: 1.0, 1: 5.0, 2: 3.0, 3: 9.0}
-        got = f.extract(lambda e: np.array([prio[int(x)] for x in e]), 4.0)
+        got = extract(f, lambda e: np.array([prio[int(x)] for x in e]), 4.0)
         assert sorted(got.tolist()) == [0, 2]
         assert sorted(f.ids().tolist()) == [1, 3]
 
     def test_extract_all(self):
         f = Frontier(100)
         f.add(ids(4, 5))
-        got = f.extract(lambda e: np.zeros(len(e)), 1.0)
+        got = extract(f, lambda e: np.zeros(len(e)), 1.0)
         assert len(got) == 2
         assert len(f) == 0
 
     def test_extract_empty(self):
         f = Frontier(100)
-        got = f.extract(lambda e: np.zeros(len(e)), 1.0)
+        got = extract(f, lambda e: np.zeros(len(e)), 1.0)
         assert len(got) == 0
 
 
@@ -111,8 +120,8 @@ class TestModes:
             fs.add(batch)
             fd.add(batch)
             thr = rng.uniform(0, 500)
-            es = fs.extract(lambda e: e.astype(float), thr)
-            ed = fd.extract(lambda e: e.astype(float), thr)
+            es = extract(fs, lambda e: e.astype(float), thr)
+            ed = extract(fd, lambda e: e.astype(float), thr)
             assert np.array_equal(np.sort(es), np.sort(ed))
         assert np.array_equal(fs.ids(), fd.ids())
 
@@ -132,7 +141,7 @@ class TestIncrementalCount:
                 # Sorted-unique batch — the fast counting path.
                 f.add(np.unique(rng.integers(0, 300, size=10)))
             else:
-                f.extract(lambda e: e.astype(float), float(rng.uniform(0, 300)))
+                extract(f, lambda e: e.astype(float), float(rng.uniform(0, 300)))
             assert len(f) == len(f.ids())
 
     def test_dense_count_overlapping_adds(self):

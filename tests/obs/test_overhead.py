@@ -3,10 +3,8 @@
 Two halves, matching ``docs/observability.md``:
 
 * **disabled is free** — with no observer the instrumented sites cost
-  one ``is None`` test each: the warm steady state still performs zero
-  new buffer allocations (the BufferArena counter *is* the proof), and
-  deterministic engine counters are bit-identical to an uninstrumented
-  run;
+  one ``is None`` test each: deterministic engine counters are
+  bit-identical to an uninstrumented run;
 * **enabled is bounded** — with an observer attached, runs carry a
   StepTrace and update counters, which may cost real time but stays
   within a loose wall-clock multiple of the disabled path.
@@ -45,40 +43,10 @@ def pairs(graph):
     return [(0, n - 1), (3, n - 4), (7, n // 2)]
 
 
-def _steady_state_allocations(engine, pairs) -> tuple[int, int]:
-    """(allocations added, reuses added) over ROUNDS post-priming rounds."""
-    for method in METHODS:
-        for s, t in pairs:
-            engine.query(s, t, method=method, use_cache=False)
-    before = engine.arena.stats()
-    for _ in range(ROUNDS):
-        for method in METHODS:
-            for s, t in pairs:
-                engine.query(s, t, method=method, use_cache=False)
-    after = engine.arena.stats()
-    return (after["allocations"] - before["allocations"],
-            after["reuses"] - before["reuses"])
-
-
-def test_disabled_observer_adds_zero_allocations(graph, pairs):
-    """Warm steady state without an observer: allocation counter flat."""
-    engine = WarmEngine(graph)
-    assert engine.observer is None  # default-off
-    added, reused = _steady_state_allocations(engine, pairs)
-    assert added == 0, f"{added} new buffer allocations on the disabled path"
-    assert reused > 0  # the rounds really did run through the pool
-
-
-def test_enabled_observer_adds_zero_buffer_allocations(graph, pairs):
-    """Tracing lives outside the arena: pooled buffers stay pooled."""
-    engine = WarmEngine(graph, observer=Observer())
-    added, _ = _steady_state_allocations(engine, pairs)
-    assert added == 0, f"{added} new buffer allocations on the enabled path"
-
-
 def test_disabled_observer_counters_bit_identical(graph, pairs):
     """Same warm query with and without an observer: identical counters."""
     plain = WarmEngine(graph)
+    assert plain.observer is None  # default-off
     observed = WarmEngine(graph, observer=Observer())
     for method in METHODS:
         for s, t in pairs:
@@ -94,7 +62,7 @@ def test_enabled_observer_within_wall_bound(graph, pairs):
     enabled = WarmEngine(graph, observer=Observer())
 
     def measure(engine) -> float:
-        for s, t in pairs:  # prime pools/heuristics outside the clock
+        for s, t in pairs:  # prime heuristics outside the clock
             engine.query(s, t, method="bidastar", use_cache=False)
         t0 = time.perf_counter()
         for _ in range(ROUNDS):

@@ -61,11 +61,6 @@ class TestRunBenchmark:
         assert v["pass"] is True
         assert snapshot["gates"]["max_verify_overhead"] == regression.VERIFY_MAX_OVERHEAD
 
-    def test_warm_path_reuses_pool(self, snapshot):
-        for counters in snapshot["arena"].values():
-            assert counters["reuses"] > counters["allocations"]
-            assert counters["result_hits"] > 0
-
     def test_deterministic_counters_are_stable(self, snapshot):
         """work/steps/relaxations must be reproducible run to run —
         that is what makes the tolerance gate trustworthy."""

@@ -1,4 +1,4 @@
-"""WarmEngine: correctness vs cold path, pooling, caching, invalidation."""
+"""WarmEngine: correctness vs cold path, engine reuse, caching, invalidation."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro import ppsp, warm
 from repro.core.paths import PathError
 from repro.heuristics.landmarks import LandmarkSet
-from repro.perf import BufferArena, WarmEngine
+from repro.perf import WarmEngine
 
 METHODS = ("sssp", "et", "astar", "bids", "bidastar")
 
@@ -59,38 +59,15 @@ class TestCorrectness:
 
 
 class TestPooling:
-    def test_zero_new_allocations_once_warm(self, small_road):
-        """The acceptance gate: the warm path performs zero new (k, n)
-        array allocations after the first query of each shape."""
-        engine = WarmEngine(small_road)
-        for method in METHODS:
-            engine.query(0, 100, method=method, use_cache=False)
-        warmed = engine.arena.allocations
-        for s, t in [(1, 99), (7, 121), (130, 2), (64, 64)]:
-            for method in METHODS:
-                engine.query(s, t, method=method, use_cache=False)
-        assert engine.arena.allocations == warmed
-        assert engine.arena.reuses > 0
-        assert engine.arena.leased == 0  # every buffer returned
-
     def test_no_state_leak_between_pooled_queries(self, small_road):
-        """Recycled buffers must not let one query's distances bleed
-        into the next (fill=inf on acquire)."""
+        """The one reused engine (and its stepping strategy) must not let
+        one query's state bleed into the next."""
         engine = WarmEngine(small_road)
         first = engine.query(0, 100, method="et", use_cache=False)
         # A query whose search stays far from vertex 100:
         engine.query(130, 143, method="et", use_cache=False)
         again = engine.query(0, 100, method="et", use_cache=False)
         assert again.distance == pytest.approx(first.distance)
-
-    def test_shared_arena_across_engines(self, small_road):
-        arena = BufferArena()
-        e1 = WarmEngine(small_road, arena=arena)
-        e2 = WarmEngine(small_road, arena=arena)
-        e1.query(0, 100, method="bids")
-        before = arena.allocations
-        e2.query(5, 77, method="bids")
-        assert arena.allocations == before
 
 
 class TestResultCache:
@@ -102,12 +79,15 @@ class TestResultCache:
         assert b.distance == a.distance
         assert engine.results.hits == 1
 
-    def test_cache_hit_does_no_engine_work(self, small_road):
+    def test_cache_hit_does_no_engine_work(self, small_road, monkeypatch):
         engine = WarmEngine(small_road)
         engine.query(0, 100)
-        before = engine.arena.stats()["reuses"]
-        engine.query(0, 100)
-        assert engine.arena.stats()["reuses"] == before
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cache hit ran the engine")
+
+        monkeypatch.setattr(engine._engine, "run", no_run)
+        assert engine.query(0, 100).cached
 
     def test_path_upgrade_misses_then_stores(self, small_road):
         engine = WarmEngine(small_road)
@@ -194,22 +174,15 @@ class TestBatch:
         for p in pairs:
             assert hot.distance(*p) == pytest.approx(cold.distance(*p))
 
-    def test_batch_buffers_returned(self, small_road):
-        engine = WarmEngine(small_road)
-        engine.batch([(0, 100), (5, 77)], method="multi")
-        assert engine.arena.leased == 0
+    def test_batch_keeps_paths(self, small_road):
+        """A warm batch keeps its path state, like a cold one."""
+        from repro import batch_ppsp
 
-    def test_batch_paths_dropped_by_default(self, small_road):
         engine = WarmEngine(small_road)
         res = engine.batch([(0, 100)], method="multi")
-        with pytest.raises(NotImplementedError):
-            res.path(0, 100)
-
-    def test_keep_paths_opts_out_of_pooling(self, small_road):
-        engine = WarmEngine(small_road)
-        res = engine.batch([(0, 100)], method="multi", keep_paths=True)
         p = res.path(0, 100)
         assert p[0] == 0 and p[-1] == 100
+        assert p == batch_ppsp(small_road, [(0, 100)], method="multi").path(0, 100)
 
     def test_batch_seeds_result_cache(self, small_road):
         engine = WarmEngine(small_road)
@@ -223,7 +196,7 @@ class TestStats:
         engine.query(0, 100)
         s = engine.stats()
         assert s["queries"] == 1
-        assert {"results", "heuristics", "arena"} <= set(s)
+        assert {"results", "heuristics"} <= set(s)
 
     def test_warm_factory(self, small_road):
         engine = warm(small_road, result_cache_size=2)

@@ -248,17 +248,6 @@ class TestServiceIntegration:
         assert stats["overload"]["decisions"]["inexact"] == 1
         svc.close()
 
-    def test_overload_false_restores_static_behaviour(self, serve_graph,
-                                                      serve_pairs):
-        svc, clock = _service(serve_graph, overload=False)
-        svc.submit(*serve_pairs[0])
-        clock.advance(5.0)
-        late = svc.submit(*serve_pairs[1])
-        assert not late.done()  # no door shedding without the controller
-        svc.close()
-        assert "overload" not in svc.stats()
-        assert late.result().outcome == "ok"
-
     def test_pressure_limit_adapts_then_recovers(self, serve_graph):
         svc, _ = _service(serve_graph, max_batch=4)  # pressure 16
         assert svc.stats()["overload"]["pressure_limit"] == 16

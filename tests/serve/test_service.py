@@ -105,20 +105,18 @@ class TestCoalescingEdges:
         svc.close()
 
     def test_pressure_triggers_before_max_wait(self, serve_graph):
-        svc, _ = _service(serve_graph, max_batch=2, pressure=4)
-        # A burst beyond pressure: submit_many drains in max_batch chunks
+        svc, _ = _service(serve_graph, max_batch=2)
+        # The default pressure limit is 4 x max_batch, the AIMD ceiling.
+        assert svc.stats()["overload"]["pressure_limit"] == svc.pressure == 8
+        # A burst past it: submit_many drains in max_batch chunks
         # immediately, never waiting for the clock.
-        pairs = [(0, 63), (1, 62), (2, 61), (3, 60), (4, 59)]
+        pairs = [(i, 63 - i) for i in range(svc.pressure + 1)]
         futs = svc.submit_many(pairs)
-        assert sum(f.done() for f in futs) >= 4
-        reasons = [b.reason for b in svc.batches]
-        assert "pressure" in reasons or "size" in reasons
+        assert sum(f.done() for f in futs) == svc.pressure
+        assert [b.size for b in svc.batches] == [2] * 4
+        assert {b.reason for b in svc.batches} <= {"pressure", "size"}
         svc.close()
         assert all(f.done() for f in futs)
-
-    def test_pressure_must_cover_max_batch(self, serve_graph):
-        with pytest.raises(ValueError):
-            QueryService(serve_graph, max_batch=8, pressure=4)
 
     def test_invalid_query_raises_at_submit_not_in_future(self, serve_graph):
         svc, _ = _service(serve_graph)

