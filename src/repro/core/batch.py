@@ -297,7 +297,7 @@ def solve_batch(
     are rejected with a ``ValueError``.
 
     ``shard_deadline`` (per-shard wall seconds), ``hedge`` (a
-    :class:`~repro.serve.hedging.HedgePolicy` or ``True``), and
+    :class:`~repro.serve.hedging.HedgePolicy` or ``None``), and
     ``retry_budget`` (a :class:`~repro.serve.overload.RetryBudget`)
     arm the process backend's straggler defenses — shard timeouts,
     hedged re-execution, budget-gated backups (see
@@ -437,8 +437,9 @@ def plan_units(
     within the bound; subsets run one after another (``merge``).
 
     The plain modes run one BiDS per query; the SSSP methods one full
-    SSSP per source (all distinct query sources for ``sssp-plain``, a
-    vertex cover for ``sssp-vc``), each answering the queries it covers.
+    SSSP per source (the distinct sources of non-self queries for
+    ``sssp-plain``, a vertex cover for ``sssp-vc``), each answering the
+    queries it covers.  Self pairs need no search.
     """
     if method == "multi":
         subsets = [qg]
@@ -465,7 +466,7 @@ def plan_units(
         )
 
     if method == "sssp-plain":
-        sources = sorted({s for s, _ in qg.original_pairs})
+        sources = sorted({s for s, t in qg.original_pairs if s != t})
         source_indices = [qg.index_of(s) for s in sources]
     else:
         source_indices = [int(q) for q in qg.vertex_cover()]

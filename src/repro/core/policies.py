@@ -404,8 +404,8 @@ class MultiPPSP(Policy):
     def _refresh_mu_max(self) -> None:
         for i in range(self.num_sources):
             nbrs = self.qg.neighbors(i)
-            if len(nbrs):
-                self.mu_max[i] = float(self.mu[i, nbrs].max())
+            # A vertex with only self pairs has its answer (0) already.
+            self.mu_max[i] = float(self.mu[i, nbrs].max()) if len(nbrs) else 0.0
 
     def trace_mu(self) -> float:
         """The loosest outstanding query bound (what pruning waits on)."""

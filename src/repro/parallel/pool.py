@@ -17,14 +17,19 @@ results back.  Results are therefore **bit-identical** to
 ``backend="serial"`` by construction: same distances, same paths, same
 certificates, same work/depth meter.
 
-Worker death (SIGKILL, OOM) surfaces as :class:`WorkerCrashError`; the
-serve pipeline treats that as a shard failure, so its breakers and
-checkpoint/resume machinery recover exactly as for any other fault.
+Every batch runs under :func:`~repro.serve.hedging.supervise_shards`,
+which waits for each shard and, when the call sets a per-shard
+deadline or a :class:`~repro.serve.hedging.HedgePolicy`, times out
+stuck shards and hedges stragglers.  Worker death (SIGKILL, OOM)
+surfaces as :class:`WorkerCrashError`; the serve pipeline treats that
+as a shard failure, so its breakers and checkpoint/resume machinery
+recover exactly as for any other fault.
 
 Inherently single-process features — ``budget``,
 ``strategy_factory``, ``max_sources``, a caller's ``kernel``,
-auditors/tracing — are rejected up front (:func:`shippable_kwargs`)
-rather than silently diverging from serial semantics.
+auditors/tracing, engine-level fault injection — are rejected up front
+(:func:`shippable_kwargs`) rather than silently diverging from serial
+semantics.
 """
 
 from __future__ import annotations
@@ -54,29 +59,12 @@ _SHIPPABLE_ENGINE_KWARGS = frozenset(
     {"frontier_mode", "pull_relax", "max_steps", "track_processed"}
 )
 
-#: FaultInjector knobs that act inside an engine run.  An injector's
-#: seeded RNG lives in the parent; shipping a copy per worker would
-#: fire different faults than the serial run, so these are rejected
-#: (``kill_worker_at`` is pool-level and stays parent-side).
-_ENGINE_FAULT_ATTRS = (
-    "corrupt_dist_at",
-    "corrupt_mu_at",
-    "drop_frontier_at",
-    "raise_at",
-    "stall_at",
-    "flip_dist_at",
-)
-
-
-def _normalize_hedge(hedge):
-    """``True`` -> default policy, ``False`` -> off, else pass through."""
-    if hedge is None or hedge is False:
-        return None
-    if hedge is True:
-        from ..serve.hedging import HedgePolicy
-
-        return HedgePolicy()
-    return hedge
+# Fork where available: workers inherit the parent's imports and start
+# in milliseconds.
+try:
+    _FORK_OR_SPAWN = get_context("fork")
+except ValueError:  # pragma: no cover - non-POSIX
+    _FORK_OR_SPAWN = get_context("spawn")
 
 
 class WorkerCrashError(RuntimeError):
@@ -106,46 +94,22 @@ class ProcessPool:
     and the failed batch surfaces as :class:`WorkerCrashError` so the
     serve pipeline's breaker/retry path decides what to re-run.
 
-    ``mp_context`` defaults to ``"fork"`` where available (workers
-    inherit the parent's imports; startup is milliseconds); pass
-    ``"spawn"`` on platforms without fork.
-
-    Straggler defense (see :mod:`repro.serve.hedging`): with
-    ``shard_deadline`` and/or a :class:`~repro.serve.hedging.
-    HedgePolicy` configured — at construction, or per call on
-    :meth:`run_shards` — shards run under a supervisor that times out
-    stuck shards (:class:`~repro.serve.hedging.ShardTimeout`) and
-    launches first-result-wins backups of stragglers on a small
-    separate *hedge lane* executor, so a backup can proceed even when
+    Straggler defence is set per call on :meth:`run_shards` (see
+    :mod:`repro.serve.hedging`): a per-shard deadline times out stuck
+    shards (:class:`~repro.serve.hedging.ShardTimeout`), and a
+    :class:`~repro.serve.hedging.HedgePolicy` launches first-result-wins
+    backups of stragglers on a small separate *hedge lane* executor
+    (``min(2, workers)`` slots), so a backup can proceed even when
     every primary worker slot is wedged.  A shard timeout, or a
     straggling primary still stuck when the batch ends, quarantines
     the primary worker set: processes are killed and the next dispatch
     respawns fresh ones (counted in :attr:`quarantines` /
-    :attr:`respawns`).
+    :attr:`respawns`).  The hedge delay comes from a latency estimate
+    the pool keeps across batches.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        mp_context=None,
-        observer=None,
-        shard_deadline: float | None = None,
-        hedge=None,
-        retry_budget=None,
-        clock=None,
-        hedge_workers: int | None = None,
-        hedge_seed: int | None = 0,
-    ) -> None:
+    def __init__(self, workers: int | None = None, *, observer=None) -> None:
         self.workers = max(1, int(workers) if workers is not None else os.cpu_count() or 1)
-        if mp_context is None:
-            try:
-                mp_context = get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX
-                mp_context = get_context("spawn")
-        elif isinstance(mp_context, str):
-            mp_context = get_context(mp_context)
-        self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
         self._hedge_executor: ProcessPoolExecutor | None = None
         self._shared: dict[str, SharedGraph] = {}
@@ -156,14 +120,6 @@ class ProcessPool:
         #: suspect-worker quarantines (deadline timeouts / stuck stragglers).
         self.quarantines = 0
         self.observer = observer
-        self.shard_deadline = None if shard_deadline is None else float(shard_deadline)
-        self.hedge = _normalize_hedge(hedge)
-        self.retry_budget = retry_budget
-        self._clock = clock
-        self.hedge_workers = max(
-            1, int(hedge_workers) if hedge_workers is not None else min(2, self.workers)
-        )
-        self._hedge_seed = hedge_seed
         self._estimator = None  # lazy LatencyEstimator (hedging import)
 
     # ------------------------------------------------------------------
@@ -185,9 +141,7 @@ class ProcessPool:
             # and that tracker unlinks the live shared graph as "leaked"
             # when its worker exits.
             resource_tracker.ensure_running()
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._mp_context
-            )
+            self._executor = ProcessPoolExecutor(self.workers, _FORK_OR_SPAWN)
             self._spawns += 1
             self.respawns = self._spawns - 1
         return self._executor
@@ -208,7 +162,7 @@ class ProcessPool:
         if self._hedge_executor is None:
             resource_tracker.ensure_running()  # see _ensure_executor
             self._hedge_executor = ProcessPoolExecutor(
-                max_workers=self.hedge_workers, mp_context=self._mp_context
+                min(2, self.workers), _FORK_OR_SPAWN
             )
         return self._hedge_executor
 
@@ -309,97 +263,62 @@ class ProcessPool:
     ) -> list[dict]:
         """Execute shard tasks on the workers; results in shard order.
 
-        A worker death poisons the executor (every pending shard with
-        it), so the executor is discarded and :class:`WorkerCrashError`
-        raised — the caller retries the whole batch or fails the shard
-        upward.  That holds whether the death is found at a result or
-        already at submission (a worker that died while idle).  Any
-        ordinary exception from a worker propagates as-is, exactly as
-        the serial backend would raise it.
-
-        With ``deadline`` (per-shard wall seconds) and/or ``hedge`` (a
-        :class:`~repro.serve.hedging.HedgePolicy`, or ``True`` for the
-        default) — here or as pool-construction defaults — shards run
-        under :func:`~repro.serve.hedging.supervise_shards`: a shard
-        that produces nothing within its deadline raises
+        Shards run under :func:`~repro.serve.hedging.supervise_shards`;
+        each one reports its own dispatch-to-result time to the
+        observer.  ``deadline`` (per-shard wall seconds) makes a shard
+        that produces nothing in time raise
         :class:`~repro.serve.hedging.ShardTimeout` (after quarantining
-        the suspect workers) instead of blocking forever, and
-        stragglers are hedged on the backup lane, first result winning
-        bit-identically.
+        the suspect workers) instead of blocking forever; ``hedge`` (a
+        :class:`~repro.serve.hedging.HedgePolicy`) hedges stragglers on
+        the backup lane, first result winning bit-identically, each
+        hedge drawing a token from ``retry_budget`` when one is given.
+        With neither, the supervisor simply waits for every shard.
+
+        A worker death poisons the executor (every pending shard with
+        it), so the executors are discarded and
+        :class:`WorkerCrashError` raised — the caller retries the whole
+        batch or fails the shard upward.  That holds whether the death
+        is found at a result or already at submission (a worker that
+        died while idle).  Any ordinary exception from a worker
+        propagates as-is, exactly as the serial backend would raise it.
         """
+        from ..serve.hedging import LatencyEstimator, ShardTimeout, supervise_shards
+
         if self._closed:
             raise RuntimeError("pool is closed")
         if not tasks:
             return []
         observer = observer if observer is not None else self.observer
-        deadline = deadline if deadline is not None else self.shard_deadline
-        policy = _normalize_hedge(hedge) if hedge is not None else self.hedge
-        retry_budget = retry_budget if retry_budget is not None else self.retry_budget
-        if deadline is not None or (policy is not None and policy.enabled):
-            return self._run_shards_supervised(
-                tasks, observer=observer, deadline=deadline,
-                policy=policy, retry_budget=retry_budget,
-            )
-        executor = self._ensure_executor()
-        start = time.perf_counter()
-        results: list[dict] = []
-        try:
-            futures = [executor.submit(_pool_worker, task) for task in tasks]
-            for future in futures:
-                results.append(future.result())
-                if observer is not None:
-                    observer.on_pool_shard("ok", time.perf_counter() - start)
-        except BrokenProcessPool:
-            elapsed = time.perf_counter() - start
-            self._discard_executor()
-            if observer is not None:
-                observer.on_pool_crash()
-                observer.on_pool_shard("crashed", elapsed)
-            raise WorkerCrashError(
-                "a pool worker died mid-shard; the batch produced no answers"
-            ) from None
-        return results
-
-    def _run_shards_supervised(
-        self, tasks, *, observer, deadline, policy, retry_budget
-    ) -> list[dict]:
-        from ..serve.hedging import LatencyEstimator, ShardTimeout, supervise_shards
-
         if self._estimator is None:
-            self._estimator = LatencyEstimator(seed=self._hedge_seed)
-        transport = _ExecutorTransport(self)
+            self._estimator = LatencyEstimator()
         start = time.perf_counter()
         try:
             results, report = supervise_shards(
-                transport,
+                _ExecutorTransport(self),
                 tasks,
-                clock=self._clock,
                 deadline=deadline,
-                policy=policy,
+                policy=hedge,
                 estimator=self._estimator,
                 retry_budget=retry_budget,
                 observer=observer,
             )
         except ShardTimeout:
-            elapsed = time.perf_counter() - start
             if observer is not None:
-                observer.on_pool_shard("timeout", elapsed)
+                observer.on_pool_shard("timeout", time.perf_counter() - start)
             self._quarantine("deadline", observer=observer)
             raise
         except BrokenProcessPool:
-            elapsed = time.perf_counter() - start
             self._discard_executor()
             self._discard_hedge_executor()
             if observer is not None:
                 observer.on_pool_crash()
-                observer.on_pool_shard("crashed", elapsed)
+                observer.on_pool_shard("crashed", time.perf_counter() - start)
             raise WorkerCrashError(
                 "a pool worker died mid-shard; the batch produced no answers"
             ) from None
         if observer is not None:
-            elapsed = time.perf_counter() - start
-            for _ in results:
-                observer.on_pool_shard("ok", elapsed)
+            for seconds in report.latencies:
+                observer.on_pool_shard("ok", seconds)
         # A primary that lost its hedge race *and* is still running now
         # is genuinely stuck (a merely queued loser was cancelled, a
         # merely slow one has finished by the end of the batch).
@@ -459,9 +378,6 @@ class _ExecutorTransport:
     dedicated hedge lane with worker-fault task keys already stripped
     by the supervisor (the fault models a sick worker, not sick work).
     """
-
-    #: real executors poll in short slices so deadline checks stay live.
-    poll_cap = 0.05
 
     def __init__(self, pool: "ProcessPool") -> None:
         self._pool = pool
@@ -567,12 +483,11 @@ def shippable_kwargs(
     if engine_kwargs.get("kernel", False) is None:
         del engine_kwargs["kernel"]
     injector = engine_kwargs.pop("fault_injector", None)
-    if injector is not None and _has_engine_faults(injector):
+    if injector is not None and injector.has_engine_faults():
         raise ValueError(
             "backend='process' cannot replay engine-level fault injection "
-            "(the injector's seeded RNG lives in the parent); only the "
-            "pool-level kill_worker_at / stall_worker_at faults are "
-            "supported with the process backend"
+            "(the injector's seeded RNG lives in the parent); its "
+            "pool-level and parent-side faults are supported"
         )
     unsupported = set(engine_kwargs) - _SHIPPABLE_ENGINE_KWARGS
     if unsupported:
@@ -646,12 +561,3 @@ def run_units(
             results[u] = res
     return results
 
-
-def _has_engine_faults(injector) -> bool:
-    if any(getattr(injector, attr, None) is not None for attr in _ENGINE_FAULT_ATTRS):
-        return True
-    return bool(
-        getattr(injector, "perturb_heuristic", False)
-        or getattr(injector, "flip_cache_payload", False)
-        or getattr(injector, "flip_checkpoint", False)
-    )

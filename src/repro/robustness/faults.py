@@ -171,6 +171,19 @@ class FaultInjector:
     def _record(self, step: int, kind: str) -> None:
         self.fired.append((step, kind))
 
+    def has_engine_faults(self) -> bool:
+        """Whether any fault class acts inside an engine run.
+
+        Those faults draw on this injector's seeded RNG and step
+        indices, so a copy shipped to pool workers would fire different
+        faults than the serial run.  The pool-level worker faults and
+        the parent-side ``flip_checkpoint`` / ``flip_cache_payload``
+        never enter an engine run and do not count.
+        """
+        steps = (self.corrupt_dist_at, self.corrupt_mu_at, self.drop_frontier_at,
+                 self.raise_at, self.stall_at, self.flip_dist_at)
+        return bool(self.perturb_heuristic) or any(s is not None for s in steps)
+
     def _flip_bits(self, value: float) -> float:
         """XOR one high mantissa/exponent bit of a finite float64.
 

@@ -5,7 +5,8 @@ batch completes when its slowest shard does.  A *dead* worker is
 detected (``BrokenProcessPool`` -> ``WorkerCrashError``), but a merely
 *stuck* one — swap storm, runaway GC, a hung syscall — blocks every
 future of the batch forever.  This module supplies the supervisor the
-pool runs shards under when a deadline or hedging is configured:
+pool runs every batch under.  With no deadline and no hedge policy it
+simply waits for each shard; each call can arm:
 
 * **Per-shard deadlines** — a shard that produces nothing within
   ``deadline`` seconds raises :class:`ShardTimeout` instead of
@@ -28,10 +29,12 @@ pool runs shards under when a deadline or hedging is configured:
 
 :func:`supervise_shards` is transport-agnostic: the pool adapts
 ``concurrent.futures`` behind the small transport protocol (submit /
-wait / result / cancel), and :class:`SimShardTransport` provides a
-simulated transport over :class:`~repro.robustness.clock.SimClock`
-so every timeout/hedge decision is deterministic in tests — no
-sleeping, no races.
+wait / result / cancel) on the real clock, and
+:class:`SimShardTransport` provides a simulated transport over
+:class:`~repro.robustness.clock.SimClock` so every timeout/hedge
+decision is deterministic in tests — no sleeping, no races.  Either
+way the supervisor blocks in ``wait`` until the next deadline, hedge
+time or shard completion.
 """
 
 from __future__ import annotations
@@ -79,11 +82,10 @@ class ShardTimeout(RuntimeError):
 class HedgePolicy:
     """When to launch a backup copy of a straggling shard.
 
+    Hedging is off where no policy is given (``hedge=None``).
+
     Parameters
     ----------
-    enabled:
-        Master switch; a disabled policy never hedges (deadlines still
-        apply if configured).
     factor:
         Hedge delay multiplier over the observed median shard latency
         (``hedge_after = factor x median``).  3.0 means "three times
@@ -101,7 +103,6 @@ class HedgePolicy:
         simultaneous stragglers does not hedge as one thundering herd.
     """
 
-    enabled: bool = True
     factor: float = 3.0
     min_delay_s: float = 0.05
     max_delay_s: float = 30.0
@@ -164,18 +165,20 @@ class LatencyEstimator:
 class SuperviseReport:
     """What one supervised shard run did, for metrics and quarantine.
 
-    ``stragglers`` lists ``(shard_index, handle)`` for primary
-    attempts that lost their race and could not be cancelled (they
-    were already running); the pool checks them after the batch — one
-    still unfinished means a genuinely stuck worker, which is
-    quarantined, while a merely-slow one that finished by then is
-    left alone.
+    ``latencies[i]`` is shard ``i``'s dispatch-to-result seconds, the
+    value the latency estimator learns from.  ``stragglers`` lists
+    ``(shard_index, handle)`` for primary attempts that lost their race
+    and could not be cancelled (they were already running); the pool
+    checks them after the batch — one still unfinished means a
+    genuinely stuck worker, which is quarantined, while a merely-slow
+    one that finished by then is left alone.
     """
 
     hedges: int = 0
     hedge_wins: int = 0
     primary_wins_hedged: int = 0
     hedges_denied: int = 0
+    latencies: list = field(default_factory=list)
     stragglers: list = field(default_factory=list)
 
 
@@ -191,9 +194,6 @@ class SimShardTransport:
     workload exercise timeouts, hedge races, and budget denials
     without one real sleep.
     """
-
-    #: no poll cap: simulated waits jump straight to the next event.
-    poll_cap = None
 
     def __init__(self, clock, latency, *, run=None) -> None:
         self.clock = clock
@@ -268,7 +268,6 @@ def supervise_shards(
     estimator: LatencyEstimator | None = None,
     retry_budget=None,
     observer=None,
-    poll_s: float | None = None,
 ):
     """Run ``tasks`` under per-shard deadlines and hedged backups.
 
@@ -276,8 +275,8 @@ def supervise_shards(
     result of ``tasks[i]``.  Raises :class:`ShardTimeout` — after
     cancelling everything outstanding — if any shard produces nothing
     within ``deadline`` seconds of its dispatch.  Exceptions raised by
-    a winning attempt propagate unchanged (the pool maps
-    ``BrokenProcessPool`` to ``WorkerCrashError`` as before).
+    a submission or a winning attempt propagate unchanged (the pool
+    maps ``BrokenProcessPool`` to ``WorkerCrashError``).
 
     Parameters
     ----------
@@ -285,45 +284,29 @@ def supervise_shards(
         submit(task, lane)/wait(handles, timeout)/result(handle)/
         cancel(handle); the pool's executor adapter or a
         :class:`SimShardTransport`.
+    clock:
+        The time source deadlines and hedge times are read on; ``None``
+        means real time.
     deadline:
         Per-shard wall seconds on ``clock``; ``None`` disables.
     policy / estimator:
-        Hedge schedule; a ``None`` or disabled policy never hedges.
+        Hedge schedule; a ``None`` policy never hedges.  The estimator
+        learns every shard's latency either way.
     retry_budget:
         Optional :class:`~repro.serve.overload.RetryBudget`; each
         hedge costs one token, a denial skips the hedge for good
         (counted in the report and on the observer).
-    poll_s:
-        Wait-slice cap; defaults to ``transport.poll_cap`` (0.05 for
-        real executors, uncapped for simulated transports).
     """
     now = as_clock(clock)
-    policy = policy if policy is not None else HedgePolicy(enabled=False)
     estimator = estimator if estimator is not None else LatencyEstimator()
-    if poll_s is None:
-        poll_s = getattr(transport, "poll_cap", 0.05)
-    report = SuperviseReport()
+    report = SuperviseReport(latencies=[0.0] * len(tasks))
     deadline = None if deadline is None else float(deadline)
     if deadline is not None and deadline <= 0:
         raise ValueError(f"deadline must be > 0, got {deadline}")
 
-    states = []
-    for index, task in enumerate(tasks):
-        started = now()
-        handle = transport.submit(task, lane="primary")
-        states.append(_ShardState(
-            index=index,
-            task=task,
-            primary=handle,
-            started=started,
-            hedge_due=(started + estimator.hedge_delay(policy))
-            if policy.enabled else None,
-            deadline_at=None if deadline is None else started + deadline,
-        ))
-
-    pending = {st.index: st for st in states}
-    owners = {st.primary: st for st in states}
-    results = [None] * len(states)
+    pending: dict[int, _ShardState] = {}
+    owners: dict = {}
+    results = [None] * len(tasks)
 
     def _cancel_outstanding():
         for st in pending.values():
@@ -335,6 +318,19 @@ def supervise_shards(
                         pass
 
     try:
+        for index, task in enumerate(tasks):
+            started = now()
+            st = _ShardState(
+                index=index,
+                task=task,
+                primary=transport.submit(task, lane="primary"),
+                started=started,
+                hedge_due=None if policy is None
+                else started + estimator.hedge_delay(policy),
+                deadline_at=None if deadline is None else started + deadline,
+            )
+            pending[index] = st
+            owners[st.primary] = st
         while pending:
             t = now()
             next_due = None
@@ -344,8 +340,7 @@ def supervise_shards(
                         observer.on_shard_timeout()
                     raise ShardTimeout(st.index, deadline)
                 if (
-                    policy.enabled
-                    and st.hedge is None
+                    st.hedge is None
                     and not st.hedge_denied
                     and st.hedge_due is not None
                     and t >= st.hedge_due
@@ -371,8 +366,6 @@ def supervise_shards(
                         next_due = due
 
             timeout = None if next_due is None else max(0.0, next_due - t)
-            if poll_s is not None:
-                timeout = poll_s if timeout is None else min(timeout, poll_s)
             handles = [
                 h
                 for st in pending.values()
@@ -388,6 +381,7 @@ def supervise_shards(
                 winner = "primary" if handle is st.primary else "hedge"
                 value = transport.result(handle)
                 results[st.index] = value
+                report.latencies[st.index] = t - st.started
                 estimator.observe(t - st.started)
                 del pending[st.index]
                 loser = st.hedge if winner == "primary" else st.primary

@@ -67,6 +67,7 @@ from .admission import (
 )
 from .breaker import BreakerBoard
 from .checkpoint import CheckpointCorrupt, CheckpointStore, batch_fingerprint
+from .hedging import HedgePolicy
 
 __all__ = ["ServePipeline", "PipelineResult", "serve_batch", "SERVE_METHODS"]
 
@@ -102,6 +103,9 @@ class PipelineResult:
     breaker_states: dict[str, str] = field(default_factory=dict)
     meter: WorkDepthMeter = field(default_factory=WorkDepthMeter)
     details: dict = field(default_factory=dict)
+    #: the serving graph's orientation: a directed run answers each
+    #: pair as asked only.
+    directed: bool = False
 
     def counts(self) -> dict[str, int]:
         """Queries per outcome (including shed), for logs and the CLI."""
@@ -124,6 +128,7 @@ class PipelineResult:
             exact=all(self.exact.values()) if self.exact else True,
             details=dict(self.details),
             shed=set(self.shed),
+            directed=self.directed,
         )
 
 
@@ -250,6 +255,10 @@ class ServePipeline:
             raise ValueError(f"deadline_ms must be nonnegative, got {deadline_ms}")
         if shard_deadline is not None and shard_deadline <= 0:
             raise ValueError(f"shard_deadline must be > 0, got {shard_deadline}")
+        if hedge is not None and not isinstance(hedge, HedgePolicy):
+            # Checked here: a shard failing on it would be contained and
+            # rerouted through the per-query chain without a word.
+            raise TypeError(f"hedge must be a HedgePolicy or None, got {hedge!r}")
         self.graph = graph
         self.method = method
         self.checkpoint_path = checkpoint_path
@@ -268,15 +277,11 @@ class ServePipeline:
         self.workers = workers
         self.pool = pool
         self._pool = None
-        # Straggler defense (process backend): per-shard deadline,
-        # hedge policy (True -> defaults), and the retry token bucket
-        # shared between hedges and resilient-chain retries.
+        # Straggler defense (process backend): per-shard deadline, a
+        # HedgePolicy or None, and the retry token bucket shared between
+        # hedges and resilient-chain retries.
         self.shard_deadline = shard_deadline
-        if hedge is True:
-            from .hedging import HedgePolicy
-
-            hedge = HedgePolicy()
-        self.hedge = hedge or None
+        self.hedge = hedge
         self.retry_budget = retry_budget
         self.verify = bool(verify)
         self.certify = bool(certify) or self.verify
@@ -338,6 +343,7 @@ class ServePipeline:
         submitted = self._normalize(queries)
         result = PipelineResult(
             method=self.method, distances={}, exact={}, outcomes={},
+            directed=self.graph.directed,
         )
         self._meter = result.meter
         self._num_searches = 0
@@ -588,13 +594,11 @@ class ServePipeline:
                 # Budgeted/deadline shards and stateful strategy
                 # factories are single-process by nature; those shards
                 # run serially, everything else goes to the pool.
-                backend_kwargs = {"backend": "process", "pool": self._pool}
-                if self.shard_deadline is not None:
-                    backend_kwargs["shard_deadline"] = self.shard_deadline
-                if self.hedge is not None:
-                    backend_kwargs["hedge"] = self.hedge
-                if self.retry_budget is not None:
-                    backend_kwargs["retry_budget"] = self.retry_budget
+                backend_kwargs = {
+                    "backend": "process", "pool": self._pool,
+                    "shard_deadline": self.shard_deadline, "hedge": self.hedge,
+                    "retry_budget": self.retry_budget,
+                }
             try:
                 res = solve_batch(
                     self.graph,
@@ -644,29 +648,13 @@ class ServePipeline:
 
     def _run_query_chain(self, q: ServeQuery) -> tuple[float, bool, str, object, object]:
         """One query through the breaker-guarded resilient chain."""
-        deadline_wall = None
-        if q.deadline is not None:
-            deadline_wall = max(q.deadline - self._now(), 0.0)
-        base = self.budget
-        if base is None and deadline_wall is None:
-            budget = None
-        elif base is None:
-            budget = Budget(wall_time=deadline_wall, clock=self._now)
-        else:
-            walls = [w for w in (base.wall_time, deadline_wall) if w is not None]
-            budget = Budget(
-                max_steps=base.max_steps,
-                max_relaxations=base.max_relaxations,
-                wall_time=min(walls) if walls else None,
-                clock=base.clock if base.clock is not None else self._now,
-            )
         try:
             ans = resilient_ppsp(
                 self.graph,
                 q.source,
                 q.target,
                 methods=self.resilient_methods,
-                budget=budget,
+                budget=self._shard_budget([q]),
                 retries=self.retries,
                 retry_budget=self.retry_budget,
                 breakers=self.breakers,

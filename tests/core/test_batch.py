@@ -113,6 +113,30 @@ class TestSolveBatch:
         assert solve_batch(small_road, qg, method="sssp-vc").num_searches == 1
         assert solve_batch(small_road, qg, method="sssp-plain").num_searches == 1
 
+    @pytest.mark.parametrize("pairs, method, searches, work", [
+        ([(1, 2)], "sssp-plain", 1, 694.0),
+        ([(1, 2)], "multi", 2, 12.0),
+        # An isolated self pair adds no SSSP, and its Multi-BiDS search
+        # is pruned after extracting the vertex itself.
+        ([(5, 5), (1, 2)], "sssp-plain", 1, 694.0),
+        ([(5, 5), (1, 2)], "multi", 3, 13.0),
+        ([(5, 5), (7, 7)], "sssp-plain", 0, 0.0),
+        ([(5, 5), (7, 7)], "sssp-vc", 0, 0.0),
+        ([(5, 5), (7, 7)], "multi", 2, 2.0),
+    ])
+    def test_self_pairs_start_no_full_search(self, pairs, method, searches, work):
+        from repro.graphs import road_graph
+        from repro.verify import CertificateChecker
+
+        g = road_graph(10, 10, seed=1)
+        res = solve_batch(g, pairs, method=method, certify=True)
+        assert (res.num_searches, res.meter.work) == (searches, work)
+        for s, t in pairs:
+            d = res.distance(s, t)
+            assert d == pytest.approx(float(dijkstra(g, s)[t]))
+            report = CertificateChecker().check(g, res.certificates[(s, t)], expected_distance=d)
+            assert report.valid and report.proven == "exact"
+
     def test_vc_fewer_searches_than_plain_on_chain(self, small_road):
         qg = QueryGraph.chain([0, 5, 9, 13, 17, 21])
         vc = solve_batch(small_road, qg, method="sssp-vc")

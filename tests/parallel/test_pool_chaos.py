@@ -200,3 +200,28 @@ class TestIdleWorkerKill:
         assert proc.stdout.strip() == "survived"
         # One tracker, owned by the pool's process: nothing "leaked".
         assert "leaked shared_memory" not in proc.stderr
+
+
+class TestParentSideFaults:
+    def test_checkpoint_fault_keeps_the_batch_on_the_pool(self, tmp_path):
+        """A checkpoint bit-flip acts in the parent after each durable
+        write, never inside an engine run, so arming it must not push
+        the pool's shards onto the per-query chain."""
+        from repro.graphs import road_graph
+
+        graph = road_graph(20, 20, seed=1)
+        pairs = [(0, 399), (5, 200), (17, 300), (42, 111), (3, 250), (90, 10)]
+
+        def run(injector, name):
+            return ServePipeline(
+                graph, method="multi", backend="process", workers=2,
+                checkpoint_every=2, checkpoint_path=str(tmp_path / name),
+                fault_injector=injector,
+            ).run(pairs)
+
+        clean = run(None, "clean.json")
+        armed = run(FaultInjector(flip_checkpoint=True, max_fires=0), "armed.json")
+        assert armed.details["num_searches"] > 0
+        assert armed.details["num_searches"] == clean.details["num_searches"]
+        assert armed.breaker_states["multi"] == "closed"
+        assert armed.distances == clean.distances

@@ -1,24 +1,29 @@
-"""ProcessPool.ping and dispatch failure accounting — no real workers.
+"""ProcessPool.ping, dispatch and shipping checks — no real workers.
 
 A probe that dies with an ``OSError`` (a torn pipe, not a worker
 crash) must not be silently folded into a bare ``False``: the failure
 class is logged, counted per exception type on the observer, and the
 executor is respawned.  An executor that broke while idle fails at
 ``submit`` already; dispatch must treat that like a break at a result.
-The fake executor below keeps this tier-1 (fork-free); the real-pool
-behaviour rides in the fork-heavy suites.
+Dispatch returns shard results in shard order whatever order the
+shards finish in, and reports each shard's own latency.  The fake
+executors below keep this tier-1 (fork-free); the real-pool behaviour
+rides in the fork-heavy suites.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.obs import Observer
-from repro.parallel.pool import ProcessPool, WorkerCrashError
+from repro.parallel.pool import ProcessPool, WorkerCrashError, shippable_kwargs
+from repro.robustness import FaultInjector
 
 
 class _FakeFuture:
@@ -120,3 +125,71 @@ def test_run_shards_broken_at_submit_raises_crash_and_discards(pool):
     assert crashes.value() == 1
     shards = p.observer.registry.get("repro_pool_shards_total")
     assert shards.value(status="crashed") == 1
+
+
+class _TimedExecutor:
+    """Completes each shard after its own delay, on a timer thread."""
+
+    def __init__(self, delays):
+        self.delays = delays
+        self.finished: list[int] = []
+        self.timers: list[threading.Timer] = []
+
+    def submit(self, fn, task):
+        future = Future()
+        future.set_running_or_notify_cancel()
+
+        def finish(shard=task["shard"]):
+            self.finished.append(shard)
+            future.set_result({"shard": shard, "units": []})
+
+        timer = threading.Timer(self.delays[task["shard"]], finish)
+        self.timers.append(timer)
+        timer.start()
+        return future
+
+
+class _ShardLog:
+    def __init__(self):
+        self.shards: list[tuple[str, float]] = []
+
+    def on_pool_shard(self, status, seconds):
+        self.shards.append((status, seconds))
+
+
+def test_run_shards_out_of_order_in_shard_order_with_own_latency(monkeypatch):
+    delays = {0: 0.45, 1: 0.05, 2: 0.25}
+    fake = _TimedExecutor(delays)
+    log = _ShardLog()
+    p = ProcessPool(workers=3, observer=log)
+    monkeypatch.setattr(p, "_ensure_executor", lambda: fake)
+    results = p.run_shards([{"shard": i} for i in range(3)])
+    for timer in fake.timers:
+        timer.join(timeout=5)
+        assert not timer.is_alive()
+    assert fake.finished == [1, 2, 0]
+    assert [r["shard"] for r in results] == [0, 1, 2]
+    assert [status for status, _ in log.shards] == ["ok"] * 3
+    latency = [seconds for _, seconds in log.shards]
+    for shard, seconds in enumerate(latency):
+        assert seconds >= 0.9 * delays[shard], (shard, latency)
+    assert latency[1] < latency[2] < latency[0]
+
+
+@pytest.mark.parametrize("fault", ["flip_checkpoint", "flip_cache_payload"])
+def test_parent_side_faults_ship(fault):
+    """These faults act in the parent, after a checkpoint write or on a
+    warm-cache hit, so the pool may run the batch."""
+    injector = FaultInjector(**{fault: True})
+    kwargs, split = shippable_kwargs({"fault_injector": injector, "kernel": None})
+    assert kwargs == {} and split is injector
+
+
+@pytest.mark.parametrize("fault", [
+    {"corrupt_dist_at": 0}, {"corrupt_mu_at": 0}, {"drop_frontier_at": 0},
+    {"perturb_heuristic": True}, {"raise_at": 0}, {"stall_at": 0},
+    {"flip_dist_at": 0},
+], ids=lambda fault: next(iter(fault)))
+def test_engine_faults_rejected(fault):
+    with pytest.raises(ValueError, match="engine-level fault injection"):
+        shippable_kwargs({"fault_injector": FaultInjector(**fault)})

@@ -35,6 +35,21 @@ class TestOutcomes:
         with pytest.raises(ValueError, match="never part of this batch"):
             res.distance(serve_pairs[5][0], serve_pairs[5][1])
 
+    def test_directed_lookup_follows_the_graph(self):
+        """On a directed graph the result answers a pair as asked only;
+        the reverse orientation raises, as a ``solve_batch`` result does."""
+        from repro.experiments.ext_directed import directed_road
+
+        g = directed_road(400, seed=5)
+        res = ServePipeline(g, method="multi").run([(34, 323)])
+        assert res.distance(34, 323) == pytest.approx(float(dijkstra(g, 34)[323]), rel=1e-9)
+        with pytest.raises(ValueError, match="never part of this batch"):
+            res.distance(323, 34)
+
+    def test_hedge_must_be_a_policy(self, serve_graph):
+        with pytest.raises(TypeError, match="HedgePolicy or None"):
+            ServePipeline(serve_graph, backend="process", hedge=True)
+
     def test_work_metered_across_shards(self, serve_graph, serve_pairs):
         res = serve_batch(serve_graph, serve_pairs, checkpoint_every=2)
         assert res.meter.work > 0 and res.details["num_shards"] == 4
