@@ -48,7 +48,8 @@ test-service:
 # bit-identical answers, deadline-only runs time out and recover via
 # the breaker/resilient chain (docs/robustness.md).
 test-hedge:
-	$(PYTHON) -m pytest tests/parallel/test_pool_stall_chaos.py -q -m hedge
+	$(PYTHON) -m pytest tests/parallel/test_pool_stall_chaos.py -q -m hedge \
+		-W error::pytest.PytestUnhandledThreadExceptionWarning
 
 # Scatter-min kernel suites: byte-for-byte property checks of the
 # sort_reduceat kernel against the np.minimum.at oracle kept in

@@ -20,9 +20,9 @@ modes, one per covering source for the SSSP methods.  :func:`run_unit`
 answers one unit and :func:`reassemble` merges the unit results in the
 serial order with the method's meter-merge structure.  The serial
 backend runs the units inline; the process backend
-(:mod:`repro.parallel.pool`) packs the same units into shards whose
-workers call the same :func:`run_unit`, so the two backends agree bit
-for bit by construction.
+(:mod:`repro.parallel.pool`) cuts the same units, in plan order, into
+tasks whose workers call the same :func:`run_unit`, so the two backends
+agree bit for bit by construction.
 
 Each solve returns a :class:`BatchResult` carrying per-query distances
 and the run's work/depth meter, so simulated parallel times are directly
@@ -36,13 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..parallel.cost_model import (
-    WorkDepthMeter,
-    estimate_bids_work,
-    estimate_endpoint_work,
-    estimate_multi_work,
-    estimate_sssp_work,
-)
+from ..parallel.cost_model import WorkDepthMeter
 from .engine import run_policy
 from .paths import PathError, stitch_bidirectional_path, walk_path
 from .policies import BiDS, MultiPPSP, SsspPolicy
@@ -160,20 +154,6 @@ class BatchUnit(NamedTuple):
     source: int = -1
     reverse: bool = False
     forward: tuple = ()
-
-    def cost(self, graph) -> float:
-        """A-priori work estimate (cost-model units) to pack shards by."""
-        n, m = graph.num_vertices, graph.num_edges
-        if self.method == "multi":
-            roots = QueryGraph(self.pairs, directed=self.directed).vertices
-            base = estimate_multi_work(len(roots), n, m)
-        elif self.method in _PLAIN:
-            roots = self.pairs[0]
-            base = estimate_bids_work(n, m)
-        else:
-            roots = (self.source,)
-            base = estimate_sssp_work(n, m)
-        return base + estimate_endpoint_work(graph, roots)
 
 
 @dataclass
@@ -296,12 +276,12 @@ def solve_batch(
     (``budget``, ``strategy_factory``, ``max_sources``, a ``kernel``)
     are rejected with a ``ValueError``.
 
-    ``shard_deadline`` (per-shard wall seconds), ``hedge`` (a
-    :class:`~repro.serve.hedging.HedgePolicy` or ``None``), and
-    ``retry_budget`` (a :class:`~repro.serve.overload.RetryBudget`)
-    arm the process backend's straggler defenses — shard timeouts,
+    ``shard_deadline`` (per-task wall seconds from submission),
+    ``hedge`` (a :class:`~repro.serve.hedging.HedgePolicy` or ``None``),
+    and ``retry_budget`` (a :class:`~repro.serve.overload.RetryBudget`)
+    arm the process backend's straggler defenses — task timeouts,
     hedged re-execution, budget-gated backups (see
-    :mod:`repro.serve.hedging`).  Because shards are deterministic,
+    :mod:`repro.serve.hedging`).  Because tasks are deterministic,
     hedged answers stay bit-identical to serial.  Process backend only.
 
     Remaining keyword arguments flow into every engine run this batch
@@ -423,7 +403,7 @@ def _keys(qg: QueryGraph) -> list[tuple[int, int]]:
 def plan_units(
     graph, qg: QueryGraph, method: str, *, max_sources: int | None = None
 ) -> BatchPlan:
-    """Split a batch into independent units (no engine work, no estimates).
+    """Split a batch into independent units (no engine work).
 
     ``multi`` runs each query-graph connected component as its own
     engine run.  Components exchange no shortest-path information, but

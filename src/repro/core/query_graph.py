@@ -246,9 +246,12 @@ def vertex_cover(qg: QueryGraph, *, exact_limit: int = 16) -> np.ndarray:
     Undirected batches are NP-hard in general: exact minimum cover by
     enumerating subsets in increasing size when
     ``|V_q| <= exact_limit``; greedy max-degree otherwise (2-approximate
-    in practice, and never worse than taking all sources).
+    in practice, and never worse than taking all sources).  Self pairs
+    need no covering row, so their edges are left out — in a directed
+    batch they join a vertex's two distinct copies.
     """
-    edges = [(a, b) for a, b in qg.edges if a != b]
+    verts = qg.vertices
+    edges = [(a, b) for a, b in qg.edges if verts[a] != verts[b]]
     if not edges:
         return np.empty(0, dtype=np.int64)
     if qg.directed:

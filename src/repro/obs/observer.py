@@ -180,7 +180,7 @@ class Observer:
         self._service_batches = r.counter(
             "repro_service_batches_total",
             "Coalesced batches flushed by trigger "
-            "(size / pressure / wait / drain / shutdown / manual)", ("reason",))
+            "(size / wait / drain / shutdown / manual)", ("reason",))
         self._service_coalesce = r.histogram(
             "repro_service_coalesce_size",
             "Distinct queries per coalesced service batch",
@@ -227,9 +227,6 @@ class Observer:
         self._overload_shed = r.counter(
             "repro_overload_shed_total",
             "Submissions shed at the door by queue-delay overload control")
-        self._overload_aimd = r.gauge(
-            "repro_overload_aimd_limit",
-            "Current AIMD in-flight batch concurrency limit")
         self._retry_denials = r.counter(
             "repro_overload_retry_denials_total",
             "Retry-budget denials by kind (hedge / retry)",
@@ -343,7 +340,7 @@ class Observer:
     # ------------------------------------------------------------------
     # Process-pool hooks
     # ------------------------------------------------------------------
-    def on_pool_batch(self, method: str, workers: int, shards: int) -> None:
+    def on_pool_batch(self, method: str, workers: int) -> None:
         """Pool hook: one batch dispatched to the process backend."""
         self._pool_batches.inc(method=method)
         self._pool_workers.set(workers)
@@ -395,10 +392,6 @@ class Observer:
     def on_overload_shed(self) -> None:
         """Overload hook: a submission was shed at the door."""
         self._overload_shed.inc()
-
-    def on_aimd_limit(self, limit: float) -> None:
-        """Overload hook: the AIMD batch-concurrency limit moved."""
-        self._overload_aimd.set(limit)
 
     def on_retry_denied(self, kind: str) -> None:
         """Overload hook: the retry budget denied a token (hedge / retry)."""

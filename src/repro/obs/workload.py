@@ -11,7 +11,7 @@ seeded bit-flip corruption and repairs it (exercising the certificate
 checker, repair, and quarantine counters), a simulated-transport
 straggler story exercises hedged re-execution (a hedge win, a primary
 win, a shard deadline, a budget denial), and the overload controller
-walks its full ladder (exact -> inexact -> shed, plus AIMD moves).
+walks its full ladder (exact -> inexact -> shed).
 All randomness flows from one seed,
 so the resulting metrics — everything except wall-clock histograms —
 are reproducible byte for byte, which is what lets the text exposition
@@ -235,11 +235,10 @@ def stats_workload(
     if overload:
         # The admission ladder, walked deterministically: a healthy
         # flush stays exact, sojourn persistently above target for a
-        # full interval degrades to inexact, a stuck queue sheds at the
-        # door, and batch outcomes move the AIMD limit down (timeout)
-        # and back up (healthy).
+        # full interval degrades to inexact, and a stuck queue sheds at
+        # the door.
         from ..robustness.clock import SimClock
-        from ..serve.overload import AIMDLimiter, OverloadController
+        from ..serve.overload import OverloadController
 
         simo = SimClock()
         ctl = OverloadController(
@@ -248,15 +247,11 @@ def stats_workload(
             interval_ms=1000.0,
             shed_multiple=8.0,
             degrade_budget_ms=250.0,
-            aimd=AIMDLimiter(initial=4.0),
             observer=obs,
         )
         ctl.flush_mode(0.02)  # healthy: exact
-        ctl.on_batch_done({"ok": 3})
         ctl.flush_mode(0.5)  # above target, interval not yet elapsed
         simo.advance(1.5)
         ctl.flush_mode(0.5)  # persistent overload: inexact
-        ctl.on_batch_done({"timeout": 1, "ok": 2})  # AIMD halves
         ctl.should_shed(oldest_sojourn_s=1.2)  # door shed
-        ctl.on_batch_done({"ok": 3})  # recovery nudge
     return obs

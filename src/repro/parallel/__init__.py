@@ -6,15 +6,7 @@ solvers, which import this package) runs a batch's units on real worker
 processes over a shared-memory graph.
 """
 
-from .cost_model import (
-    WorkDepthMeter,
-    balance_shards,
-    estimate_bids_work,
-    estimate_multi_work,
-    estimate_sssp_work,
-    simulated_time,
-    speedup_curve,
-)
+from .cost_model import WorkDepthMeter, simulated_time, speedup_curve
 from .forkjoin import ForkJoinSimulator, Task, fork, leaf, parallel_for_task
 from .primitives import dedup, exclusive_scan, expand_ranges, pack, write_min
 
@@ -22,10 +14,6 @@ __all__ = [
     "WorkDepthMeter",
     "simulated_time",
     "speedup_curve",
-    "estimate_sssp_work",
-    "estimate_bids_work",
-    "estimate_multi_work",
-    "balance_shards",
     "ForkJoinSimulator",
     "Task",
     "fork",

@@ -22,18 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-__all__ = [
-    "WorkDepthMeter",
-    "simulated_time",
-    "speedup_curve",
-    "estimate_sssp_work",
-    "estimate_bids_work",
-    "estimate_multi_work",
-    "estimate_endpoint_work",
-    "balance_shards",
-]
+__all__ = ["WorkDepthMeter", "simulated_time", "speedup_curve"]
 
 
 @dataclass
@@ -122,72 +111,3 @@ def speedup_curve(
     return {
         p: t1 / meter.simulated_time(p, sync_cost=sync_cost) for p in processor_counts
     }
-
-
-# ----------------------------------------------------------------------
-# A-priori work estimates: the same unit-operation currency the meter
-# records, predicted *before* running.  The process-pool backend packs
-# work units into shards by these estimates, so the pool's load balance
-# is the cost model's prediction made checkable against wall-clock.
-# ----------------------------------------------------------------------
-def estimate_sssp_work(num_vertices: int, num_edges: int) -> float:
-    """Predicted unit work of one full SSSP: ``m + n log n`` relax/settle."""
-    n = max(int(num_vertices), 1)
-    return float(num_edges) + n * math.log2(n + 1)
-
-
-def estimate_bids_work(num_vertices: int, num_edges: int) -> float:
-    """Predicted unit work of one bidirectional s-t search.
-
-    BiDS settles roughly two half-radius balls; on the uniform-ish
-    graphs of the benchmark that is about half of one full SSSP (the
-    paper's Fig. 4 pruning ratio), which is all the shard packer needs —
-    relative, not absolute, accuracy.
-    """
-    return estimate_sssp_work(num_vertices, num_edges) / 2.0
-
-
-def estimate_multi_work(component_vertices: int, num_vertices: int, num_edges: int) -> float:
-    """Predicted unit work of one Multi-BiDS component run.
-
-    The engine searches from every query-graph vertex of the component
-    concurrently, each pruned like one half of a bidirectional search.
-    """
-    return max(int(component_vertices), 1) * estimate_bids_work(num_vertices, num_edges)
-
-
-def estimate_endpoint_work(graph, vertices) -> float:
-    """Degree-aware tilt for a unit rooted at ``vertices``.
-
-    The flat ``(n, m)`` estimates above give every unit of a method the
-    same cost, so shard packing degenerates to round-robin.  The sum of
-    the root vertices' out-degrees — read from the graph's cached
-    :meth:`~repro.graphs.csr.Graph.out_degrees` array, O(|vertices|)
-    per call with no per-call ``indptr`` gathers — is the first
-    relaxation waves' edge work: a cheap, deterministic discriminator
-    between hub-rooted and leaf-rooted searches.
-    """
-    idx = np.asarray(vertices, dtype=np.int64)
-    if len(idx) == 0:
-        return 0.0
-    return float(graph.out_degrees()[idx].sum())
-
-
-def balance_shards(costs: list[float], num_shards: int) -> list[list[int]]:
-    """Pack unit indices into ``num_shards`` groups of balanced cost.
-
-    Deterministic longest-processing-time: units sorted by descending
-    cost (index as tie-break) land on the currently lightest shard
-    (lowest index on ties) — the classic 4/3-approximate makespan
-    heuristic, stable across runs so pool scheduling is reproducible.
-    Each shard's units are returned in ascending unit order, and empty
-    shards are dropped.
-    """
-    num_shards = max(1, int(num_shards))
-    loads = [0.0] * num_shards
-    shards: list[list[int]] = [[] for _ in range(num_shards)]
-    for idx in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
-        best = min(range(num_shards), key=lambda s: (loads[s], s))
-        loads[best] += costs[idx]
-        shards[best].append(idx)
-    return [sorted(s) for s in shards if s]

@@ -5,10 +5,11 @@ module runs a batch on actual worker processes.  It owns no batch
 logic: :func:`~repro.core.batch.solve_batch` plans the batch's units
 (:func:`~repro.core.batch.plan_units`) and merges their results
 (:func:`~repro.core.batch.reassemble`) for both backends, and
-:func:`run_units` here only executes the units.  It packs them into one
-shard per worker by their cost estimates
-(:func:`~repro.parallel.cost_model.balance_shards`), so the simulated
-machine's load-balancing story is checkable against real wall-clock.
+:func:`run_units` here only executes the units.  It cuts them, in plan
+order, into at most :data:`TASKS_PER_WORKER` tasks per worker of
+consecutive units and submits every task at once; the executor's queue
+hands each task to the next free worker, the way the paper's
+work-stealing scheduler runs a batch's independent searches (Sec. 4).
 Workers attach the graph zero-copy via
 :meth:`~repro.graphs.csr.Graph.from_shm` (fingerprint-gated), answer
 each unit with the serial backend's own
@@ -18,12 +19,12 @@ results back.  Results are therefore **bit-identical** to
 certificates, same work/depth meter.
 
 Every batch runs under :func:`~repro.serve.hedging.supervise_shards`,
-which waits for each shard and, when the call sets a per-shard
-deadline or a :class:`~repro.serve.hedging.HedgePolicy`, times out
-stuck shards and hedges stragglers.  Worker death (SIGKILL, OOM)
-surfaces as :class:`WorkerCrashError`; the serve pipeline treats that
-as a shard failure, so its breakers and checkpoint/resume machinery
-recover exactly as for any other fault.
+which waits for each task and, when the call sets a per-task deadline
+or a :class:`~repro.serve.hedging.HedgePolicy`, times out stuck tasks
+and hedges stragglers.  Worker death (SIGKILL, OOM) surfaces as
+:class:`WorkerCrashError`; the serve pipeline treats that as a shard
+failure, so its breakers and checkpoint/resume machinery recover
+exactly as for any other fault.
 
 Inherently single-process features — ``budget``,
 ``strategy_factory``, ``max_sources``, a caller's ``kernel``,
@@ -47,7 +48,6 @@ from multiprocessing import get_context, resource_tracker
 from ..core.batch import run_unit
 from ..graphs.csr import Graph
 from ..graphs.shm import SharedGraph, export_graph
-from .cost_model import balance_shards
 
 __all__ = ["ProcessPool", "WorkerCrashError", "run_units", "shippable_kwargs"]
 
@@ -58,6 +58,14 @@ logger = logging.getLogger("repro.pool")
 _SHIPPABLE_ENGINE_KWARGS = frozenset(
     {"frontier_mode", "pull_relax", "max_steps", "track_processed"}
 )
+
+#: cap on the tasks one batch is cut into, per worker.  More tasks let
+#: the executor balance unequal units; fewer keep per-task pickling and
+#: dispatch from dominating batches of many small units.
+TASKS_PER_WORKER = 8
+
+#: longest a quarantine waits for the killed executor's manager thread.
+_QUARANTINE_JOIN_S = 5.0
 
 # Fork where available: workers inherit the parent's imports and start
 # in milliseconds.
@@ -86,7 +94,7 @@ class ProcessPool:
 
     The pool is built to stay **persistent** across batches: workers
     attach each shared graph once and keep the mapping for their
-    lifetime, so the steady-state per-batch cost is shard pickling
+    lifetime, so the steady-state per-batch cost is task pickling
     only.  :meth:`open` spawns (and liveness-checks) the workers
     eagerly, :meth:`ping` is the idle health check, and a worker death
     is repaired transparently — the poisoned executor is discarded, the
@@ -95,17 +103,19 @@ class ProcessPool:
     serve pipeline's breaker/retry path decides what to re-run.
 
     Straggler defence is set per call on :meth:`run_shards` (see
-    :mod:`repro.serve.hedging`): a per-shard deadline times out stuck
-    shards (:class:`~repro.serve.hedging.ShardTimeout`), and a
+    :mod:`repro.serve.hedging`): a per-task deadline times out stuck
+    tasks (:class:`~repro.serve.hedging.ShardTimeout`), and a
     :class:`~repro.serve.hedging.HedgePolicy` launches first-result-wins
     backups of stragglers on a small separate *hedge lane* executor
     (``min(2, workers)`` slots), so a backup can proceed even when
-    every primary worker slot is wedged.  A shard timeout, or a
+    every primary worker slot is wedged.  A task timeout, or a
     straggling primary still stuck when the batch ends, quarantines
     the primary worker set: processes are killed and the next dispatch
     respawns fresh ones (counted in :attr:`quarantines` /
     :attr:`respawns`).  The hedge delay comes from a latency estimate
-    the pool keeps across batches.
+    the pool keeps across batches.  A batch submits all its tasks at
+    once, so a task's deadline and its learned latency both run from
+    submission and include its wait behind the batch's other tasks.
     """
 
     def __init__(self, workers: int | None = None, *, observer=None) -> None:
@@ -178,16 +188,24 @@ class ProcessPool:
         sleeping in its slot forever, so the processes are SIGKILLed
         explicitly — the same repair a human operator would apply to a
         hung worker, made automatic and counted.
+
+        The executor stays referenced until its manager thread has seen
+        the shutdown and the deaths: tasks may still be queued, and a
+        collected executor leaves that thread failing futures the
+        supervisor already cancelled.
         """
         executor = self._executor
         if executor is not None:
             procs = list(getattr(executor, "_processes", {}).values())
+            manager = getattr(executor, "_executor_manager_thread", None)
             executor.shutdown(wait=False, cancel_futures=True)
             for proc in procs:
                 try:
                     proc.kill()
                 except Exception:  # pragma: no cover - already dead
                     pass
+            if manager is not None:
+                manager.join(timeout=_QUARANTINE_JOIN_S)
             self._executor = None
         self.quarantines += 1
         logger.warning("quarantined pool workers (reason=%s); respawning on next dispatch", reason)
@@ -452,7 +470,7 @@ def _pool_worker(task: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Parent side: check what can ship, pack shards, dispatch.
+# Parent side: check what can ship, cut tasks, dispatch.
 # ----------------------------------------------------------------------
 def shippable_kwargs(
     engine_kwargs: dict,
@@ -514,36 +532,41 @@ def run_units(
 ) -> list:
     """Run batch units on worker processes; results in unit order.
 
-    Each worker answers its shard's units with
-    ``run_unit(graph, unit, **run_kwargs)``.  ``label`` names the batch
-    method for the observer.  Pass an existing :class:`ProcessPool` to
-    reuse workers and the shared graph across batches; otherwise an
-    ephemeral pool of ``workers`` processes is created and torn down
-    (segments unlinked) around this one call, exception paths included.
+    The units are cut, in order, into ``min(len(units),
+    TASKS_PER_WORKER * pool.workers)`` tasks of consecutive units, all
+    submitted at once; each free worker takes the next queued task and
+    answers its units with ``run_unit(graph, unit, **run_kwargs)``.
+    ``injector`` kill/stall faults are armed by task index.  ``label``
+    names the batch method for the observer.  Pass an existing
+    :class:`ProcessPool` to reuse workers and the shared graph across
+    batches; otherwise an ephemeral pool of ``workers`` processes is
+    created and torn down (segments unlinked) around this one call,
+    exception paths included.
     """
     own_pool = pool is None
     if own_pool:
         pool = ProcessPool(workers)
     try:
-        shards = balance_shards([unit.cost(graph) for unit in units], pool.workers)
         descriptor = pool.share(graph)
+        count = min(len(units), TASKS_PER_WORKER * pool.workers)
         tasks = []
-        for shard_idx, unit_ids in enumerate(shards):
+        for index in range(count):
             task = {
-                "shard": shard_idx,
+                "shard": index,
                 "graph": descriptor,
-                "units": [units[u] for u in unit_ids],
+                "units": units[index * len(units) // count:
+                               (index + 1) * len(units) // count],
                 "run": run_kwargs,
             }
             if injector is not None:
-                if injector.take_worker_kill(shard_idx):
+                if injector.take_worker_kill(index):
                     task["kill"] = True
-                stall = injector.take_worker_stall(shard_idx)
+                stall = injector.take_worker_stall(index)
                 if stall:
                     task["stall"] = stall
             tasks.append(task)
         if observer is not None:
-            observer.on_pool_batch(label, pool.workers, len(tasks))
+            observer.on_pool_batch(label, pool.workers)
         done = pool.run_shards(
             tasks,
             observer=observer,
@@ -554,10 +577,4 @@ def run_units(
     finally:
         if own_pool:
             pool.close()
-    by_shard = {shard["shard"]: shard["units"] for shard in done}
-    results: list = [None] * len(units)
-    for shard_idx, unit_ids in enumerate(shards):
-        for u, res in zip(unit_ids, by_shard[shard_idx]):
-            results[u] = res
-    return results
-
+    return [res for task in done for res in task["units"]]

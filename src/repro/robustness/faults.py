@@ -35,13 +35,14 @@ or becomes inf/nan) but stays a legal float:
   checkpoint sidecar (``on_checkpoint_written``), corrupting durable
   state a resume would otherwise trust.
 
-``kill_worker_at`` (PR 7) targets the process-pool backend instead of
-the engine: the worker running the given shard index SIGKILLs itself
-mid-shard, modeling an OOM-killed or segfaulted worker process that the
-pool must surface as a shard failure.  ``stall_worker_at`` (PR 9) is
-its wedged-but-alive sibling: the worker sleeps ``stall_worker_seconds``
-of real wall time mid-shard — invisible to ``BrokenProcessPool``
-detection, recoverable only by shard deadlines / hedged re-execution
+``kill_worker_at`` targets the process-pool backend instead of the
+engine: the worker running the given task index (a batch's units are
+cut, in plan order, into tasks of consecutive units) SIGKILLs itself
+mid-task, modeling an OOM-killed or segfaulted worker process that the
+pool must surface as a batch failure.  ``stall_worker_at`` is its
+wedged-but-alive sibling: the worker sleeps ``stall_worker_seconds`` of
+real wall time mid-task — invisible to ``BrokenProcessPool``
+detection, recoverable only by task deadlines / hedged re-execution
 (:mod:`repro.serve.hedging`).
 
 Every decision flows from one seeded RNG plus hash-based per-vertex
@@ -268,32 +269,33 @@ class FaultInjector:
                 self._record(step, "drop-frontier")
 
     # -- process-pool hooks ---------------------------------------------
-    def take_worker_kill(self, shard_index: int) -> bool:
-        """Should the worker executing shard ``shard_index`` be SIGKILLed?
+    def take_worker_kill(self, task_index: int) -> bool:
+        """Should the worker executing task ``task_index`` be SIGKILLed?
 
         Consulted by :mod:`repro.parallel.pool` before dispatching each
-        shard; a ``True`` return makes the worker process kill itself
-        (``SIGKILL`` — no cleanup, no exception) partway through the
-        shard, modeling an OOM-killed or crashed worker.  Fires at most
-        once per ``max_fires``, like every other fault class.
+        task of a batch; a ``True`` return makes the worker process
+        kill itself (``SIGKILL`` — no cleanup, no exception) partway
+        through the task, modeling an OOM-killed or crashed worker.
+        Fires at most once per ``max_fires``, like every other fault
+        class.
         """
-        if self.kill_worker_at == shard_index and self._armed():
-            self._record(shard_index, "kill-worker")
+        if self.kill_worker_at == task_index and self._armed():
+            self._record(task_index, "kill-worker")
             return True
         return False
 
-    def take_worker_stall(self, shard_index: int) -> float | None:
-        """Seconds the worker executing ``shard_index`` should sleep, or None.
+    def take_worker_stall(self, task_index: int) -> float | None:
+        """Seconds the worker executing task ``task_index`` should sleep, or None.
 
         The pool-level sibling of ``kill_worker_at``, but the worker
         stays *alive*: it sleeps ``stall_worker_seconds`` of real wall
-        time halfway through its shard — a wedged worker the executor
+        time halfway through its task — a wedged worker the executor
         cannot detect (no ``BrokenProcessPool``), which is the failure
-        mode shard deadlines and hedged re-execution exist for.  Fires
+        mode task deadlines and hedged re-execution exist for.  Fires
         at most once per ``max_fires``.
         """
-        if self.stall_worker_at == shard_index and self._armed():
-            self._record(shard_index, "stall-worker")
+        if self.stall_worker_at == task_index and self._armed():
+            self._record(task_index, "stall-worker")
             return self.stall_worker_seconds
         return None
 

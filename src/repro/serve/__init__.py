@@ -25,13 +25,13 @@ individual submissions into right-sized batches over a persistent warm
 worker pool and resolves each one as a future — see ``repro serve`` and
 the service section of ``docs/robustness.md``.
 
-Straggler-proofing (PR 9) lives in two sibling modules:
-:mod:`repro.serve.hedging` supplies per-shard deadlines and hedged
+Straggler-proofing lives in two sibling modules:
+:mod:`repro.serve.hedging` supplies per-task deadlines and hedged
 re-execution for the process backend (a stalled worker can no longer
 hang a batch — it is timed out and quarantined, or outraced by a
 bit-identical backup), and :mod:`repro.serve.overload` supplies the
-retry token bucket, decorrelated-jitter backoff, and the CoDel+AIMD
-adaptive admission control the query service runs under.
+retry token bucket, decorrelated-jitter backoff, and the CoDel
+admission control the query service runs under.
 """
 
 from .admission import (
@@ -56,7 +56,6 @@ from .hedging import (
     supervise_shards,
 )
 from .overload import (
-    AIMDLimiter,
     CoDelShedder,
     OverloadController,
     RetryBudget,
@@ -105,7 +104,6 @@ __all__ = [
     "SimShardTransport",
     "supervise_shards",
     "RetryBudget",
-    "AIMDLimiter",
     "CoDelShedder",
     "OverloadController",
     "next_backoff",

@@ -1,11 +1,11 @@
-"""Overload control: retry budgets, jittered backoff, AIMD, CoDel.
+"""Overload control: retry budgets, jittered backoff, CoDel.
 
 Serving survives stragglers by *retrying* work (hedges, fallback-chain
 rung retries) and survives floods by *refusing* work (degrading to
 budgeted answers, shedding at the door).  Both mechanisms amplify load
 if left unbounded: a retry storm doubles traffic exactly when the
 system can least afford it, and a fixed exponential backoff
-synchronizes clients into waves.  This module holds the four small
+synchronizes clients into waves.  This module holds the three small
 controllers that keep them bounded, shared by
 :mod:`repro.serve.hedging`, :func:`repro.robustness.resilient.
 resilient_ppsp`, and :class:`repro.serve.service.QueryService`:
@@ -19,20 +19,16 @@ resilient_ppsp`, and :class:`repro.serve.service.QueryService`:
   work (hedged shard backups, resilient rung retries).  When the
   bucket is dry, retries are denied and callers degrade instead of
   amplifying; denials are counted per kind.
-* :class:`AIMDLimiter` — additive-increase / multiplicative-decrease
-  limit on in-flight batch concurrency, the TCP congestion-control
-  shape: grow slowly while batches succeed, halve on overload signals
-  (timeouts / failures).
 * :class:`CoDelShedder` — queue-delay controller in the spirit of
   CoDel: a queue is healthy while *some* recent batch saw sojourn
   below target, overloaded once sojourn stays above target for a full
   interval.  Sojourn (time queued) is the signal, not queue length —
   a long-but-draining queue is fine, a short-but-stuck one is not.
 
-:class:`OverloadController` composes the last two plus a degradation
-ladder — exact -> inexact (deadline-derived budget) -> shed — and is
-what :class:`~repro.serve.service.QueryService` consults, replacing
-the old static ``4 x max_batch`` pressure rule.
+:class:`OverloadController` composes the CoDel detector with a
+degradation ladder — exact -> inexact (deadline-derived budget) ->
+shed — and is what :class:`~repro.serve.service.QueryService`
+consults.
 
 Every controller takes an injectable clock (see
 :mod:`repro.robustness.clock`) so tests drive decisions with
@@ -50,7 +46,6 @@ from ..robustness.clock import as_clock
 __all__ = [
     "next_backoff",
     "RetryBudget",
-    "AIMDLimiter",
     "CoDelShedder",
     "OverloadController",
 ]
@@ -146,53 +141,6 @@ class RetryBudget:
         )
 
 
-class AIMDLimiter:
-    """Additive-increase / multiplicative-decrease concurrency limit.
-
-    The unit is *batches in flight* (the service multiplies by
-    ``max_batch`` to get a query-count pressure threshold).  Healthy
-    batches nudge the limit up by ``increase``; an overload signal —
-    any timeout or failure in a batch — halves it (``decrease``
-    factor).  ``max_limit`` defaults to the initial value, so a
-    healthy system never exceeds the configured static pressure and
-    legacy behaviour is preserved bit-for-bit.
-    """
-
-    def __init__(
-        self,
-        initial: float = 4.0,
-        *,
-        min_limit: float = 1.0,
-        max_limit: float | None = None,
-        increase: float = 0.5,
-        decrease: float = 0.5,
-    ) -> None:
-        if initial < min_limit:
-            raise ValueError(f"initial {initial} below min_limit {min_limit}")
-        if not 0 < decrease < 1:
-            raise ValueError(f"decrease must be in (0, 1), got {decrease}")
-        self.min_limit = float(min_limit)
-        self.max_limit = float(initial if max_limit is None else max_limit)
-        self.increase = float(increase)
-        self.decrease = float(decrease)
-        self._limit = float(initial)
-        self.overloads = 0
-
-    @property
-    def limit(self) -> float:
-        return self._limit
-
-    def on_success(self) -> None:
-        self._limit = min(self.max_limit, self._limit + self.increase)
-
-    def on_overload(self) -> None:
-        self._limit = max(self.min_limit, self._limit * self.decrease)
-        self.overloads += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AIMDLimiter(limit={self._limit:.2f}, overloads={self.overloads})"
-
-
 class CoDelShedder:
     """Persistent-queue-delay detector (CoDel's controlling idea).
 
@@ -231,7 +179,7 @@ class CoDelShedder:
 
 
 class OverloadController:
-    """The service's adaptive admission policy: CoDel + AIMD + ladder.
+    """The service's adaptive admission policy: CoDel + ladder.
 
     Decisions, in escalation order (the degradation ladder):
 
@@ -250,11 +198,6 @@ class OverloadController:
         the *oldest* queued query has waited longer than
         ``shed_multiple x target`` — the queue is no longer draining,
         so adding to it only manufactures timeouts.
-
-    The AIMD limiter adapts the pressure threshold (queries queued
-    before an early flush) between ``max_batch`` and the configured
-    static pressure; batches containing timeouts/failures halve it,
-    healthy batches recover it additively.
     """
 
     def __init__(
@@ -265,7 +208,6 @@ class OverloadController:
         interval_ms: float = 1000.0,
         shed_multiple: float = 8.0,
         degrade_budget_ms: float | None = None,
-        aimd: AIMDLimiter | None = None,
         observer=None,
     ) -> None:
         if shed_multiple <= 0:
@@ -273,7 +215,6 @@ class OverloadController:
         if degrade_budget_ms is not None and degrade_budget_ms <= 0:
             raise ValueError(f"degrade_budget_ms must be > 0, got {degrade_budget_ms}")
         self.codel = CoDelShedder(target_ms / 1e3, interval_ms / 1e3, clock=clock)
-        self.aimd = aimd if aimd is not None else AIMDLimiter()
         self.shed_sojourn_s = float(shed_multiple) * self.codel.target_s
         self.degrade_budget_s = None if degrade_budget_ms is None else degrade_budget_ms / 1e3
         self.observer = observer
@@ -298,22 +239,8 @@ class OverloadController:
             self.observer.on_overload_decision(mode)
         return mode
 
-    def on_batch_done(self, outcome_counts: dict) -> None:
-        """Feed a finished batch's outcome tally to the AIMD limiter."""
-        bad = outcome_counts.get("timeout", 0) + outcome_counts.get("failed", 0)
-        if bad:
-            self.aimd.on_overload()
-        else:
-            self.aimd.on_success()
-        if self.observer is not None:
-            self.observer.on_aimd_limit(self.aimd.limit)
-
-    def pressure_limit(self, max_batch: int) -> int:
-        """The adaptive pressure threshold, in queued queries."""
-        return max(int(max_batch), int(self.aimd.limit * max_batch))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"OverloadController(counts={self.counts}, aimd={self.aimd!r})"
+        return f"OverloadController(counts={self.counts}, codel={self.codel!r})"
 
 
 # Re-exported for seeding convenience in callers that accept int seeds.

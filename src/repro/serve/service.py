@@ -11,20 +11,14 @@ all apply unchanged, and every future resolves with the pipeline's
 closed outcome vocabulary (``ok | inexact | shed | timeout | failed |
 repaired``).
 
-A batch is flushed when the first of three triggers fires:
+A batch is flushed when the first of two triggers fires:
 
 * **size** — the queue holds ``max_batch`` distinct queries (the batch
-  the amortization analysis of Sec. 4 wants);
+  the amortization analysis of Sec. 4 wants); a burst's backlog drains
+  at once in ``max_batch`` chunks;
 * **wait** — the oldest queued query has waited ``max_wait_ms`` on the
   service clock (an injectable :class:`~repro.robustness.SimClock` in
-  tests, real time in production), bounding tail latency on a trickle;
-* **pressure** — the backlog exceeds the *adaptive* pressure limit (a
-  burst), so the batcher stops waiting and drains in ``max_batch``
-  chunks.  The limit is an AIMD concurrency control
-  (:class:`~repro.serve.overload.OverloadController`): it starts at
-  ``4 x max_batch``, which is also its ceiling, halves when a batch
-  comes back with timeouts or failures, and recovers additively while
-  batches stay healthy.
+  tests, real time in production), bounding tail latency on a trickle.
 
 On top of the flush triggers sits a degradation ladder — **exact ->
 inexact -> shed**: when queue sojourn stays above the CoDel-style
@@ -43,7 +37,7 @@ Underneath, ``backend="process"`` runs on a **persistent**
 :class:`~repro.parallel.pool.ProcessPool`: workers are spawned once
 (:meth:`~repro.parallel.pool.ProcessPool.open`), attach the
 shared-memory CSR graph once, and are reused across every coalesced
-batch, so the steady-state per-batch cost is shard pickling only.
+batch, so the steady-state per-batch cost is task pickling only.
 Crashed workers surface through the existing
 :class:`~repro.parallel.pool.WorkerCrashError`/breaker path and are
 respawned transparently (counted, and exported via the
@@ -60,6 +54,7 @@ Two execution modes share all of that machinery:
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,7 +74,9 @@ __all__ = [
 ]
 
 #: every trigger that can flush a coalesced batch.
-FLUSH_REASONS = ("size", "pressure", "wait", "drain", "shutdown", "manual")
+FLUSH_REASONS = ("size", "wait", "drain", "shutdown", "manual")
+
+logger = logging.getLogger("repro.service")
 
 
 class ServiceClosed(RuntimeError):
@@ -187,10 +184,6 @@ class QueryService:
         pipeline shard per flush).
     max_wait_ms : float
         Longest a queued query waits before a partial batch flushes.
-        A backlog of ``pressure`` queries (``4 * max_batch``, the
-        ceiling of the AIMD limiter) drains immediately; overloaded
-        batches pull that limit down toward ``max_batch``, healthy
-        ones restore it.
     overload : OverloadController or None
         ``None`` (default) builds an :class:`~repro.serve.overload.
         OverloadController` from the ``codel_target_ms`` /
@@ -236,7 +229,6 @@ class QueryService:
         self.graph = graph
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait_ms) / 1000.0
-        self.pressure = 4 * self.max_batch
         self._clock = as_clock(clock)
         self._real_clock = clock is None
         self.observer = observer
@@ -496,19 +488,13 @@ class QueryService:
             total += n
         return total
 
-    def _pressure_limit(self) -> int:
-        """The live pressure threshold (AIMD-adapted, static ceiling)."""
-        return min(self.pressure, self._overload.pressure_limit(self.max_batch))
-
     def _drain_full_batches(self) -> None:
-        """Inline-mode size/pressure triggers after a submission."""
+        """Inline-mode size trigger after a submission."""
         while True:
             with self._lock:
-                depth = len(self._pending)
-                if depth < self.max_batch:
+                if len(self._pending) < self.max_batch:
                     return
-                reason = "pressure" if depth >= self._pressure_limit() else "size"
-            if not self._flush_chunk(reason):
+            if not self._flush_chunk("size"):
                 return
 
     def _flush_chunk(self, reason: str) -> int:
@@ -532,7 +518,9 @@ class QueryService:
         Batches execute one at a time (``_exec_lock``): the parallelism
         lives inside the pool, and serialized batches are what make the
         coalesced stream bit-identical to serial execution of the same
-        compositions.
+        compositions.  A batch that raises resolves its futures as
+        ``failed`` and is logged and counted in ``stats()["errors"]``;
+        the dispatcher and any later flush keep serving.
         """
         with self._exec_lock:
             flushed_at = self._clock()
@@ -556,9 +544,9 @@ class QueryService:
                 self._counts["degraded"] += len(entries)
             try:
                 res = self._pipeline.run([e.query for e in entries])
-            except Exception as exc:  # noqa: BLE001 — futures must resolve
+            except Exception:  # noqa: BLE001 — futures must resolve
+                logger.exception("service batch %d failed; its queries resolve as failed", index)
                 self._counts["errors"] += 1
-                self._overload.on_batch_done({"failed": len(entries)})
                 for e in entries:
                     s, t = e.query.key
                     for f in e.futures:
@@ -569,7 +557,7 @@ class QueryService:
                             waited_s=flushed_at - e.submitted,
                         ))
                 self._record_batch(entries, reason, index, waited)
-                raise exc
+                return
             for e in entries:
                 key = e.query.key
                 result = ServiceResult(
@@ -586,11 +574,6 @@ class QueryService:
                 for f in e.futures:
                     f._resolve(result)
             self._counts["executed"] += len(entries)
-            tally: dict[str, int] = {}
-            for e in entries:
-                out = res.outcomes.get(e.query.key, FAILED)
-                tally[out] = tally.get(out, 0) + 1
-            self._overload.on_batch_done(tally)
             self._record_batch(entries, reason, index, waited)
             self._note_respawns()
 
@@ -618,7 +601,7 @@ class QueryService:
     # Dispatcher thread
     # ------------------------------------------------------------------
     def _loop(self) -> None:
-        """Threaded flush loop: size/pressure immediately, wait on expiry."""
+        """Threaded flush loop: size immediately, wait on expiry."""
         poll = 0.002  # simulated-clock fallback: re-check after a short nap
         while True:
             reason = None
@@ -629,11 +612,8 @@ class QueryService:
                         break
                 if self._stop:
                     return
-                depth = len(self._pending)
                 entry = next(iter(self._pending.values()), None)
-                if depth >= self._pressure_limit():
-                    reason = "pressure"
-                elif depth >= self.max_batch:
+                if len(self._pending) >= self.max_batch:
                     reason = "size"
                 elif entry is not None:
                     waited = self._clock() - entry.submitted
@@ -663,10 +643,6 @@ class QueryService:
                 "flush_reasons": dict(self._flush_reasons),
                 "respawns": 0 if self._pool is None else self._pool.respawns,
                 "breakers": self._pipeline.breakers.states(),
-                "overload": {
-                    "pressure_limit": self._pressure_limit(),
-                    "aimd_limit": self._overload.aimd.limit,
-                    "decisions": dict(self._overload.counts),
-                },
+                "overload": {"decisions": dict(self._overload.counts)},
             }
             return out

@@ -220,6 +220,20 @@ class TestDirectedBatch:
         with pytest.raises(ValueError, match="directed"):
             solve_batch(g, QueryGraph(pairs), method="multi")
 
+    @pytest.mark.parametrize("pairs, searches, work", [
+        ([(5, 5)], 0, 0.0),
+        ([(5, 5), (1, 2)], 1, 2370.0),
+        ([(1, 2)], 1, 2370.0),
+    ])
+    def test_vertex_cover_roots_no_self_pair(self, one_way, pairs, searches, work):
+        """A directed self pair joins two distinct copies of one vertex;
+        the cover must not root an SSSP that answers only that pair."""
+        g = one_way[0]
+        res = solve_batch(g, pairs, method="sssp-vc")
+        assert (res.num_searches, res.meter.work) == (searches, work)
+        for s, t in pairs:
+            assert res.distance(s, t) == pytest.approx(float(dijkstra(g, s)[t]))
+
 
 class TestBatchResult:
     def test_distance_lookup_both_orders(self, line_graph):

@@ -6,9 +6,11 @@ class is logged, counted per exception type on the observer, and the
 executor is respawned.  An executor that broke while idle fails at
 ``submit`` already; dispatch must treat that like a break at a result.
 Dispatch returns shard results in shard order whatever order the
-shards finish in, and reports each shard's own latency.  The fake
-executors below keep this tier-1 (fork-free); the real-pool behaviour
-rides in the fork-heavy suites.
+shards finish in, and reports each shard's own latency.  A batch is cut
+into at most ``TASKS_PER_WORKER`` tasks per worker of consecutive units
+in plan order.  The fake executors and the in-process pool below keep
+this tier-1 (fork-free); the real-pool behaviour rides in the
+fork-heavy suites.
 """
 
 from __future__ import annotations
@@ -21,8 +23,19 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core.batch import plan_units, solve_batch
+from repro.core.query_graph import QueryGraph
+from repro.graphs import road_graph
+from repro.graphs.connectivity import largest_component
 from repro.obs import Observer
-from repro.parallel.pool import ProcessPool, WorkerCrashError, shippable_kwargs
+from repro.parallel import pool as pool_module
+from repro.parallel.pool import (
+    TASKS_PER_WORKER,
+    ProcessPool,
+    WorkerCrashError,
+    _pool_worker,
+    shippable_kwargs,
+)
 from repro.robustness import FaultInjector
 
 
@@ -193,3 +206,76 @@ def test_parent_side_faults_ship(fault):
 def test_engine_faults_rejected(fault):
     with pytest.raises(ValueError, match="engine-level fault injection"):
         shippable_kwargs({"fault_injector": FaultInjector(**fault)})
+
+
+class _InlinePool(ProcessPool):
+    """Records each batch's tasks and answers them in this process with
+    the real worker function, on the exported shared-memory graph."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.shipped: list[list[dict]] = []
+
+    def run_shards(self, tasks, **kwargs):
+        self.shipped.append(tasks)
+        return [_pool_worker(task) for task in tasks]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    # A fresh attach cache, so the views drop with the test.
+    monkeypatch.setattr(pool_module, "_ATTACHED", {})
+    pool = _InlinePool()
+    yield pool
+    pool.close()
+
+
+@pytest.fixture(scope="module")
+def grid():
+    graph = road_graph(8, 8, seed=1)
+    lcc = [int(v) for v in largest_component(graph)]
+    return graph, [(lcc[i], lcc[-1 - i]) for i in range(20)]
+
+
+def test_tasks_cut_plan_order_up_to_the_cap(inline_pool, grid):
+    graph, pairs = grid
+    res = solve_batch(graph, pairs, method="plain-bids", backend="process",
+                      pool=inline_pool)
+    (tasks,) = inline_pool.shipped
+    assert len(tasks) == TASKS_PER_WORKER * inline_pool.workers == 16
+    assert [task["shard"] for task in tasks] == list(range(16))
+    plan = plan_units(graph, QueryGraph(pairs), "plain-bids")
+    assert len(plan.units) == 20
+    assert [unit for task in tasks for unit in task["units"]] == plan.units
+    serial = solve_batch(graph, pairs, method="plain-bids")
+    assert [(k, d.hex()) for k, d in res.distances.items()] == [
+        (k, d.hex()) for k, d in serial.distances.items()
+    ]
+
+
+def test_small_batch_ships_one_unit_per_task(inline_pool, grid):
+    graph, pairs = grid
+    solve_batch(graph, pairs[:3], method="plain-bids", backend="process",
+                pool=inline_pool)
+    (tasks,) = inline_pool.shipped
+    assert [len(task["units"]) for task in tasks] == [1, 1, 1]
+
+
+def test_empty_plan_ships_no_tasks(inline_pool, grid):
+    graph, _ = grid
+    res = solve_batch(graph, [(5, 5), (9, 9)], method="sssp-plain",
+                      backend="process", pool=inline_pool)
+    assert sum(len(tasks) for tasks in inline_pool.shipped) == 0
+    assert res.num_searches == 0
+    assert res.distances == {(5, 5): 0.0, (9, 9): 0.0}
+
+
+def test_worker_faults_index_tasks(inline_pool, grid):
+    graph, pairs = grid
+    injector = FaultInjector(stall_worker_at=5, stall_worker_seconds=0.01)
+    solve_batch(graph, pairs, method="plain-bids", backend="process",
+                pool=inline_pool, fault_injector=injector)
+    (tasks,) = inline_pool.shipped
+    assert [i for i, task in enumerate(tasks) if "stall" in task] == [5]
+    assert tasks[5]["stall"] == 0.01
+    assert not any("kill" in task for task in tasks)

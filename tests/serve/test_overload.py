@@ -1,8 +1,8 @@
-"""Overload-control unit tests: backoff, budgets, AIMD, CoDel, ladder.
+"""Overload-control unit tests: backoff, budgets, CoDel, ladder.
 
 The controllers are exercised directly under :class:`SimClock`, then
 end-to-end through an inline :class:`QueryService` (door shedding,
-degraded flushes, adaptive pressure).  Everything here is simulated
+degraded flushes).  Everything here is simulated
 time — tier-1 fast and deterministic.
 """
 
@@ -14,7 +14,6 @@ import pytest
 from repro.robustness import SimClock
 from repro.serve import (
     SHED,
-    AIMDLimiter,
     CoDelShedder,
     OverloadController,
     QueryService,
@@ -89,38 +88,6 @@ class TestRetryBudget:
         assert budget.available() == pytest.approx(3.0)
 
 
-class TestAIMD:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AIMDLimiter(initial=0.5, min_limit=1.0)
-        with pytest.raises(ValueError):
-            AIMDLimiter(decrease=1.0)
-        with pytest.raises(ValueError):
-            AIMDLimiter(decrease=0.0)
-
-    def test_max_limit_defaults_to_initial(self):
-        aimd = AIMDLimiter(initial=4.0)
-        aimd.on_success()
-        assert aimd.limit == 4.0  # healthy never exceeds the ceiling
-
-    def test_halves_on_overload_and_recovers_additively(self):
-        aimd = AIMDLimiter(initial=4.0, increase=0.5, decrease=0.5)
-        aimd.on_overload()
-        assert aimd.limit == 2.0
-        aimd.on_success()
-        assert aimd.limit == 2.5
-        for _ in range(10):
-            aimd.on_success()
-        assert aimd.limit == 4.0
-
-    def test_floor_at_min_limit(self):
-        aimd = AIMDLimiter(initial=4.0, min_limit=1.0)
-        for _ in range(10):
-            aimd.on_overload()
-        assert aimd.limit == 1.0
-        assert aimd.overloads == 10
-
-
 class TestCoDel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -182,18 +149,6 @@ class TestController:
         assert ctl.flush_mode(0.5) == "inexact"
         assert ctl.counts == {"exact": 1, "inexact": 1, "shed": 0}
 
-    def test_pressure_limit_tracks_aimd(self):
-        ctl = self._ctl(SimClock(), aimd=AIMDLimiter(initial=4.0))
-        assert ctl.pressure_limit(8) == 32
-        ctl.on_batch_done({"timeout": 1})
-        assert ctl.pressure_limit(8) == 16
-        ctl.on_batch_done({"ok": 5})
-        assert ctl.pressure_limit(8) == 20
-        # never below one full batch
-        for _ in range(10):
-            ctl.on_batch_done({"failed": 1})
-        assert ctl.pressure_limit(8) == 8
-
 
 def _service(graph, **kwargs):
     clock = kwargs.pop("clock", None) or SimClock()
@@ -246,16 +201,6 @@ class TestServiceIntegration:
         stats = svc.stats()
         assert stats["degraded"] == 1
         assert stats["overload"]["decisions"]["inexact"] == 1
-        svc.close()
-
-    def test_pressure_limit_adapts_then_recovers(self, serve_graph):
-        svc, _ = _service(serve_graph, max_batch=4)  # pressure 16
-        assert svc.stats()["overload"]["pressure_limit"] == 16
-        svc.overload.on_batch_done({"timeout": 1})
-        assert svc.stats()["overload"]["pressure_limit"] == 8
-        for _ in range(10):
-            svc.overload.on_batch_done({"ok": 4})
-        assert svc.stats()["overload"]["pressure_limit"] == 16
         svc.close()
 
     def test_shared_controller_backfills_observer(self, serve_graph):

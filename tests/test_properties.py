@@ -191,13 +191,21 @@ def test_triangle_inequality_of_output(g, data):
 
 
 @settings(**COMMON)
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=25))
-def test_vertex_cover_covers_every_query(pairs):
-    qg = QueryGraph(pairs)
+@given(
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=25),
+    st.booleans(),
+)
+def test_vertex_cover_covers_every_query(pairs, directed):
+    qg = QueryGraph(pairs, directed=directed)
     cover = set(int(c) for c in vertex_cover(qg))
+    verts = qg.vertices
+    needed = set()
     for a, b in qg.edges:
-        if a != b:
+        if verts[a] != verts[b]:
             assert a in cover or b in cover
+            needed.update((a, b))
+    # A copy whose only queries are self pairs answers nothing.
+    assert cover <= needed
 
 
 @settings(**COMMON)
