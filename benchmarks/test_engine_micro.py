@@ -38,17 +38,17 @@ class TestPrimitives:
 
     def test_relax_batch_kernel(self, benchmark, road):
         """The full gather-relax-scatter inner loop on a real frontier."""
-        from repro.core.engine import PPSPEngine
-        from repro.core.policies import SsspPolicy
+        from repro.core.engine import _relax_batch
+        from repro.kernels import get_kernel
 
-        eng = PPSPEngine(road)
+        kernel = get_kernel(None)
         n = road.num_vertices
         frontier = np.arange(0, n, 3, dtype=np.int64)
 
         def run():
             dist = np.full(n, np.inf)
             dist[frontier] = 1.0
-            return eng._relax_batch(road, frontier, dist, n)
+            return _relax_batch(road, frontier, dist, n, kernel, False)
 
         changed, edges = benchmark(run)
         assert edges > 0

@@ -101,7 +101,7 @@ class TestChunkedBatch:
         res = benchmark.pedantic(
             lambda: solve_batch(
                 road, qg, method="multi", max_sources=max_sources,
-                strategy_factory=lambda: DeltaStepping(delta),
+                strategy=DeltaStepping(delta),
             ),
             rounds=3,
             iterations=1,

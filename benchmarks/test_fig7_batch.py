@@ -22,14 +22,12 @@ def test_batch_pattern(benchmark, road, batch_vertices, pattern, method):
     qg = PATTERNS[pattern](verts)
 
     res = benchmark.pedantic(
-        lambda: solve_batch(
-            road, qg, method=method, strategy_factory=lambda: DeltaStepping(delta)
-        ),
+        lambda: solve_batch(road, qg, method=method, strategy=DeltaStepping(delta)),
         rounds=3,
         iterations=1,
         warmup_rounds=1,
     )
     # Cross-check against Multi-BiDS once per cell.
-    ref = solve_batch(road, qg, method="multi", strategy_factory=lambda: DeltaStepping(delta))
+    ref = solve_batch(road, qg, method="multi", strategy=DeltaStepping(delta))
     for key, val in res.distances.items():
         assert val == pytest.approx(ref.distances[key], rel=1e-6)

@@ -75,7 +75,7 @@ from .verify import (
     build_certificate,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "ppsp",

@@ -11,8 +11,8 @@ Methods map to the paper's algorithms: ``sssp`` (no pruning), ``et``
 are documented in :mod:`repro.core.batch`.
 
 For repeated queries against one graph, :func:`warm` returns a
-:class:`repro.perf.WarmEngine` — the same algorithms behind cached
-heuristics and a result cache (see ``docs/perf.md``).
+:class:`repro.perf.WarmEngine` — :func:`ppsp` behind cached heuristics
+and a result cache (see ``docs/perf.md``).
 """
 
 from __future__ import annotations
@@ -224,11 +224,12 @@ def batch_ppsp(graph, queries, *, method: str = "multi", **kwargs) -> BatchResul
 def warm(graph, **kwargs):
     """A :class:`repro.perf.WarmEngine` bound to ``graph``.
 
-    The warm counterpart of :func:`ppsp`/:func:`batch_ppsp`: identical
-    answers, but repeated queries reuse cached heuristic rows and an
-    LRU result cache.  Keyword arguments are forwarded to
-    :class:`~repro.perf.warm.WarmEngine` (cache sizes, ``landmarks=``,
-    ...).
+    The warm counterpart of :func:`ppsp`/:func:`batch_ppsp`: a miss is
+    a :func:`ppsp` call given the cached heuristic rows, so answers are
+    identical, and repeated queries come from an LRU result cache.
+    Keyword arguments (``landmarks=``, ``result_cache_size=``,
+    ``observer=``, ``verify_hits=``, ...) are forwarded to
+    :class:`~repro.perf.warm.WarmEngine`.
     """
     from .perf.warm import WarmEngine  # lazy: perf imports this module
 

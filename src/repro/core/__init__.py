@@ -1,7 +1,7 @@
 """Orionet core: the PPSP framework, its policies, and batch solvers."""
 
 from .batch import BATCH_METHODS, BatchResult, solve_batch
-from .engine import PPSPEngine, RunResult, run_policy
+from .engine import RunResult, run_policy
 from .frontier import Frontier
 from .paths import PathError, meeting_vertex, stitch_bidirectional_path, walk_path
 from .policies import AStar, BiDAStar, BiDS, EarlyTermination, MultiPPSP, Policy, SsspPolicy
@@ -20,7 +20,6 @@ from .stepping import (
 )
 
 __all__ = [
-    "PPSPEngine",
     "RunResult",
     "run_policy",
     "run_policy_reference",

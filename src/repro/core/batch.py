@@ -65,9 +65,9 @@ _PLAIN = ("plain-bids", "plain-star-bids")
 class BatchResult:
     """Answers for one batch: ``distances[(s, t)]`` per queried pair.
 
-    ``exact`` is False when an execution budget ran out mid-batch: the
-    recorded distances are then the searches' current upper bounds
-    (``inf`` for queries the budget never reached) and
+    ``exact`` is False when an execution budget stopped one of the
+    batch's runs: the recorded distances are then the searches' current
+    upper bounds (``inf`` for queries the budget never reached) and
     ``details["budget_report"]`` says which limit tripped.
     """
 
@@ -220,7 +220,6 @@ def solve_batch(
     *,
     method: str = "multi",
     strategy: SteppingStrategy | None = None,
-    strategy_factory=None,
     max_sources: int | None = None,
     budget=None,
     observer=None,
@@ -240,9 +239,8 @@ def solve_batch(
     exactly when the graph is; a directed graph rejects an undirected
     :class:`QueryGraph`, whose searches would ignore arc direction.
     Endpoints are validated against the graph before any engine run.
-    ``strategy_factory`` (a zero-argument callable) is required instead
-    of ``strategy`` for methods that launch several engine runs, since
-    strategies are stateful.
+    One ``strategy`` serves every engine run of the batch: the engine
+    resets it at the start of each run.
 
     ``max_sources`` (Multi-BiDS only) bounds concurrent searches: the
     engine's distance table is ``O(n · |V_q|)``, so very large batches
@@ -251,9 +249,11 @@ def solve_batch(
     turn").
 
     ``budget`` (a :class:`repro.robustness.Budget`) is shared across the
-    whole batch: one meter covers every engine run, and on exhaustion
-    the result degrades gracefully (``exact=False``, current upper
-    bounds, ``inf`` for unreached queries).
+    whole batch: one meter covers every engine run, and a run the meter
+    stops degrades the result gracefully (``exact=False``, current
+    upper bounds, ``inf`` for unreached queries).  Exactness comes from
+    the runs, so a batch whose runs all finish on their own is exact
+    even when they spend the budget to its last unit.
 
     ``observer`` (a :class:`repro.obs.Observer`) is threaded into every
     engine run this batch launches and receives one ``on_batch``
@@ -273,8 +273,8 @@ def solve_batch(
     Workers run the same units through the same :func:`run_unit`, so the
     answers — distances, paths, and certificates — are bit-identical
     to ``backend="serial"``; features that are inherently single-process
-    (``budget``, ``strategy_factory``, ``max_sources``, a ``kernel``)
-    are rejected with a ``ValueError``.
+    (``budget``, ``max_sources``, a ``kernel``) are rejected with a
+    ``ValueError``.
 
     ``shard_deadline`` (per-task wall seconds from submission),
     ``hedge`` (a :class:`~repro.serve.hedging.HedgePolicy` or ``None``),
@@ -317,10 +317,7 @@ def solve_batch(
         from ..parallel.pool import run_units, shippable_kwargs  # lazy: pool imports this module
 
         engine_kwargs, injector = shippable_kwargs(
-            engine_kwargs,
-            budget=budget,
-            strategy_factory=strategy_factory,
-            max_sources=max_sources,
+            engine_kwargs, budget=budget, max_sources=max_sources
         )
     else:
         if workers is not None or pool is not None:
@@ -353,25 +350,20 @@ def solve_batch(
             **engine_kwargs,
         )
     else:
-        if strategy_factory is None:
-            strategy_factory = (lambda: strategy) if strategy is not None else lambda: None
         if budget is not None:
             bmeter = budget if hasattr(budget, "charge") else budget.start()
             engine_kwargs = {**engine_kwargs, "budget": bmeter}
         if observer is not None:
             engine_kwargs = {**engine_kwargs, "observer": observer}
         results = [
-            run_unit(graph, unit, strategy=strategy_factory(), certify=certify, **engine_kwargs)
+            run_unit(graph, unit, strategy=strategy, certify=certify, **engine_kwargs)
             for unit in plan.units
         ]
     res = reassemble(graph, plan, results, certify=certify)
     res.directed = qg.directed
 
     if bmeter is not None:
-        report = bmeter.report()
-        res.details["budget_report"] = report
-        if report.exhausted:
-            res.exact = False
+        res.details["budget_report"] = bmeter.report()
     if observer is not None:
         observer.on_batch(method, res)
     return res

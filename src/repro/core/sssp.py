@@ -9,36 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel.cost_model import WorkDepthMeter
 from .engine import RunResult, run_policy
 from .policies import SsspPolicy
-from .stepping import SteppingStrategy
 
 __all__ = ["sssp", "sssp_distances"]
 
 
-def sssp(
-    graph,
-    source: int,
-    *,
-    strategy: SteppingStrategy | None = None,
-    frontier_mode: str = "auto",
-    pull_relax: bool = False,
-    meter: WorkDepthMeter | None = None,
-) -> RunResult:
+def sssp(graph, source: int, **engine_kwargs) -> RunResult:
     """Full shortest-path distances from ``source``.
 
-    The returned :class:`RunResult` has the distance row in
+    Engine keywords (``strategy``, ``frontier_mode``, ``meter``, ...)
+    ride through to :func:`~repro.core.engine.run_policy`.  The returned
+    :class:`RunResult` has the distance row in
     ``result.distances_from(0)``; unreachable vertices hold ``inf``.
     """
-    return run_policy(
-        graph,
-        SsspPolicy(source),
-        strategy=strategy,
-        frontier_mode=frontier_mode,
-        pull_relax=pull_relax,
-        meter=meter,
-    )
+    return run_policy(graph, SsspPolicy(source), **engine_kwargs)
 
 
 def sssp_distances(graph, source: int, **kwargs) -> np.ndarray:

@@ -115,9 +115,7 @@ def collect(scale: str = "small", *, seed: int = 61) -> dict:
         results = {}
         answers: dict[str, dict] = {}
         for method in ("multi", "plain-bids", "sssp-vc", "sssp-plain"):
-            res = solve_batch(
-                graph, qg, method=method, strategy_factory=lambda: DeltaStepping(delta)
-            )
+            res = solve_batch(graph, qg, method=method, strategy=DeltaStepping(delta))
             results[method] = {
                 "work": res.meter.work,
                 "simulated_96p": res.meter.simulated_time(96),

@@ -51,12 +51,8 @@ def collect(
         for k in target_counts:
             targets = [int(v) for v in picks[1 : k + 1]]
             qg = QueryGraph.star(source, targets)
-            multi = solve_batch(
-                g, qg, method="multi", strategy_factory=lambda: DeltaStepping(delta)
-            )
-            sssp = solve_batch(
-                g, qg, method="sssp-plain", strategy_factory=lambda: DeltaStepping(delta)
-            )
+            multi = solve_batch(g, qg, method="multi", strategy=DeltaStepping(delta))
+            sssp = solve_batch(g, qg, method="sssp-plain", strategy=DeltaStepping(delta))
             for key, val in multi.distances.items():
                 ref = sssp.distances[key]
                 if not np.isclose(val, ref, rtol=1e-9, atol=1e-9):

@@ -64,9 +64,7 @@ def collect(
             times: dict[str, float] = {}
             answers: dict[str, dict] = {}
             for method in METHOD_LABELS:
-                res = solve_batch(
-                    g, qg, method=method, strategy_factory=lambda: DeltaStepping(delta)
-                )
+                res = solve_batch(g, qg, method=method, strategy=DeltaStepping(delta))
                 times[METHOD_LABELS[method]] = res.meter.simulated_time(processors)
                 answers[method] = res.distances
             # All strategies must agree (a built-in audit).

@@ -1,6 +1,6 @@
 """The Observer: the single, default-off hook the hot paths report to.
 
-Instrumented call sites (:class:`~repro.core.engine.PPSPEngine`,
+Instrumented call sites (:func:`~repro.core.engine.run_policy`,
 :class:`~repro.core.frontier.Frontier`,
 :func:`~repro.core.batch.solve_batch`,
 :class:`~repro.perf.warm.WarmEngine`,

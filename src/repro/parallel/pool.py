@@ -26,11 +26,10 @@ and hedges stragglers.  Worker death (SIGKILL, OOM) surfaces as
 failure, so its breakers and checkpoint/resume machinery recover
 exactly as for any other fault.
 
-Inherently single-process features — ``budget``,
-``strategy_factory``, ``max_sources``, a caller's ``kernel``,
-auditors/tracing, engine-level fault injection — are rejected up front
-(:func:`shippable_kwargs`) rather than silently diverging from serial
-semantics.
+Inherently single-process features — ``budget``, ``max_sources``, a
+caller's ``kernel``, auditors/tracing, engine-level fault injection —
+are rejected up front (:func:`shippable_kwargs`) rather than silently
+diverging from serial semantics.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ logger = logging.getLogger("repro.pool")
 
 #: engine kwargs that are safe to ship to workers: pure per-run knobs
 #: with no cross-run or parent-side state.
-_SHIPPABLE_ENGINE_KWARGS = frozenset(
-    {"frontier_mode", "pull_relax", "max_steps", "track_processed"}
-)
+_SHIPPABLE_ENGINE_KWARGS = frozenset({"frontier_mode", "pull_relax", "track_processed"})
 
 #: cap on the tasks one batch is cut into, per worker.  More tasks let
 #: the executor balance unequal units; fewer keep per-task pickling and
@@ -473,11 +470,7 @@ def _pool_worker(task: dict) -> dict:
 # Parent side: check what can ship, cut tasks, dispatch.
 # ----------------------------------------------------------------------
 def shippable_kwargs(
-    engine_kwargs: dict,
-    *,
-    budget=None,
-    strategy_factory=None,
-    max_sources=None,
+    engine_kwargs: dict, *, budget=None, max_sources=None
 ) -> tuple[dict, object]:
     """Reject what cannot run on workers; split off the fault injector.
 
@@ -487,11 +480,7 @@ def shippable_kwargs(
     dropped (workers build their own kernel); a caller's kernel
     instance cannot ship.
     """
-    for arg, label in (
-        (budget, "budget"),
-        (strategy_factory, "strategy_factory"),
-        (max_sources, "max_sources"),
-    ):
+    for arg, label in ((budget, "budget"), (max_sources, "max_sources")):
         if arg is not None:
             raise ValueError(
                 f"{label} is not supported by backend='process'; "

@@ -1,10 +1,11 @@
 """The warm engine: amortize per-query overheads across a query stream.
 
 A cold :func:`repro.ppsp` call pays two avoidable costs every time: a
-new policy + heuristic (recomputing ``h`` rows A* already computed for
-the last query to the same target), and — trivially but measurably —
+new heuristic (recomputing ``h`` rows A* already computed for the last
+query to the same target), and — trivially but measurably —
 re-deriving the answer for a query the service just answered.
-:class:`WarmEngine` binds both amortizations to one graph:
+:class:`WarmEngine` binds both amortizations to one graph and answers
+every miss through :func:`repro.ppsp` itself:
 
 * **heuristic caching** — memoized per-target heuristics are kept in an
   LRU, so repeated A*/BiD-A* queries toward a target reuse its ``h``
@@ -30,17 +31,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..api import ppsp, validate_query
 from ..core.batch import BATCH_METHODS, BatchResult, solve_batch
-from ..core.engine import PPSPEngine
-from ..core.paths import stitch_bidirectional_path, walk_path
-from ..core.policies import AStar, BiDAStar, BiDS, EarlyTermination, SsspPolicy
 from ..heuristics.geometric import Heuristic, make_heuristic
 from .cache import LRUCache, ResultCache
 
 __all__ = ["WarmAnswer", "WarmEngine"]
 
-_BIDIRECTIONAL = {"bids", "bidastar"}
-_METHODS = ("sssp", "et", "astar", "bids", "bidastar")
+#: LRU capacity of the per-target heuristic cache.
+HEURISTIC_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -102,14 +101,6 @@ class WarmEngine:
         heuristic and ignore this.
     result_cache_size : int
         LRU capacity of the exact-answer cache (0 disables).
-    heuristic_cache_size : int
-        LRU capacity of the per-target heuristic cache.
-    strategy_factory : callable, optional
-        Zero-argument callable producing a fresh
-        :class:`~repro.core.stepping.SteppingStrategy` per query;
-        defaults to the engine's Δ*-stepping default.
-    frontier_mode, pull_relax :
-        Fixed engine configuration for every query.
     observer : repro.obs.Observer, optional
         Default-off observability hook.  When attached, every engine run
         reports work/depth/steps, the result and heuristic caches emit
@@ -124,8 +115,6 @@ class WarmEngine:
         Fresh computations get certificates attached so later hits are
         checkable.  Off by default — the cost is one O(path + k) check
         per hit plus certificate construction per miss.
-    checker : CertificateChecker, optional
-        Override the default checker (e.g. a looser tolerance).
     fault_injector : FaultInjector, optional
         Chaos hook: its ``corrupt_warm_answer`` is applied to every
         cache hit before verification, modeling in-cache payload
@@ -139,13 +128,8 @@ class WarmEngine:
         *,
         landmarks=None,
         result_cache_size: int = 1024,
-        heuristic_cache_size: int = 64,
-        strategy_factory=None,
-        frontier_mode: str = "auto",
-        pull_relax: bool = False,
         observer=None,
         verify_hits: bool = False,
-        checker=None,
         fault_injector=None,
     ) -> None:
         self.graph = graph
@@ -154,33 +138,18 @@ class WarmEngine:
         if landmarks is not None and observer is not None:
             landmarks.observer = observer
         self.results = ResultCache(result_cache_size)
-        self._heuristics: LRUCache = LRUCache(heuristic_cache_size)
-        self._strategy_factory = strategy_factory
-        self._frontier_mode = frontier_mode
-        self._pull_relax = pull_relax
+        self._heuristics: LRUCache = LRUCache(HEURISTIC_CACHE_SIZE)
         self.verify_hits = bool(verify_hits)
         self.fault_injector = fault_injector
-        self._checker = checker
-        if self.verify_hits and self._checker is None:
+        self._checker = None
+        if self.verify_hits:
             from ..verify import CertificateChecker  # lazy: verify imports obs
 
             self._checker = CertificateChecker()
-        self._engine = self._make_engine()
         self.queries = 0
         self.batches = 0
         #: cache hits evicted because their certificate failed.
         self.quarantined = 0
-
-    def _make_engine(self) -> PPSPEngine:
-        strategy = self._strategy_factory() if self._strategy_factory else None
-        return PPSPEngine(
-            self.graph,
-            strategy=strategy,
-            frontier_mode=self._frontier_mode,
-            pull_relax=self._pull_relax,
-            observer=self.observer,
-            track_processed=self.verify_hits,
-        )
 
     # ------------------------------------------------------------------
     # Heuristic cache
@@ -218,24 +187,6 @@ class WarmEngine:
             observer.on_cache("heuristic", "evict")
         return h
 
-    def _make_policy(self, source: int, target: int, method: str):
-        if method == "sssp":
-            return SsspPolicy(source)
-        if method == "et":
-            return EarlyTermination(source, target)
-        if method == "astar":
-            return AStar(source, target, heuristic=self.heuristic_for(target))
-        if method == "bids":
-            return BiDS(source, target)
-        if method == "bidastar":
-            return BiDAStar(
-                source,
-                target,
-                heuristic_to_source=self.heuristic_for(source),
-                heuristic_to_target=self.heuristic_for(target),
-            )
-        raise ValueError(f"unknown method {method!r}; options: {_METHODS}")
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -251,19 +202,17 @@ class WarmEngine:
     ) -> WarmAnswer:
         """Exact shortest s-t distance, warm.
 
-        Semantically identical to ``repro.ppsp(graph, s, t,
-        method=...)`` — same engine, same policies — but heuristics come
-        from the heuristic cache and repeat queries from the result
-        cache.  ``path=True`` captures a shortest path while the
-        distance matrix is still alive (the answer keeps no matrix, so
-        the path cannot be derived later).
+        A result-cache miss is answered by ``repro.ppsp(graph, s, t,
+        method=...)`` with the cached heuristic rows passed in, so warm
+        and cold answers agree in distance, counters and path.
+        ``path=True`` captures a shortest path while the distance matrix
+        is still alive (the answer keeps no matrix, so the path cannot
+        be derived later).
 
         ``budget`` (a :class:`repro.robustness.Budget` or live meter)
         bounds this one query's engine run; an answer whose budget ran
         out (``exact=False``) is never stored in the result cache.
         """
-        from ..api import validate_query  # runtime import: api imports perf lazily
-
         validate_query(self.graph, source, target)
         source, target = int(source), int(target)
         self.queries += 1
@@ -281,45 +230,32 @@ class WarmEngine:
             if observer is not None:
                 observer.on_cache("result", "miss")
 
-        bmeter = None
-        if budget is not None:
-            bmeter = budget if hasattr(budget, "charge") else budget.start()
-        run = self._engine.run(self._make_policy(source, target, method), budget=bmeter)
-        if method == "sssp":
-            distance = float(run.answer[target])
-        else:
-            distance = float(run.answer)
+        heuristics = {}
+        if method == "astar":
+            heuristics["heuristic"] = self.heuristic_for(target)
+        elif method == "bidastar":
+            heuristics["heuristic_to_source"] = self.heuristic_for(source)
+            heuristics["heuristic_to_target"] = self.heuristic_for(target)
+        ans = ppsp(
+            self.graph, source, target, method=method, budget=budget,
+            certify=self.verify_hits, observer=observer, **heuristics,
+        )
         path_vertices = None
-        if path and np.isfinite(distance) and source != target:
-            if method in _BIDIRECTIONAL:
-                p = stitch_bidirectional_path(
-                    self.graph, run.dist[0], run.dist[1], source, target
-                )
-            else:
-                p = walk_path(self.graph, run.dist[0], source, target)
-            path_vertices = tuple(int(v) for v in p)
-        certificate = None
-        if self.verify_hits:
-            from ..verify import certificate_for_run
-
-            certificate = certificate_for_run(
-                self.graph, source, target, method,
-                distance, not run.exhausted, run,
-            )
-
+        if path and ans.reachable and source != target:
+            path_vertices = tuple(int(v) for v in ans.path())
         answer = WarmAnswer(
             source=source,
             target=target,
             method=method,
-            distance=distance,
-            exact=not run.exhausted,
+            distance=ans.distance,
+            exact=ans.exact,
             cached=False,
-            steps=run.steps,
-            relaxations=run.relaxations,
-            work=float(run.meter.work),
-            depth=float(run.meter.depth),
+            steps=ans.run.steps,
+            relaxations=ans.run.relaxations,
+            work=float(ans.run.meter.work),
+            depth=float(ans.run.meter.depth),
             path_vertices=path_vertices,
-            certificate=certificate,
+            certificate=ans.certificate,
         )
         if use_cache and answer.exact:
             before = self.results.evictions

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from ..robustness.clock import as_clock
 
 __all__ = [
@@ -241,11 +239,3 @@ class OverloadController:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OverloadController(counts={self.counts}, codel={self.codel!r})"
-
-
-# Re-exported for seeding convenience in callers that accept int seeds.
-def default_rng(rng) -> np.random.Generator:
-    """Normalize ``None | int | Generator`` to a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)

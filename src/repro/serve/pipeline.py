@@ -158,9 +158,10 @@ class ServePipeline:
     budget : Budget or None
         Base per-shard execution budget, combined with deadline-derived
         wall-time limits (each shard meters it fresh).
-    breakers : BreakerBoard or None
-        Share a board across pipelines; by default a private board is
-        built from ``breaker_threshold``/``breaker_cooldown``.
+    breaker_threshold, breaker_cooldown :
+        Consecutive failures that open a method's breaker, and seconds
+        before its half-open probe, for the pipeline's
+        :class:`~repro.serve.breaker.BreakerBoard`.
     resilient_methods : tuple of str
         Rung order for chain execution and shard fallback.
     retries : int
@@ -178,8 +179,6 @@ class ServePipeline:
         ``checkpoint_hook(manifest)`` after each durable write — the
         crash/resume tests raise from here to simulate a kill exactly
         at a checkpoint boundary.
-    strategy_factory : callable or None
-        Forwarded to :func:`~repro.core.batch.solve_batch`.
     backend : str
         ``"serial"`` (default) or ``"process"``: run each shard's batch
         on the :mod:`repro.parallel.pool` worker backend.  Answers are
@@ -224,7 +223,6 @@ class ServePipeline:
         deadline_ms: float | None = None,
         max_queue: int | None = None,
         budget: Budget | None = None,
-        breakers: BreakerBoard | None = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
         resilient_methods: tuple[str, ...] = DEFAULT_CHAIN,
@@ -233,7 +231,6 @@ class ServePipeline:
         fault_injector=None,
         observer=None,
         checkpoint_hook=None,
-        strategy_factory=None,
         verify: bool = False,
         checker=None,
         certify: bool = False,
@@ -272,7 +269,6 @@ class ServePipeline:
         self.observer = observer
         self.fault_injector = fault_injector
         self.checkpoint_hook = checkpoint_hook
-        self.strategy_factory = strategy_factory
         self.backend = backend
         self.workers = workers
         self.pool = pool
@@ -292,7 +288,7 @@ class ServePipeline:
             checker = CertificateChecker()
         self._checker = checker
         self._vcounts: dict[str, int] = {}
-        self.breakers = breakers if breakers is not None else BreakerBoard(
+        self.breakers = BreakerBoard(
             failure_threshold=breaker_threshold,
             cooldown=breaker_cooldown,
             clock=clock,
@@ -586,14 +582,10 @@ class ServePipeline:
         if board.allow(self.method):
             budget = self._shard_budget(live)
             backend_kwargs = {}
-            if (
-                self.backend == "process"
-                and budget is None
-                and self.strategy_factory is None
-            ):
-                # Budgeted/deadline shards and stateful strategy
-                # factories are single-process by nature; those shards
-                # run serially, everything else goes to the pool.
+            if self.backend == "process" and budget is None:
+                # Budgeted/deadline shards are single-process by nature;
+                # those shards run serially, everything else goes to
+                # the pool.
                 backend_kwargs = {
                     "backend": "process", "pool": self._pool,
                     "shard_deadline": self.shard_deadline, "hedge": self.hedge,
@@ -605,7 +597,6 @@ class ServePipeline:
                     [q.key for q in live],
                     method=self.method,
                     budget=budget,
-                    strategy_factory=self.strategy_factory,
                     fault_injector=self.fault_injector,
                     observer=self.observer,
                     certify=self.certify,

@@ -184,12 +184,9 @@ class QueryService:
         pipeline shard per flush).
     max_wait_ms : float
         Longest a queued query waits before a partial batch flushes.
-    overload : OverloadController or None
-        ``None`` (default) builds an :class:`~repro.serve.overload.
-        OverloadController` from the ``codel_target_ms`` /
-        ``codel_interval_ms`` / ``shed_multiple`` /
-        ``degrade_budget_ms`` knobs; pass a controller to share one
-        across services.
+    codel_target_ms, codel_interval_ms, shed_multiple, degrade_budget_ms :
+        Knobs of the service's :class:`~repro.serve.overload.
+        OverloadController`.
     certify, collect_paths : bool
         Attach each answer's certificate / shortest path to its
         :class:`ServiceResult`.
@@ -215,7 +212,6 @@ class QueryService:
         certify: bool = False,
         collect_paths: bool = False,
         checkpoint_every: int | None = None,
-        overload=None,
         codel_target_ms: float = 100.0,
         codel_interval_ms: float = 1000.0,
         shed_multiple: float = 8.0,
@@ -233,19 +229,14 @@ class QueryService:
         self._real_clock = clock is None
         self.observer = observer
         self.backend = backend
-        if overload is not None:
-            self._overload = overload
-            if self._overload.observer is None:
-                self._overload.observer = observer
-        else:
-            self._overload = OverloadController(
-                clock=clock,
-                target_ms=codel_target_ms,
-                interval_ms=codel_interval_ms,
-                shed_multiple=shed_multiple,
-                degrade_budget_ms=degrade_budget_ms,
-                observer=observer,
-            )
+        self._overload = OverloadController(
+            clock=clock,
+            target_ms=codel_target_ms,
+            interval_ms=codel_interval_ms,
+            shed_multiple=shed_multiple,
+            degrade_budget_ms=degrade_budget_ms,
+            observer=observer,
+        )
 
         self._own_pool = False
         self._pool = pool

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import dijkstra
 from repro.core.batch import BATCH_METHODS, solve_batch
 from repro.core.engine import run_policy
-from repro.core.policies import MultiPPSP
+from repro.core.policies import BiDS, MultiPPSP
 from repro.core.query_graph import PATTERNS, QueryGraph
 from repro.core.stepping import DeltaStepping
 
@@ -96,15 +96,16 @@ class TestSolveBatch:
         with pytest.raises(ValueError, match="unknown batch method"):
             solve_batch(line_graph, [(0, 1)], method="magic")
 
-    def test_strategy_factory_used(self, small_road):
-        calls = []
+    def test_strategy_reset_per_run(self, small_road):
+        class CountingDelta(DeltaStepping):
+            resets = 0
 
-        def factory():
-            calls.append(1)
-            return DeltaStepping(25.0)
+            def reset(self):
+                CountingDelta.resets += 1
 
-        solve_batch(small_road, [(0, 5), (7, 9)], method="plain-bids", strategy_factory=factory)
-        assert len(calls) == 2  # one strategy per query
+        solve_batch(small_road, [(0, 5), (7, 9)], method="plain-bids",
+                    strategy=CountingDelta(25.0))
+        assert CountingDelta.resets == 2  # one shared strategy, reset per query
 
     def test_num_searches_accounting(self, small_road):
         qg = QueryGraph.star(0, [5, 9, 13])
@@ -173,6 +174,34 @@ class TestSolveBatch:
             res = solve_batch(g, qg, method=method)
             for key, val in ref.items():
                 assert res.distances[key] == pytest.approx(val), (method, key)
+
+
+class TestBatchBudget:
+    """A batch is exact when its runs finish on their own, even when they
+    spend the shared budget to its last unit."""
+
+    @pytest.mark.parametrize("limit", [{"max_steps": 11}, {"max_relaxations": 292}])
+    def test_budget_spent_exactly_is_exact(self, limit):
+        from repro.graphs import road_graph
+        from repro.robustness import Budget
+
+        g = road_graph(10, 10, seed=1)
+        run = run_policy(g, BiDS(0, 99))
+        assert (run.steps, run.relaxations) == (11, 292)
+        free = solve_batch(g, [(0, 99)], method="plain-bids")
+        res = solve_batch(g, [(0, 99)], method="plain-bids", budget=Budget(**limit))
+        assert res.exact
+        assert res.distance(0, 99) == free.distance(0, 99)
+        assert "budget_report" in res.details
+
+    def test_budget_one_step_short_is_inexact(self):
+        from repro.graphs import road_graph
+        from repro.robustness import Budget
+
+        g = road_graph(10, 10, seed=1)
+        res = solve_batch(g, [(0, 99)], method="plain-bids", budget=Budget(max_steps=10))
+        assert not res.exact
+        assert res.details["budget_report"].exhausted
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import dijkstra
-from repro.core.engine import PPSPEngine, run_policy
+from repro.core.engine import run_policy
 from repro.core.policies import BiDS, EarlyTermination, SsspPolicy
 from repro.core.stepping import BellmanFord, DeltaStepping
+from repro.robustness import Budget
 
 
 class TestBasicExecution:
@@ -45,8 +46,9 @@ class TestBasicExecution:
 
 class TestEngineOptions:
     def test_max_steps_truncates(self, small_road):
-        res = run_policy(small_road, SsspPolicy(0), max_steps=2)
+        res = run_policy(small_road, SsspPolicy(0), budget=Budget(max_steps=2))
         assert res.steps == 2
+        assert res.exhausted
 
     @pytest.mark.parametrize("mode", ["auto", "sparse", "dense"])
     def test_frontier_modes_agree(self, small_road, mode):
@@ -77,9 +79,9 @@ class TestEngineOptions:
         assert m.work > 0
 
     def test_engine_reusable_across_runs(self, small_road):
-        eng = PPSPEngine(small_road)
-        r1 = eng.run(SsspPolicy(0))
-        r2 = eng.run(SsspPolicy(5))
+        strategy = DeltaStepping(25.0)
+        r1 = run_policy(small_road, SsspPolicy(0), strategy=strategy)
+        r2 = run_policy(small_road, SsspPolicy(5), strategy=strategy)
         assert np.allclose(r1.distances_from(0), dijkstra(small_road, 0))
         assert np.allclose(r2.distances_from(0), dijkstra(small_road, 5))
 

@@ -21,6 +21,25 @@ class TestCorrectness:
             assert hot.distance == pytest.approx(cold.distance)
             assert hot.exact and not hot.cached
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_miss_equals_cold_ppsp(self, small_road, method):
+        """A warm miss is a cold ``ppsp`` call: same distance, counters,
+        path, and a certificate that checks."""
+        from repro.verify import CertificateChecker
+
+        engine = WarmEngine(small_road, verify_hits=True)
+        checker = CertificateChecker()
+        for s, t in [(0, 100), (5, 77), (140, 3)]:
+            cold = ppsp(small_road, s, t, method=method)
+            hot = engine.query(s, t, method=method, path=True, use_cache=False)
+            assert (hot.distance, hot.exact) == (cold.distance, cold.exact)
+            assert (hot.steps, hot.relaxations) == (cold.run.steps, cold.run.relaxations)
+            assert (hot.work, hot.depth) == (cold.run.meter.work, cold.run.meter.depth)
+            assert hot.path() == cold.path()
+            report = checker.check(small_road, hot.certificate,
+                                   expected_distance=hot.distance)
+            assert report.valid
+
     def test_path_capture(self, small_road):
         engine = WarmEngine(small_road)
         cold = ppsp(small_road, 0, 100, method="bids")
@@ -86,7 +105,7 @@ class TestResultCache:
         def no_run(*args, **kwargs):
             raise AssertionError("a cache hit ran the engine")
 
-        monkeypatch.setattr(engine._engine, "run", no_run)
+        monkeypatch.setattr("repro.api.run_policy", no_run)
         assert engine.query(0, 100).cached
 
     def test_path_upgrade_misses_then_stores(self, small_road):

@@ -202,12 +202,3 @@ class TestServiceIntegration:
         assert stats["degraded"] == 1
         assert stats["overload"]["decisions"]["inexact"] == 1
         svc.close()
-
-    def test_shared_controller_backfills_observer(self, serve_graph):
-        from repro.obs import Observer
-
-        obs = Observer()
-        ctl = OverloadController(clock=SimClock())
-        svc, _ = _service(serve_graph, overload=ctl, observer=obs)
-        assert ctl.observer is obs
-        svc.close()

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import dijkstra
-from repro.core.engine import PPSPEngine, run_policy
+from repro.core.engine import run_policy
 from repro.core.policies import BiDAStar, BiDS, EarlyTermination, MultiPPSP, SsspPolicy
 from repro.core.query_graph import QueryGraph
-from repro.core.stepping import BellmanFord, DeltaStepping
+from repro.core.stepping import BellmanFord, DeltaStepping, default_strategy
 from repro.graphs import build_graph, from_edges, road_graph, social_graph
+from repro.robustness import Budget
 
 # Nightly suite: excluded from tier-1 by the default `-m` filter.
 pytestmark = pytest.mark.slow
@@ -26,7 +27,7 @@ class TestPartialRunInvariants:
     @pytest.mark.parametrize("steps", [1, 2, 5, 10])
     def test_tentative_distances_admissible(self, small_road, steps):
         ref = dijkstra(small_road, 0)
-        res = run_policy(small_road, SsspPolicy(0), max_steps=steps)
+        res = run_policy(small_road, SsspPolicy(0), budget=Budget(max_steps=steps))
         got = res.distances_from(0)
         finite = np.isfinite(got)
         assert (got[finite] >= ref[finite] - 1e-9).all()
@@ -35,11 +36,11 @@ class TestPartialRunInvariants:
     def test_bids_mu_always_upper_bound(self, small_road, steps):
         s, t = 0, 100
         ref = dijkstra(small_road, s)[t]
-        res = run_policy(small_road, BiDS(s, t), max_steps=steps)
+        res = run_policy(small_road, BiDS(s, t), budget=Budget(max_steps=steps))
         assert res.answer >= ref - 1e-9
 
     def test_resuming_semantics_complete_run_exact(self, small_road):
-        """A run without max_steps is a fixpoint: a second engine pass
+        """A run without a budget is a fixpoint: a second engine pass
         started from scratch reproduces identical distances."""
         a = run_policy(small_road, SsspPolicy(3)).distances_from(0)
         b = run_policy(small_road, SsspPolicy(3)).distances_from(0)
@@ -146,11 +147,11 @@ class TestModerateScale:
             assert d == pytest.approx(dijkstra(big_road, s)[t])
 
     def test_engine_reuse_many_queries(self, big_road):
-        eng = PPSPEngine(big_road)
+        strategy = default_strategy(big_road)
         rng = np.random.default_rng(5)
         for _ in range(5):
             s, t = (int(x) for x in rng.integers(0, big_road.num_vertices, 2))
-            got = eng.run(BiDS(s, t)).answer
+            got = run_policy(big_road, BiDS(s, t), strategy=strategy).answer
             assert got == pytest.approx(dijkstra(big_road, s)[t])
 
 
