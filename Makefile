@@ -30,18 +30,19 @@ serve:
 test-slow:
 	$(PYTHON) -m pytest tests/ -m slow
 
-# Multi-process backend suites: differential serial-vs-pool determinism,
-# worker-kill chaos, and shared-memory leak checks (fork-heavy, not
-# tier-1; POOL_SMOKE=1 trims the matrix to the CI slice).
+# Multi-process backend suites: the conformance matrix's process-pool
+# cells (answer records byte-equal to serial), worker-kill chaos, and
+# shared-memory leak checks (fork-heavy, not tier-1; POOL_SMOKE=1 trims
+# the matrix cells to the CI slice).
 test-pool:
-	$(PYTHON) -m pytest tests/parallel/test_pool_differential.py \
-		tests/parallel/test_pool_chaos.py tests/graphs/test_shm.py -q -m ''
+	$(PYTHON) -m pytest tests/test_conformance.py -q -m pool
+	$(PYTHON) -m pytest tests/parallel/test_pool_chaos.py tests/graphs/test_shm.py -q -m ''
 
-# Query-service process-pool suites: the differential invariant (service
-# answers bit-identical to serial replays of its own coalesced batches)
-# re-checked with execution on a persistent warm pool at 1 and 2 workers.
+# The conformance matrix's query-service cells on a process pool: service
+# answers bit-identical to serial replays of its own coalesced batches,
+# on a persistent warm pool at 1 and 2 workers.
 test-service:
-	$(PYTHON) -m pytest tests/serve/test_service_differential.py -q -m ''
+	$(PYTHON) -m pytest tests/test_conformance.py -q -m service
 
 # Straggler chaos: a pool worker stalls mid-shard (never killed) across
 # every batch method x 1/2/4 workers — hedged runs beat the stall with
@@ -53,11 +54,12 @@ test-hedge:
 
 # Scatter-min kernel suites: byte-for-byte property checks of the
 # sort_reduceat kernel against the np.minimum.at oracle kept in
-# tests/kernels/, plus the differential slice (every single-query and
-# batch method run with the oracle through kernel=, distances and
-# paths byte-equal to default runs).
+# tests/kernels/, plus the conformance matrix's kernel cells (every
+# single-query and batch method run with the oracle through kernel=,
+# distances, paths and answer records byte-equal to default runs).
 test-kernels:
 	$(PYTHON) -m pytest tests/kernels/ -q
+	$(PYTHON) -m pytest tests/test_conformance.py -q -k kernel
 
 # Deterministic soak harness: N seeded clients, a 2-worker pool,
 # injected worker SIGKILLs, and clock-driven deadline expiry.  Zero

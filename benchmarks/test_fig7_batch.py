@@ -30,4 +30,4 @@ def test_batch_pattern(benchmark, road, batch_vertices, pattern, method):
     # Cross-check against Multi-BiDS once per cell.
     ref = solve_batch(road, qg, method="multi", strategy=DeltaStepping(delta))
     for key, val in res.distances.items():
-        assert val == pytest.approx(ref.distances[key], rel=1e-6)
+        assert val == pytest.approx(ref.distance(*key), rel=1e-6)

@@ -81,7 +81,7 @@ def main() -> None:
     vc = repro.batch_ppsp(graph, qg, method="sssp-vc")
     print(f"\nMulti-BiDS ({multi.num_searches} searches) vs VC-SSSP ({vc.num_searches} SSSPs):")
     for s, t in pairs:
-        dm, dv = multi.distances[(s, t)], vc.distances[(s, t)]
+        dm, dv = multi.distance(s, t), vc.distance(s, t)
         assert abs(dm - dv) < 1e-6
         print(f"  {s:5d} -> {t:5d}: {dm:9.1f} m")
     print("\nboth strategies agree on every directed query")

@@ -42,6 +42,7 @@ from .core import (
     DeltaStepping,
     EarlyTermination,
     MultiPPSP,
+    QueryAnswer,
     QueryGraph,
     solve_batch,
     sssp,
@@ -75,7 +76,7 @@ from .verify import (
     build_certificate,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "ppsp",
@@ -89,6 +90,7 @@ __all__ = [
     "validate_query",
     "Graph",
     "QueryGraph",
+    "QueryAnswer",
     "solve_batch",
     "sssp",
     "EarlyTermination",

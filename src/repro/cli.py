@@ -98,7 +98,7 @@ def _cmd_query(args) -> int:
             graph, [(args.source, args.target)], method="plain-bids",
             backend="process", workers=args.workers,
         )
-        dist = res.distances[(args.source, args.target)]
+        dist = res.distance(args.source, args.target)
         payload = {
             "source": args.source,
             "target": args.target,
@@ -375,14 +375,10 @@ def _cmd_serve_batch(args) -> int:
         "checkpoints_written": res.checkpoints_written,
         "resumed_queries": res.resumed_queries,
         "breakers": res.breaker_states,
-        "shed": [f"{s}->{t}" for s, t in res.shed],
+        "shed": [f"{s}->{t}" for (s, t), a in res.answers.items() if a.outcome == "shed"],
         "results": {
-            f"{s}->{t}": {
-                "distance": res.distances[(s, t)],
-                "exact": res.exact[(s, t)],
-                "outcome": res.outcomes[(s, t)],
-            }
-            for (s, t) in sorted(res.distances)
+            f"{s}->{t}": {"distance": a.distance, "exact": a.exact, "outcome": a.outcome}
+            for (s, t), a in sorted(res.answers.items()) if a.outcome != "shed"
         },
     }
     if args.checkpoint:

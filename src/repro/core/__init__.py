@@ -1,5 +1,6 @@
 """Orionet core: the PPSP framework, its policies, and batch solvers."""
 
+from .answer import QueryAnswer
 from .batch import BATCH_METHODS, BatchResult, solve_batch
 from .engine import RunResult, run_policy
 from .frontier import Frontier
@@ -35,6 +36,7 @@ __all__ = [
     "vertex_cover",
     "PATTERNS",
     "BatchResult",
+    "QueryAnswer",
     "solve_batch",
     "BATCH_METHODS",
     "ssmt",

@@ -24,9 +24,10 @@ backend runs the units inline; the process backend
 tasks whose workers call the same :func:`run_unit`, so the two backends
 agree bit for bit by construction.
 
-Each solve returns a :class:`BatchResult` carrying per-query distances
-and the run's work/depth meter, so simulated parallel times are directly
-comparable across strategies.
+Each solve returns a :class:`BatchResult` carrying one
+:class:`~repro.core.answer.QueryAnswer` per query, built by the unit
+that answered it, and the run's work/depth meter, so simulated parallel
+times are directly comparable across strategies.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..parallel.cost_model import WorkDepthMeter
+from .answer import AnswerLookup, QueryAnswer
 from .engine import run_policy
 from .paths import PathError, stitch_bidirectional_path, walk_path
 from .policies import BiDS, MultiPPSP, SsspPolicy
@@ -62,53 +64,26 @@ _PLAIN = ("plain-bids", "plain-star-bids")
 
 
 @dataclass
-class BatchResult:
-    """Answers for one batch: ``distances[(s, t)]`` per queried pair.
+class BatchResult(AnswerLookup):
+    """Answers for one batch: one :class:`QueryAnswer` per stored key.
 
-    ``exact`` is False when an execution budget stopped one of the
-    batch's runs: the recorded distances are then the searches' current
-    upper bounds (``inf`` for queries the budget never reached) and
-    ``details["budget_report"]`` says which limit tripped.
+    Each record's ``exact`` comes from the unit run that answered it.
+    A run an execution budget cut answers its current upper bounds
+    (``inf`` for queries it never reached) with ``exact=False``, and
+    ``details["budget_report"]`` says which limit tripped.  ``exact``
+    and ``distances`` are read-only views over ``answers``.
     """
 
-    distances: dict[tuple[int, int], float]
+    answers: dict[tuple[int, int], QueryAnswer]
     meter: WorkDepthMeter
     method: str
     num_searches: int
     details: dict = field(default_factory=dict)
-    exact: bool = True
-    shed: set = field(default_factory=set)
-    #: per-pair :class:`repro.verify.Certificate`, keyed like
-    #: ``distances``; populated by ``solve_batch(..., certify=True)``.
-    certificates: dict | None = field(default=None, repr=False)
     #: a directed batch answers each pair in its asked orientation only.
     directed: bool = False
-    #: stored key -> the :class:`UnitResult` that answered it.
-    _path_state: dict | None = field(default=None, repr=False)
-
-    def _keys(self, s: int, t: int) -> tuple:
-        """Lookup keys for one pair: also the reversed one when undirected."""
-        return ((s, t),) if self.directed else ((s, t), (t, s))
-
-    def distance(self, s: int, t: int) -> float:
-        """The answered distance for one queried pair.
-
-        An undirected batch answers either orientation; a directed one
-        only the pair as asked.  Pairs the serve pipeline shed (or
-        otherwise never reached — see ``shed``) return ``inf``: they
-        were part of the batch but carry no answer.  A pair that was
-        never in the batch at all raises a ``ValueError`` naming it,
-        rather than a bare ``KeyError`` on the reversed key.
-        """
-        s, t = int(s), int(t)
-        keys = self._keys(s, t)
-        for key in keys:
-            if key in self.distances:
-                return self.distances[key]
-        for key in keys:
-            if key in self.shed:
-                return float("inf")
-        raise ValueError(f"pair ({s}, {t}) was never part of this batch")
+    #: the :class:`UnitResult` list paths are walked from (``None`` for
+    #: the plain modes, which keep no per-query search state).
+    _units: list | None = field(default=None, repr=False)
 
     def path(self, s: int, t: int) -> list[int]:
         """A shortest vertex path for one queried pair.
@@ -118,8 +93,7 @@ class BatchResult:
         over the covering row).  The plain per-query BiDS modes discard
         per-query state; use ``multi`` when paths are needed.
         """
-        units = self._path_state
-        if units is None:
+        if self._units is None:
             raise NotImplementedError(
                 f"paths are not retained by method {self.method!r}; "
                 "use method='multi' or an SSSP-based method"
@@ -127,11 +101,12 @@ class BatchResult:
         if s == t:
             return [int(s)]
         for key in self._keys(s, t):
-            if key in units:
-                path = units[key].path(key)
-                if path is None:
-                    raise PathError(f"no shortest path found for query {key}")
-                return list(path) if key == (s, t) else list(path)[::-1]
+            for unit in self._units:
+                if key in unit.answers:
+                    path = unit.path(key)
+                    if path is None:
+                        raise PathError(f"no shortest path found for query {key}")
+                    return list(path) if key == (s, t) else list(path)[::-1]
         raise KeyError(f"({s}, {t}) was not part of this batch")
 
 
@@ -178,20 +153,18 @@ class BatchPlan:
 
 @dataclass
 class UnitResult:
-    """One unit's answers, meter, certificates and path state.
+    """One unit's answer records, meter and path state.
 
     Paths are walked on demand from the unit's distance ``rows`` and
     cached in ``paths``; :meth:`detach` walks them all and drops the
     rows, which is the compact form a pool worker sends back.
     """
 
-    distances: dict
+    answers: dict
     meter: WorkDepthMeter
-    exact: bool
     num_searches: int
     steps: int
     relaxations: int
-    certificates: dict | None = None
     paths: dict = field(default_factory=dict)
     rows: np.ndarray | None = field(default=None, repr=False)
     _walk: object = field(default=None, repr=False)
@@ -208,7 +181,7 @@ class UnitResult:
     def detach(self) -> "UnitResult":
         """Walk every path now and drop the rows; returns ``self``."""
         if self._walk is not None:
-            for key in self.distances:
+            for key in self.answers:
                 self.path(key)
         self.rows = self._walk = None
         return self
@@ -250,17 +223,17 @@ def solve_batch(
 
     ``budget`` (a :class:`repro.robustness.Budget`) is shared across the
     whole batch: one meter covers every engine run, and a run the meter
-    stops degrades the result gracefully (``exact=False``, current
-    upper bounds, ``inf`` for unreached queries).  Exactness comes from
-    the runs, so a batch whose runs all finish on their own is exact
-    even when they spend the budget to its last unit.
+    cuts degrades its own answers gracefully (``exact=False``, current
+    upper bounds, ``inf`` for unreached queries).  Each answer's
+    exactness comes from its run, so a run that finishes on its own is
+    exact even when it spends the budget to its last unit.
 
     ``observer`` (a :class:`repro.obs.Observer`) is threaded into every
     engine run this batch launches and receives one ``on_batch``
     notification for the combined result.
 
-    ``certify=True`` attaches a :class:`repro.verify.Certificate` per
-    answered pair (``BatchResult.certificates``): witness path plus
+    ``certify=True`` attaches a :class:`repro.verify.Certificate` to
+    each pair's :class:`QueryAnswer`: witness path plus
     relaxation facts sampled from the settled frontiers, built while the
     solver's dist rows are still alive.  Budget-degraded answers get
     one-sided upper-bound certificates.
@@ -297,7 +270,7 @@ def solve_batch(
         queries = list(queries)
         if len(queries) == 0:
             return BatchResult(
-                distances={},
+                answers={},
                 meter=WorkDepthMeter(),
                 method=method,
                 num_searches=0,
@@ -501,27 +474,22 @@ def run_unit(graph, unit: BatchUnit, *, strategy=None, certify: bool = False,
              **engine_kwargs) -> UnitResult:
     """Answer one unit with one engine run (serial inline, or in a worker).
 
-    With ``certify`` (and ``track_processed=True`` among the engine
-    kwargs) each answer gets its certificate while the run's rows are
-    alive; the witness path is walked once and shared by the
+    Each key's :class:`QueryAnswer` is built here, so its ``exact`` is
+    its own run's.  With ``certify`` (and ``track_processed=True`` among
+    the engine kwargs) each answer gets its certificate while the run's
+    rows are alive; the witness path is walked once and shared by the
     certificate and the unit's path cache.
     """
-    certs: dict | None = None
     if certify:
         from ..verify import build_certificate, certificate_for_run  # lazy: verify imports obs
-
-        certs = {}
     if unit.method in _PLAIN:
         (key,) = unit.pairs
         s, t = key
         res = run_policy(graph, BiDS(s, t), strategy=strategy, **engine_kwargs)
-        if certs is not None:
-            certs[key] = certificate_for_run(
-                graph, s, t, "bids", float(res.answer), not res.exhausted, res
-            )
+        d, exact = float(res.answer), not res.exhausted
+        cert = certificate_for_run(graph, s, t, "bids", d, exact, res) if certify else None
         return UnitResult(
-            {key: res.answer}, res.meter, not res.exhausted, 2,
-            res.steps, res.relaxations, certs,
+            {key: QueryAnswer.of(d, exact, cert)}, res.meter, 2, res.steps, res.relaxations,
         )
 
     if unit.method == "multi":
@@ -530,19 +498,19 @@ def run_unit(graph, unit: BatchUnit, *, strategy=None, certify: bool = False,
         index = dict(zip(unit.pairs, qg.edges))
         dist = res.dist  # the walk keeps the rows alive, not the whole run
         out = UnitResult(
-            res.answer, res.meter, not res.exhausted, qg.num_vertices,
-            res.steps, res.relaxations, certs, rows=dist,
+            {}, res.meter, qg.num_vertices, res.steps, res.relaxations, rows=dist,
             _walk=lambda key: _stitch(graph, dist, index[key], key),
         )
-        if certs is not None:
-            exact, pd = out.exact, res.processed_dist
-            for key, (i, j) in index.items():
-                d = res.answer[key]
+        exact, pd = not res.exhausted, res.processed_dist
+        for key, (i, j) in index.items():
+            d = res.answer[key]
+            cert = None
+            if certify:
                 # Row j is the target copy's search, over the reverse
                 # orientation for a directed backward copy (Sec. 4.4).
                 rev_j = bool(graph.directed and qg.direction is not None
                              and qg.direction[j] < 0)
-                certs[key] = build_certificate(
+                cert = build_certificate(
                     graph, key[0], key[1], "multi", d, exact,
                     dist_forward=res.dist[i],
                     dist_backward=res.dist[j],
@@ -552,6 +520,7 @@ def run_unit(graph, unit: BatchUnit, *, strategy=None, certify: bool = False,
                     mu=d if exact else None,
                     path=out.path(key) if np.isfinite(d) else None,
                 )
+            out.answers[key] = QueryAnswer.of(d, exact, cert)
         return out
 
     g = graph.reverse() if unit.reverse else graph
@@ -559,26 +528,29 @@ def run_unit(graph, unit: BatchUnit, *, strategy=None, certify: bool = False,
     row = res.distances_from(0)
     forward = dict(zip(unit.pairs, unit.forward))
     out = UnitResult(
-        {(s, t): float(row[t] if forward[(s, t)] else row[s]) for s, t in unit.pairs},
-        res.meter, not res.exhausted, 1, res.steps, res.relaxations, certs, rows=row,
+        {}, res.meter, 1, res.steps, res.relaxations, rows=row,
         _walk=lambda key: _walk_row(g, row, forward[key], key),
     )
-    if certs is not None:
-        prow = None if res.processed_dist is None else res.processed_dist[0]
-        for key in unit.pairs:
-            d = out.distances[key]
+    exact = not res.exhausted
+    prow = None if res.processed_dist is None else res.processed_dist[0]
+    for key in unit.pairs:
+        s, t = key
+        d = float(row[t] if forward[key] else row[s])
+        cert = None
+        if certify:
             path = out.path(key) if np.isfinite(d) else None
             if forward[key]:
-                certs[key] = build_certificate(
-                    graph, key[0], key[1], unit.method, d, out.exact,
+                cert = build_certificate(
+                    graph, s, t, unit.method, d, exact,
                     dist_forward=row, processed_forward=prow, path=path,
                 )
             else:
-                certs[key] = build_certificate(
-                    graph, key[0], key[1], unit.method, d, out.exact,
+                cert = build_certificate(
+                    graph, s, t, unit.method, d, exact,
                     dist_backward=row, backward_reversed=unit.reverse,
                     processed_backward=prow, path=path,
                 )
+        out.answers[key] = QueryAnswer.of(d, exact, cert)
     return out
 
 
@@ -611,28 +583,20 @@ def reassemble(graph, plan: BatchPlan, results: list[UnitResult], *,
                certify: bool = False) -> BatchResult:
     """Merge unit results into one :class:`BatchResult`.
 
-    Keys come out in the plan's order with their unit's distance and
-    certificate; meters fold concurrently within a plan group and
-    sequentially across groups, a lone meter passing through as is.
+    Keys come out in the plan's order with the record their unit built;
+    meters fold concurrently within a plan group and sequentially across
+    groups, a lone meter passing through as is.
     """
-    distances: dict[tuple[int, int], float] = {}
-    certs: dict | None = None
     if certify:
         from ..verify import build_certificate  # lazy: verify imports obs
-
-        certs = {}
-    units: dict = {}
+    answers: dict[tuple[int, int], QueryAnswer] = {}
     for key, u in plan.owner.items():
-        if u is None:
-            distances[key] = 0.0
-            if certs is not None:
-                certs[key] = build_certificate(graph, key[0], key[1], plan.method, 0.0, True)
-            continue
-        res = results[u]
-        distances[key] = res.distances[key]
-        if certs is not None:
-            certs[key] = res.certificates[key]
-        units[key] = res
+        if u is not None:
+            answers[key] = results[u].answers[key]
+        else:
+            cert = (build_certificate(graph, key[0], key[1], plan.method, 0.0, True)
+                    if certify else None)
+            answers[key] = QueryAnswer(0.0, certificate=cert)
     meter = _merge(
         [_merge([results[u].meter for u in group], plan.parallel) for group in plan.groups],
         False,
@@ -646,14 +610,12 @@ def reassemble(graph, plan: BatchPlan, results: list[UnitResult], *,
         details["steps"] = sum(res.steps for res in results)
         details["relaxations"] = sum(res.relaxations for res in results)
     return BatchResult(
-        distances=distances,
+        answers=answers,
         meter=meter,
         method=plan.method,
         num_searches=sum(res.num_searches for res in results),
-        exact=all(res.exact for res in results),
         details=details,
-        certificates=certs,
-        _path_state=None if plan.method in _PLAIN else units,
+        _units=None if plan.method in _PLAIN else results,
     )
 
 

@@ -122,8 +122,9 @@ def run_policy(
         Execution budget (:mod:`repro.robustness.budget`), the one way to
         cut a run short.  A ``Budget`` spec is started fresh for this
         run; a live ``BudgetMeter`` is charged in place, letting several
-        runs share one budget.  Exhaustion stops the run at a step
-        boundary with ``RunResult.exhausted``.
+        runs share one budget.  A reached limit stops the run at a step
+        boundary; unless the policy is ``finished()`` there, the run
+        was cut and reports ``RunResult.exhausted``.
     auditor : InvariantAuditor or None
         Checked mode (:mod:`repro.robustness.auditor`): verify framework
         invariants after every step, raising ``InvariantViolation``.
@@ -195,10 +196,12 @@ def run_policy(
     exhausted_reason = None
     empty = np.empty(0, dtype=np.int64)
     while len(frontier):
-        if bmeter is not None:
-            exhausted_reason = bmeter.check()
-            if exhausted_reason is not None:
-                break
+        if bmeter is not None and bmeter.reached() is not None:
+            # A spent budget cuts the run only while work is left: a
+            # run that ends at this boundary finished within it.
+            if not policy.finished(frontier.ids(), dist):
+                exhausted_reason = bmeter.check()
+            break
         if fault_injector is not None:
             fault_injector.on_step_start(steps, dist, frontier, policy)
         current = frontier.ids()

@@ -54,7 +54,7 @@ def collect(
             multi = solve_batch(g, qg, method="multi", strategy=DeltaStepping(delta))
             sssp = solve_batch(g, qg, method="sssp-plain", strategy=DeltaStepping(delta))
             for key, val in multi.distances.items():
-                ref = sssp.distances[key]
+                ref = sssp.distance(*key)
                 if not np.isclose(val, ref, rtol=1e-9, atol=1e-9):
                     raise AssertionError(f"{spec.name} k={k} {key}: {val} != {ref}")
             ratio = multi.meter.simulated_time(processors) / sssp.meter.simulated_time(

@@ -133,11 +133,11 @@ def stats_workload(
         )
         with obs.span("serve-batch") as span:
             res = pipe.run(pairs)
-            span.exact = all(res.exact.values()) if res.exact else True
+            span.exact = res.exact
         sim.advance(10.0)  # past the cooldown: next run probes half-open
         with obs.span("serve-batch") as span:
             res = pipe.run(pairs)
-            span.exact = all(res.exact.values()) if res.exact else True
+            span.exact = res.exact
 
     if verify and len(pairs) >= 2:
         # The verification story, two acts: a clean verified run proves
@@ -152,7 +152,7 @@ def stats_workload(
             res = ServePipeline(
                 graph, method="multi", verify=True, observer=obs
             ).run(pairs)
-            span.exact = all(res.exact.values()) if res.exact else True
+            span.exact = res.exact
         pipe = ServePipeline(
             graph,
             method="multi",
@@ -164,7 +164,7 @@ def stats_workload(
         )
         with obs.span("serve-verify") as span:
             res = pipe.run(pairs)
-            span.exact = all(res.exact.values()) if res.exact else True
+            span.exact = res.exact
 
     if hedge:
         # The straggler story, on the simulated shard transport so no

@@ -301,7 +301,7 @@ class WarmEngine:
     def batch(self, queries, *, method: str = "multi", **kwargs) -> BatchResult:
         """Answer a batch of (s, t) pairs through :func:`solve_batch`.
 
-        The result keeps its path state, like a cold batch.  The
+        The result keeps its path state, like a cold batch.  The exact
         per-pair answers are folded into the result cache under their
         single-query method equivalents, so a later
         ``query(s, t, method='bids')`` hits.
@@ -315,13 +315,11 @@ class WarmEngine:
             # Certified folds: later verified hits need evidence.
             kwargs.setdefault("certify", True)
         res = solve_batch(self.graph, queries, method=method, **kwargs)
-        if res.exact:
-            certs = res.certificates or {}
-            for (s, t), d in res.distances.items():
+        for (s, t), ans in res.answers.items():
+            if ans.exact:
                 cached = WarmAnswer(
                     source=int(s), target=int(t), method="bids",
-                    distance=float(d), exact=True,
-                    certificate=certs.get((s, t)),
+                    distance=ans.distance, exact=True, certificate=ans.certificate,
                 )
                 self.results.put(int(s), int(t), "bids", cached)
         return res

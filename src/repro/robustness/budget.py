@@ -94,10 +94,13 @@ class BudgetReport:
 class BudgetMeter:
     """Stateful consumption tracker for one :class:`Budget`.
 
-    The engine calls :meth:`check` at each step boundary and
+    The engine asks :meth:`reached` at each step boundary and
     :meth:`charge` after the step's work is known, so a budget may
     overshoot by at most one step's relaxations — bounded slop in
     exchange for never interrupting a half-applied ``write_min`` batch.
+    A reached limit cuts a run only while the run has work left; the
+    engine then trips :meth:`check`, which records the reason.  A run
+    that spends its budget to the last unit and finishes is not cut.
     """
 
     budget: Budget
@@ -122,30 +125,35 @@ class BudgetMeter:
 
     @property
     def exhausted(self) -> bool:
-        return self.check() is not None
+        """True once a tripped check cut a run short."""
+        return self.reason is not None
+
+    def reached(self) -> str | None:
+        """The limit the counters have reached, or ``None``; records nothing."""
+        b = self.budget
+        if b.max_steps is not None and self.steps >= b.max_steps:
+            return f"max_steps={b.max_steps} reached"
+        if b.max_relaxations is not None and self.relaxations >= b.max_relaxations:
+            return f"max_relaxations={b.max_relaxations} reached"
+        if b.wall_time is not None and self.elapsed >= b.wall_time:
+            return f"wall_time={b.wall_time}s reached"
+        return None
 
     def check(self) -> str | None:
-        """The exhaustion reason, or ``None`` while within budget.
+        """Trip: record the reached limit as the reason a run was cut.
 
         Sticky: once a limit trips, later calls keep reporting it even
         if counters were somehow reduced.
         """
-        if self.reason is not None:
-            return self.reason
-        b = self.budget
-        if b.max_steps is not None and self.steps >= b.max_steps:
-            self.reason = f"max_steps={b.max_steps} reached"
-        elif b.max_relaxations is not None and self.relaxations >= b.max_relaxations:
-            self.reason = f"max_relaxations={b.max_relaxations} reached"
-        elif b.wall_time is not None and self.elapsed >= b.wall_time:
-            self.reason = f"wall_time={b.wall_time}s reached"
+        if self.reason is None:
+            self.reason = self.reached()
         return self.reason
 
     def report(self) -> BudgetReport:
-        reason = self.check()
+        """What was consumed; ``exhausted`` only when a check tripped."""
         return BudgetReport(
-            exhausted=reason is not None,
-            reason=reason,
+            exhausted=self.reason is not None,
+            reason=self.reason,
             steps=self.steps,
             relaxations=self.relaxations,
             elapsed=self.elapsed,

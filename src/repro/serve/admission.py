@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.answer import FAILED, INEXACT, OK, OUTCOMES, REPAIRED, SHED, TIMEOUT
+
 __all__ = [
     "ServeQuery",
     "AdmissionController",
@@ -28,15 +30,6 @@ __all__ = [
     "REPAIRED",
     "OUTCOMES",
 ]
-
-#: terminal per-query outcomes recorded by the pipeline.
-OK = "ok"              # exact answer
-INEXACT = "inexact"    # budget/deadline-limited: the answer is an upper bound
-SHED = "shed"          # refused by admission control (never executed)
-TIMEOUT = "timeout"    # deadline expired before execution began
-FAILED = "failed"      # every rung errored; no answer at all
-REPAIRED = "repaired"  # verification refuted the answer; exact recompute healed it
-OUTCOMES = (OK, INEXACT, SHED, TIMEOUT, FAILED, REPAIRED)
 
 
 @dataclass

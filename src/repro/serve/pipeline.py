@@ -47,17 +47,17 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..api import validate_query
-from ..core.batch import BATCH_METHODS, BatchResult, solve_batch
+from ..core.answer import AnswerLookup, QueryAnswer
+from ..core.batch import BATCH_METHODS, solve_batch
 from ..parallel.cost_model import WorkDepthMeter
 from ..robustness.budget import Budget
 from ..robustness.clock import as_clock
 from ..robustness.resilient import DEFAULT_CHAIN, resilient_ppsp
 from .admission import (
     FAILED,
-    INEXACT,
     OK,
     REPAIRED,
     SHED,
@@ -76,28 +76,20 @@ SERVE_METHODS = BATCH_METHODS + ("resilient",)
 
 
 @dataclass
-class PipelineResult:
+class PipelineResult(AnswerLookup):
     """Everything one pipeline run produced, per query and in aggregate.
 
-    ``distances`` holds a value for every *executed* query (``inf`` for
-    unreachable or timed-out ones); shed queries appear only in
-    ``shed``/``outcomes``.  ``exact[key]`` is False when that query's
-    answer is a budget/deadline-limited upper bound.
+    ``answers`` holds one :class:`~repro.core.answer.QueryAnswer` per
+    submitted query: executed ones (``inf`` for unreachable, timed-out
+    or failed queries) and shed ones (outcome ``shed``, ``inf``).  A
+    record carries its certificate when the pipeline runs with
+    ``certify``/``verify`` (resumed-from-checkpoint queries carry none)
+    and its path under ``collect_paths``.  ``distances`` and ``exact``
+    are read-only views over the executed records.
     """
 
     method: str
-    distances: dict[tuple[int, int], float]
-    exact: dict[tuple[int, int], bool]
-    outcomes: dict[tuple[int, int], str]
-    #: per-query :class:`~repro.verify.Certificate` (or ``None``),
-    #: populated when the pipeline runs with ``certify``/``verify``;
-    #: resumed-from-checkpoint queries carry no certificate.
-    certificates: dict = field(default_factory=dict)
-    #: per-query shortest vertex path (or ``None`` when the method
-    #: does not retain path state), populated under ``collect_paths``.
-    paths: dict = field(default_factory=dict)
-    shed: list[tuple[int, int]] = field(default_factory=list)
-    timeouts: list[tuple[int, int]] = field(default_factory=list)
+    answers: dict[tuple[int, int], QueryAnswer] = field(default_factory=dict)
     checkpoints_written: int = 0
     resumed_queries: int = 0
     breaker_states: dict[str, str] = field(default_factory=dict)
@@ -110,26 +102,9 @@ class PipelineResult:
     def counts(self) -> dict[str, int]:
         """Queries per outcome (including shed), for logs and the CLI."""
         out: dict[str, int] = {}
-        for status in self.outcomes.values():
-            out[status] = out.get(status, 0) + 1
+        for ans in self.answers.values():
+            out[ans.outcome] = out.get(ans.outcome, 0) + 1
         return dict(sorted(out.items()))
-
-    def distance(self, s: int, t: int) -> float:
-        """Per-pair lookup with the same semantics as ``BatchResult``."""
-        return self.to_batch_result().distance(s, t)
-
-    def to_batch_result(self) -> BatchResult:
-        """The run as a :class:`~repro.core.batch.BatchResult` façade."""
-        return BatchResult(
-            distances=dict(self.distances),
-            meter=self.meter,
-            method=f"serve:{self.method}",
-            num_searches=int(self.details.get("num_searches", 0)),
-            exact=all(self.exact.values()) if self.exact else True,
-            details=dict(self.details),
-            shed=set(self.shed),
-            directed=self.directed,
-        )
 
 
 class ServePipeline:
@@ -203,14 +178,14 @@ class ServePipeline:
         different tolerance); a default one is built when ``verify``
         is set.
     certify : bool
-        Request certificates from every solver and record them in
-        ``PipelineResult.certificates`` *without* the verification
+        Request certificates from every solver and record them on each
+        query's answer *without* the verification
         stage — what the query service uses to hand certificates back
         per future.  Implied by ``verify``.
     collect_paths : bool
-        Record each executed query's shortest vertex path in
-        ``PipelineResult.paths`` (``None`` for methods that discard
-        path state, e.g. the plain BiDS modes, and for timeouts).
+        Record each executed query's shortest vertex path on its answer
+        (``None`` for methods that discard path state, e.g. the plain
+        BiDS modes, and for timeouts).
     """
 
     def __init__(
@@ -337,10 +312,7 @@ class ServePipeline:
         """Answer the batch; see the class docstring for the guarantees."""
         obs = self.observer
         submitted = self._normalize(queries)
-        result = PipelineResult(
-            method=self.method, distances={}, exact={}, outcomes={},
-            directed=self.graph.directed,
-        )
+        result = PipelineResult(method=self.method, directed=self.graph.directed)
         self._meter = result.meter
         self._num_searches = 0
         self._vcounts = {
@@ -353,8 +325,7 @@ class ServePipeline:
 
         admitted, shed = AdmissionController(self.max_queue).admit(submitted)
         for q in shed:
-            result.outcomes[q.key] = SHED
-            result.shed.append(q.key)
+            result.answers[q.key] = QueryAnswer(math.inf, False, SHED)
             if obs is not None:
                 obs.on_serve_query(SHED)
 
@@ -390,18 +361,10 @@ class ServePipeline:
                         shard_results = self._process_shard(shard)
                 else:
                     shard_results = self._process_shard(shard)
-                for key, (dist, exact, status, cert, path) in shard_results.items():
-                    result.distances[key] = dist
-                    result.exact[key] = exact
-                    result.outcomes[key] = status
-                    if self.certify:
-                        result.certificates[key] = cert
-                    if self.collect_paths:
-                        result.paths[key] = path
-                    if status == TIMEOUT:
-                        result.timeouts.append(key)
+                for key, ans in shard_results.items():
+                    result.answers[key] = ans
                     if obs is not None:
-                        obs.on_serve_query(status)
+                        obs.on_serve_query(ans.outcome)
                 completed.add(si)
                 if store is not None:
                     self._checkpoint(store, fingerprint, shards, completed, result)
@@ -456,19 +419,11 @@ class ServePipeline:
         completed = set(int(i) for i in manifest.get("completed_shards", ()))
         for si in completed:
             for q in shards[si]:
-                dist, exact = answered[q.key]
-                status = outcomes.get(f"{q.source}->{q.target}", OK)
-                result.distances[q.key] = dist
-                result.exact[q.key] = exact
-                result.outcomes[q.key] = status
                 # Checkpoints persist answers only: resumed queries
                 # carry no certificate or path.
-                if self.certify:
-                    result.certificates[q.key] = None
-                if self.collect_paths:
-                    result.paths[q.key] = None
-                if status == TIMEOUT:
-                    result.timeouts.append(q.key)
+                result.answers[q.key] = QueryAnswer(
+                    *answered[q.key], outcomes.get(f"{q.source}->{q.target}", OK)
+                )
                 result.resumed_queries += 1
         if self.observer is not None:
             self.observer.on_checkpoint("resume")
@@ -493,15 +448,15 @@ class ServePipeline:
             "num_shards": len(shards),
             "completed_shards": sorted(completed),
             "outcomes": {
-                f"{s}->{t}": result.outcomes[(s, t)] for s, t in keys
+                f"{s}->{t}": result.answers[(s, t)].outcome for s, t in keys
             },
         }
         store.save(
             manifest,
             s=[k[0] for k in keys],
             t=[k[1] for k in keys],
-            dist=[result.distances[k] for k in keys],
-            exact=[result.exact[k] for k in keys],
+            dist=[result.answers[k].distance for k in keys],
+            exact=[result.answers[k].exact for k in keys],
         )
         if self.fault_injector is not None:
             # Chaos hook: models silent corruption of the durable bytes
@@ -523,19 +478,16 @@ class ServePipeline:
         raw = self._run_shard(shard)
         if not self.verify:
             return raw
-        return {
-            k: self._verify_answer(k, d, e, st, cert, path)
-            for k, (d, e, st, cert, path) in raw.items()
-        }
+        return {k: self._verify_answer(k, ans) for k, ans in raw.items()}
 
-    def _run_shard(self, shard: list[ServeQuery]) -> dict:
-        """Execute one shard -> ``{key: (dist, exact, status, cert, path)}``."""
+    def _run_shard(self, shard: list[ServeQuery]) -> dict[tuple[int, int], QueryAnswer]:
+        """Execute one shard -> one :class:`QueryAnswer` per key."""
         now = self._now()
-        results: dict[tuple[int, int], tuple[float, bool, str, object, object]] = {}
+        results: dict[tuple[int, int], QueryAnswer] = {}
         live: list[ServeQuery] = []
         for q in shard:
             if q.deadline is not None and q.deadline <= now:
-                results[q.key] = (float("inf"), False, TIMEOUT, None, None)
+                results[q.key] = QueryAnswer(math.inf, False, TIMEOUT)
                 if self.observer is not None:
                     self.observer.on_deadline_miss()
             else:
@@ -577,7 +529,7 @@ class ServePipeline:
         through the per-query resilient chain instead, whose rungs carry
         their own breakers.
         """
-        results: dict[tuple[int, int], tuple[float, bool, str, object, object]] = {}
+        results: dict[tuple[int, int], QueryAnswer] = {}
         board = self.breakers
         if board.allow(self.method):
             budget = self._shard_budget(live)
@@ -608,13 +560,11 @@ class ServePipeline:
                 board.record_success(self.method)
                 self._meter.merge(res.meter)
                 self._num_searches += res.num_searches
-                status = OK if res.exact else INEXACT
-                certs = res.certificates or {}
                 for q in live:
-                    s, t = q.key
-                    cert = certs.get((s, t)) or certs.get((t, s))
-                    path = self._batch_path(res, s, t)
-                    results[q.key] = (res.distance(s, t), res.exact, status, cert, path)
+                    ans = res.answer(*q.key)
+                    if self.collect_paths:
+                        ans = replace(ans, path=self._batch_path(res, *q.key))
+                    results[q.key] = ans
                 return results
         for q in live:
             results[q.key] = self._run_query_chain(q)
@@ -628,16 +578,14 @@ class ServePipeline:
         budget-truncated queries have no walkable tree — both simply
         yield ``None`` rather than failing the shard.
         """
-        if not self.collect_paths:
-            return None
         from ..core.paths import PathError
 
         try:
-            return res.path(s, t)
+            return tuple(res.path(s, t))
         except (NotImplementedError, PathError, ValueError, KeyError, IndexError):
             return None
 
-    def _run_query_chain(self, q: ServeQuery) -> tuple[float, bool, str, object, object]:
+    def _run_query_chain(self, q: ServeQuery) -> QueryAnswer:
         """One query through the breaker-guarded resilient chain."""
         try:
             ans = resilient_ppsp(
@@ -654,7 +602,7 @@ class ServePipeline:
                 certify=self.certify,
             )
         except Exception:  # noqa: BLE001 — one query must not kill the batch
-            return (float("inf"), False, FAILED, None, None)
+            return QueryAnswer(math.inf, False, FAILED)
         cert = None
         path = None
         if ans.answer is not None:
@@ -664,25 +612,16 @@ class ServePipeline:
                 from ..core.paths import PathError
 
                 try:
-                    path = ans.answer.path()
+                    path = tuple(ans.answer.path())
                 except (NotImplementedError, PathError, ValueError,
                         KeyError, IndexError, AttributeError):
                     path = None
-        return (
-            float(ans.distance),
-            bool(ans.exact),
-            OK if ans.exact else INEXACT,
-            cert,
-            path,
-        )
+        return QueryAnswer.of(ans.distance, ans.exact, cert, path)
 
     # ------------------------------------------------------------------
     # Verification
     # ------------------------------------------------------------------
-    def _verify_answer(
-        self, key: tuple[int, int], dist: float, exact: bool, status: str, cert,
-        path=None,
-    ) -> tuple[float, bool, str, object, object]:
+    def _verify_answer(self, key: tuple[int, int], ans: QueryAnswer) -> QueryAnswer:
         """Check one answer before it is recorded; repair it if refuted.
 
         Three regimes:
@@ -704,8 +643,9 @@ class ServePipeline:
         """
         obs = self.observer
         counts = self._vcounts
-        if status in (TIMEOUT, FAILED):
-            return dist, exact, status, cert, path
+        dist, exact, cert = ans.distance, ans.exact, ans.certificate
+        if ans.outcome in (TIMEOUT, FAILED):
+            return ans
         counts["checked"] += 1
         if exact and not math.isfinite(dist):
             # Unreachable claim: confirm with ground truth, never a cert.
@@ -714,7 +654,7 @@ class ServePipeline:
                 counts["confirmed"] += 1
                 if obs is not None:
                     obs.on_verify("confirmed")
-                return dist, exact, status, cert, path
+                return ans
             counts["invalid"] += 1
             if obs is not None:
                 obs.on_verify("invalid")
@@ -724,7 +664,7 @@ class ServePipeline:
                 counts["unproven"] += 1
                 if obs is not None:
                     obs.on_verify("unproven")
-                return dist, exact, status, cert, path
+                return ans
             row = self._authoritative_row(*key)
             truth = float(row[key[1]])
             tol = 1e-6 * max(1.0, abs(truth)) if math.isfinite(truth) else 0.0
@@ -732,7 +672,7 @@ class ServePipeline:
                 counts["confirmed"] += 1
                 if obs is not None:
                     obs.on_verify("confirmed")
-                return dist, exact, status, cert, path
+                return ans
             counts["invalid"] += 1
             if obs is not None:
                 obs.on_verify("invalid")
@@ -743,7 +683,7 @@ class ServePipeline:
             counts["valid"] += 1
             if obs is not None:
                 obs.on_verify("valid", checks=report.checks)
-            return dist, exact, status, cert, path
+            return ans
         counts["invalid"] += 1
         if obs is not None:
             obs.on_verify("invalid", checks=report.checks)
@@ -760,9 +700,7 @@ class ServePipeline:
 
         return dijkstra(self.graph, int(source), target=int(target))
 
-    def _repair(
-        self, key: tuple[int, int], row=None
-    ) -> tuple[float, bool, str, object, object]:
+    def _repair(self, key: tuple[int, int], row=None) -> QueryAnswer:
         """Exact recompute for a refuted answer, then re-check.
 
         The repaired answer is itself certified (witness path from the
@@ -791,14 +729,14 @@ class ServePipeline:
                 from ..core.paths import PathError, walk_path
 
                 try:
-                    path = walk_path(self.graph, row, s, t)
+                    path = tuple(walk_path(self.graph, row, s, t))
                 except (PathError, ValueError, KeyError, IndexError):
                     path = None
-            return d, True, REPAIRED, cert, path
+            return QueryAnswer(d, True, REPAIRED, cert, path)
         self._vcounts["failed"] += 1
         if obs is not None:
             obs.on_repair("failed")
-        return float("inf"), False, FAILED, None, None
+        return QueryAnswer(math.inf, False, FAILED)
 
 
 def serve_batch(graph, queries, *, resume: bool = False, **kwargs) -> PipelineResult:

@@ -60,6 +60,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..api import validate_query
+from ..core.answer import QueryAnswer
 from ..robustness.clock import as_clock
 from .admission import FAILED, SHED, ServeQuery
 from .overload import OverloadController
@@ -87,26 +88,30 @@ class ServiceClosed(RuntimeError):
 class ServiceResult:
     """One query's terminal answer, as resolved onto its future(s).
 
-    ``outcome`` uses the pipeline's closed vocabulary; ``certificate``
-    and ``path`` are populated only when the service was built with
-    ``certify=True`` / ``collect_paths=True`` (and the method retains
-    path state).  ``batch_index`` says which coalesced batch executed
-    the query; ``waited_s`` is its time on the submission queue.
+    ``answer`` is the pipeline's :class:`~repro.core.answer.QueryAnswer`
+    for the query; its ``outcome`` uses the pipeline's closed
+    vocabulary, and its ``certificate`` and ``path`` are populated only
+    when the service was built with ``certify=True`` /
+    ``collect_paths=True`` (and the method retains path state).
+    ``batch_index`` says which coalesced batch executed the query;
+    ``waited_s`` is its time on the submission queue.
     """
 
     source: int
     target: int
-    distance: float
-    exact: bool
-    outcome: str
-    certificate: object = None
-    path: object = None
+    answer: QueryAnswer
     batch_index: int = -1
     waited_s: float = 0.0
 
     @property
     def key(self) -> tuple[int, int]:
         return (self.source, self.target)
+
+    distance = property(lambda self: self.answer.distance)
+    exact = property(lambda self: self.answer.exact)
+    outcome = property(lambda self: self.answer.outcome)
+    certificate = property(lambda self: self.answer.certificate)
+    path = property(lambda self: self.answer.path)
 
 
 class ServiceFuture:
@@ -410,9 +415,7 @@ class QueryService:
                         self._counts["submitted"] += 1
                         self._counts["shed"] += 1
                         future._resolve(ServiceResult(
-                            source=key[0], target=key[1],
-                            distance=float("inf"), exact=False,
-                            outcome=SHED, batch_index=-1, waited_s=0.0,
+                            key[0], key[1], QueryAnswer(float("inf"), False, SHED)
                         ))
                         return future
                 self._pending[key] = _Pending(
@@ -538,30 +541,18 @@ class QueryService:
             except Exception:  # noqa: BLE001 — futures must resolve
                 logger.exception("service batch %d failed; its queries resolve as failed", index)
                 self._counts["errors"] += 1
+                failed = QueryAnswer(float("inf"), False, FAILED)
                 for e in entries:
-                    s, t = e.query.key
+                    result = ServiceResult(*e.query.key, failed, index,
+                                           flushed_at - e.submitted)
                     for f in e.futures:
-                        f._resolve(ServiceResult(
-                            source=s, target=t, distance=float("inf"),
-                            exact=False, outcome=FAILED,
-                            batch_index=index,
-                            waited_s=flushed_at - e.submitted,
-                        ))
+                        f._resolve(result)
                 self._record_batch(entries, reason, index, waited)
                 return
             for e in entries:
                 key = e.query.key
-                result = ServiceResult(
-                    source=key[0],
-                    target=key[1],
-                    distance=res.distances.get(key, float("inf")),
-                    exact=res.exact.get(key, False),
-                    outcome=res.outcomes.get(key, FAILED),
-                    certificate=res.certificates.get(key),
-                    path=res.paths.get(key),
-                    batch_index=index,
-                    waited_s=flushed_at - e.submitted,
-                )
+                result = ServiceResult(*key, res.answers[key], index,
+                                       flushed_at - e.submitted)
                 for f in e.futures:
                     f._resolve(result)
             self._counts["executed"] += len(entries)

@@ -135,7 +135,8 @@ class TestSolveBatch:
         for s, t in pairs:
             d = res.distance(s, t)
             assert d == pytest.approx(float(dijkstra(g, s)[t]))
-            report = CertificateChecker().check(g, res.certificates[(s, t)], expected_distance=d)
+            cert = res.answer(s, t).certificate
+            report = CertificateChecker().check(g, cert, expected_distance=d)
             assert report.valid and report.proven == "exact"
 
     def test_vc_fewer_searches_than_plain_on_chain(self, small_road):
@@ -277,9 +278,3 @@ class TestBatchResult:
         # as a bare KeyError.
         with pytest.raises(ValueError, match="never part of this batch"):
             res.distance(2, 1)
-
-    def test_shed_pair_returns_inf(self, line_graph):
-        res = solve_batch(line_graph, [(0, 3)])
-        res.shed.add((1, 2))
-        assert res.distance(1, 2) == float("inf")
-        assert res.distance(2, 1) == float("inf")  # reversed orientation too

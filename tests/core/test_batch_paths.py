@@ -127,7 +127,7 @@ class TestUnitPathWalks:
         assert sorted(stitches) == sorted(unit.pairs)
         for key in unit.pairs:
             # One object: the certificate's witness is the cached walk.
-            assert res.certificates[key].path is res.paths[key]
+            assert res.answers[key].certificate.path is res.paths[key]
 
     def test_serial_batch_walks_only_asked_paths(self, small_road, stitches):
         res = solve_batch(small_road, QueryGraph.clique([0, 40, 90]), method="multi")

@@ -107,7 +107,7 @@ def _batch(graph, queries, **kwargs) -> dict:
         "details": details,
         "num_searches": res.num_searches,
         "exact": res.exact,
-        "certificates": [[s, t, c.to_dict()] for (s, t), c in res.certificates.items()],
+        "certificates": [[s, t, a.certificate.to_dict()] for (s, t), a in res.answers.items()],
     }
     return {
         "batch": _sha1(json.dumps(payload)),
@@ -140,8 +140,9 @@ def runs() -> dict[str, dict]:
     trace = StepTrace()
     res = solve_batch(road, queries, method="multi", trace=trace)
     # The (k, n) distance matrix of a multi batch lives in its path
-    # state: one unit, which every key maps to.
-    rows = next(iter(res._path_state.values())).rows
+    # state: one unit, which answers every key.
+    (unit,) = res._units
+    rows = unit.rows
     out["road30-multi"] = _digest(rows, res.meter, trace,
                                   [res.path(s, t) for s, t in queries])
 

@@ -25,14 +25,14 @@ from repro.core.batch import solve_batch
 from repro.parallel.pool import ProcessPool, WorkerCrashError
 from repro.robustness import FaultInjector
 from repro.serve import ServePipeline
-from tests.test_differential import _random_geometric
+from tests.test_conformance import random_geometric
 
 pytestmark = pytest.mark.pool
 
 
 @pytest.fixture(scope="module")
 def instance():
-    graph, pairs = _random_geometric(2)  # undirected, has duplicate points
+    graph, pairs = random_geometric(2)  # undirected, has duplicate points
     return graph, pairs
 
 
@@ -82,7 +82,7 @@ class TestWorkerKill:
         # per-query chain — a different (but exact) method, so their
         # float summation order may differ from the batch reference by
         # an ulp.  Correctness is vs ground truth; bitwise identity is
-        # the *clean-path* contract (see test_pool_differential).
+        # the *clean-path* contract (see tests/test_conformance.py).
         for s, t in pairs:
             assert res.distance(s, t) == pytest.approx(truth[(s, t)], rel=1e-12)
             assert res.distance(s, t) == pytest.approx(
@@ -131,7 +131,9 @@ class TestWorkerKill:
             # by the resilient chain before being checkpointed; exact
             # answers, possibly an ulp off the batch reference.
             assert resumed.distances[key] == pytest.approx(want, rel=1e-12), key
-        assert resumed.exact == reference.exact
+        assert {k: a.exact for k, a in resumed.answers.items()} == {
+            k: a.exact for k, a in reference.answers.items()
+        }
 
 
 #: Runs in a fresh interpreter: the fault needs a process whose
@@ -144,9 +146,9 @@ _IDLE_KILL_SCRIPT = textwrap.dedent(
 
     from repro.core.batch import solve_batch
     from repro.parallel.pool import ProcessPool, WorkerCrashError
-    from tests.test_differential import _random_geometric
+    from tests.test_conformance import random_geometric
 
-    graph, pairs = _random_geometric(2)
+    graph, pairs = random_geometric(2)
     serial = solve_batch(graph, pairs, method="multi", certify=True)
     pool = ProcessPool(2).open()  # the service's warm(): open, then share
     name = pool.share(graph)["shm_name"]
@@ -174,8 +176,8 @@ _IDLE_KILL_SCRIPT = textwrap.dedent(
     assert pool.respawns == 1, pool.respawns
     assert again.distances == serial.distances
     assert again.meter.step_work == serial.meter.step_work
-    assert {k: c.to_dict() for k, c in again.certificates.items()} == {
-        k: c.to_dict() for k, c in serial.certificates.items()
+    assert {k: a.certificate.to_dict() for k, a in again.answers.items()} == {
+        k: a.certificate.to_dict() for k, a in serial.answers.items()
     }
     pool.close()
     print("survived")

@@ -43,6 +43,7 @@ class TestBudgetSpec:
     def test_report_to_dict(self):
         meter = Budget(max_steps=1, wall_time=60.0).start()
         meter.charge(steps=1, relaxations=7)
+        assert meter.check() is not None  # a report is exhausted once a check trips
         d = meter.report().to_dict()
         assert d["exhausted"] is True
         assert d["steps"] == 1 and d["relaxations"] == 7

@@ -58,9 +58,9 @@ class TestPipelineAdmission:
         res = pipe.run([(s, t, i) for i, (s, t) in enumerate(serve_pairs[:5])])
         assert res.counts() == {"ok": 3, "shed": 2}
         # lowest-priority submissions shed; they carry no distance
-        assert set(res.shed) == {serve_pairs[0], serve_pairs[1]}
-        for key in res.shed:
-            assert res.outcomes[key] == SHED
+        shed = [key for key, ans in res.answers.items() if ans.outcome == SHED]
+        assert set(shed) == {serve_pairs[0], serve_pairs[1]}
+        for key in shed:
             assert key not in res.distances
             assert res.distance(*key) == float("inf")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import dijkstra
+from repro.core import QueryAnswer
 from repro.obs import Observer
 from repro.robustness import Budget, FaultInjector, SimClock
 from repro.serve import SERVE_METHODS, ServePipeline, ServeQuery, serve_batch
@@ -24,16 +25,20 @@ class TestOutcomes:
         assert res.counts() == {"ok": len(serve_pairs)}
         for key, want in ref.items():
             assert res.distances[key] == pytest.approx(want), key
-            assert res.exact[key] is True
+            assert res.answers[key].exact is True
 
-    def test_batch_result_facade(self, serve_graph, serve_pairs):
-        res = serve_batch(serve_graph, serve_pairs[:3])
-        bres = res.to_batch_result()
-        s, t = serve_pairs[0]
-        assert bres.distance(s, t) == bres.distance(t, s) == res.distances[(s, t)]
-        assert bres.method == "serve:multi" and bres.exact
+    def test_distance_lookup(self, serve_graph, serve_pairs):
+        """Either orientation of an undirected pair; a shed pair answers
+        ``inf`` (it is no executed distance); a pair never submitted
+        raises, as a ``solve_batch`` result does."""
+        res = ServePipeline(serve_graph, max_queue=2).run(serve_pairs[:3])
+        (s, t), shed = serve_pairs[0], serve_pairs[2]
+        assert res.distance(s, t) == res.distance(t, s) == res.answers[(s, t)].distance
+        assert res.answers[shed] == QueryAnswer(float("inf"), False, "shed")
+        assert res.distance(*shed) == res.distance(*shed[::-1]) == float("inf")
+        assert shed not in res.distances and res.exact
         with pytest.raises(ValueError, match="never part of this batch"):
-            res.distance(serve_pairs[5][0], serve_pairs[5][1])
+            res.distance(*serve_pairs[5])
 
     def test_directed_lookup_follows_the_graph(self):
         """On a directed graph the result answers a pair as asked only;
@@ -63,11 +68,8 @@ class TestDeadlines:
         qs = [ServeQuery(*serve_pairs[0], deadline=99.0),
               ServeQuery(*serve_pairs[1], deadline=101.0)]
         res = ServePipeline(serve_graph, clock=sim, observer=obs).run(qs)
-        assert res.outcomes[serve_pairs[0]] == "timeout"
-        assert res.distances[serve_pairs[0]] == float("inf")
-        assert res.exact[serve_pairs[0]] is False
-        assert res.timeouts == [serve_pairs[0]]
-        assert res.outcomes[serve_pairs[1]] == "ok"
+        assert res.answers[serve_pairs[0]] == QueryAnswer(float("inf"), False, "timeout")
+        assert res.answers[serve_pairs[1]].outcome == "ok"
         assert "repro_serve_deadline_misses_total 1" in obs.export_text()
 
     def test_stalled_run_degrades_to_inexact_not_missed(self, serve_graph, serve_pairs):
@@ -81,13 +83,13 @@ class TestDeadlines:
             clock=sim, fault_injector=inj,
         ).run(serve_pairs[:4])
         assert any(kind == "stall" for _, kind in inj.fired)
-        assert set(res.outcomes.values()) <= {"inexact", "timeout"}
-        assert not all(res.exact.values())
+        assert {ans.outcome for ans in res.answers.values()} <= {"inexact", "timeout"}
+        assert not res.exact
         # inexact answers are upper bounds on the true distance
         ref = oracle(serve_graph, serve_pairs[:4])
-        for key, d in res.distances.items():
-            if res.outcomes[key] == "inexact" and np.isfinite(d):
-                assert d >= ref[key] - 1e-9
+        for key, ans in res.answers.items():
+            if ans.outcome == "inexact" and np.isfinite(ans.distance):
+                assert ans.distance >= ref[key] - 1e-9
 
     def test_stall_is_deterministic(self, serve_graph, serve_pairs):
         def run():
@@ -97,7 +99,7 @@ class TestDeadlines:
                 serve_graph, method="multi", deadline_ms=200.0,
                 clock=sim, fault_injector=inj,
             ).run(serve_pairs[:4])
-            return res.distances, res.exact, res.outcomes, list(inj.fired)
+            return res.answers, list(inj.fired)
 
         assert run() == run()
 

@@ -3,7 +3,7 @@
 These drive the micro-batcher **inline** with a :class:`SimClock`
 (``submit``/``tick``/``drain``), so every flush decision is
 deterministic; the threaded dispatcher and the process pool get their
-own suites (``test_service_differential.py``, ``test_service_soak.py``).
+own suites (``tests/test_conformance.py``, ``test_service_soak.py``).
 """
 
 from __future__ import annotations

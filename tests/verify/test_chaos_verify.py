@@ -30,15 +30,15 @@ def silent_wrong(res, truth):
     """Keys served as trustworthy yet disagreeing with ground truth."""
     out = []
     for key, expected in truth.items():
-        outcome = res.outcomes[key]
-        if outcome in ("shed", "timeout", "failed"):
+        ans = res.answers[key]
+        if ans.outcome in ("shed", "timeout", "failed"):
             continue
-        if not res.exact[key]:
+        if not ans.exact:
             # degraded answers promise only an upper bound
-            if res.distances[key] < expected - 1e-6 * max(1.0, expected):
+            if ans.distance < expected - 1e-6 * max(1.0, expected):
                 out.append(key)
             continue
-        if abs(res.distances[key] - expected) > 1e-6 * max(1.0, expected):
+        if abs(ans.distance - expected) > 1e-6 * max(1.0, expected):
             out.append(key)
     return out
 

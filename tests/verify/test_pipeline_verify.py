@@ -33,9 +33,9 @@ def test_flip_dist_detected_and_repaired(grid, pairs, truth):
     assert v["invalid"] > 0 and v["repaired"] == v["invalid"]
     assert res.counts().get("repaired", 0) == v["repaired"]
     # repaired answers are exact and match ground truth
-    for key, outcome in res.outcomes.items():
-        if outcome == REPAIRED:
-            assert res.exact[key]
+    for ans in res.answers.values():
+        if ans.outcome == REPAIRED:
+            assert ans.exact
     assert_matches_truth(res.distances, truth)
 
 
@@ -50,7 +50,7 @@ def test_without_verify_corruption_is_silent(grid, pairs, truth):
         if abs(res.distances[k] - expected) > 1e-6 * max(1.0, expected)
     ]
     assert wrong, "corruption should silently distort at least one answer"
-    assert all(o == "ok" for o in res.outcomes.values())
+    assert all(ans.outcome == "ok" for ans in res.answers.values())
 
 
 def test_verify_counts_in_observer(grid, pairs):
@@ -97,9 +97,9 @@ def test_inexact_budget_answers_pass_with_upper_bound_certs(grid, pairs):
     # degraded answers carry one-sided certificates; none should be
     # refuted (a true upper bound is a valid weak claim)
     assert v["failed"] == 0
-    for key, exact in res.exact.items():
-        if not exact:
-            assert res.outcomes[key] == "inexact"
+    for ans in res.answers.values():
+        if not ans.exact:
+            assert ans.outcome == "inexact"
 
 
 def test_resilient_method_verifies(grid, pairs, truth):
