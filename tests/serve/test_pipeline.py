@@ -28,17 +28,22 @@ class TestOutcomes:
             assert res.answers[key].exact is True
 
     def test_distance_lookup(self, serve_graph, serve_pairs):
-        """Either orientation of an undirected pair; a shed pair answers
-        ``inf`` (it is no executed distance); a pair never submitted
-        raises, as a ``solve_batch`` result does."""
-        res = ServePipeline(serve_graph, max_queue=2).run(serve_pairs[:3])
-        (s, t), shed = serve_pairs[0], serve_pairs[2]
+        """Either orientation of an undirected pair; a pair never
+        submitted raises, as a ``solve_batch`` result does."""
+        res = serve_batch(serve_graph, serve_pairs[:3])
+        s, t = serve_pairs[0]
         assert res.distance(s, t) == res.distance(t, s) == res.answers[(s, t)].distance
+        with pytest.raises(ValueError, match="never part of this batch"):
+            res.distance(*serve_pairs[5])
+
+    def test_shed_pair_returns_inf(self, serve_graph, serve_pairs):
+        """A shed pair answers ``inf`` in either orientation (it is no
+        executed distance) and leaves the executed ones exact."""
+        res = ServePipeline(serve_graph, max_queue=2).run(serve_pairs[:3])
+        shed = serve_pairs[2]
         assert res.answers[shed] == QueryAnswer(float("inf"), False, "shed")
         assert res.distance(*shed) == res.distance(*shed[::-1]) == float("inf")
         assert shed not in res.distances and res.exact
-        with pytest.raises(ValueError, match="never part of this batch"):
-            res.distance(*serve_pairs[5])
 
     def test_directed_lookup_follows_the_graph(self):
         """On a directed graph the result answers a pair as asked only;

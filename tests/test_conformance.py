@@ -184,11 +184,10 @@ def batch_key(res, pairs) -> tuple:
 # Single-query entry points: ppsp, reference engine, WarmEngine.query
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_query(seed):
-    """Every method cold, through the reference engine, warm (miss and
-    hit), and under a budget spent exactly and one step short."""
+    """Every method cold, through the reference engine, and under a
+    budget spent exactly and one step short."""
     graph, pairs = instance(seed)
     certify = seed % 2 == 1
-    engine = WarmEngine(graph)
     for s, t in pairs:
         want = truth_row(seed, s)[t]
         for method in PPSP_METHODS:
@@ -204,14 +203,6 @@ def test_single_query(seed):
             ref, _ = run_policy_reference(graph, POLICIES[method](s, t))
             check_distance(float(ref[t] if method == "sssp" else ref), cold.distance, True)
 
-            miss = engine.query(s, t, method=method, path=True)
-            hit = engine.query(s, t, method=method, path=True)
-            assert not miss.cached and hit.cached, ctx
-            assert (miss.distance, miss.exact) == (cold.distance, True), ctx
-            assert replace(hit, cached=False) == miss, ctx
-            if math.isfinite(want):
-                check_path(graph, miss.path(), s, t, miss.distance)
-
             steps = cold.run.steps
             spent = ppsp(graph, s, t, method=method, budget=Budget(max_steps=steps))
             report = spent.budget_report
@@ -222,6 +213,27 @@ def test_single_query(seed):
                 assert not cut.exact and cut.budget_report.exhausted, ctx
                 assert cut.budget_report.reason == f"max_steps={steps - 1} reached", ctx
                 check_distance(cut.distance, want, False)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_warm_query(seed):
+    """Every method through one ``WarmEngine``: the miss answers as
+    ``ppsp`` does, the hit returns the miss's answer."""
+    graph, pairs = instance(seed)
+    engine = WarmEngine(graph)
+    for s, t in pairs:
+        want = truth_row(seed, s)[t]
+        for method in PPSP_METHODS:
+            ctx = (seed, method, s, t)
+            cold = ppsp(graph, s, t, method=method)
+            miss = engine.query(s, t, method=method, path=True)
+            hit = engine.query(s, t, method=method, path=True)
+            assert not miss.cached and hit.cached, ctx
+            assert (miss.distance, miss.exact) == (cold.distance, True), ctx
+            assert replace(hit, cached=False) == miss, ctx
+            check_distance(miss.distance, want, True)
+            if math.isfinite(want):
+                check_path(graph, miss.path(), s, t, miss.distance)
 
 
 # Batch entry points: solve_batch, QueryGraph, batch_ppsp, ServePipeline
@@ -340,10 +352,13 @@ def test_budget_cut_before_an_empty_step():
 
 
 # Kernel axis: the np.minimum.at oracle through kernel=
-@pytest.mark.parametrize("seed", range(0, NUM_SEEDS, 5))
+KERNEL_SEEDS = range(0, NUM_SEEDS, 5)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
 def test_kernel_oracle(seed):
-    """Distances, ``dist`` bytes, paths and batch records are the same
-    bytes under the oracle kernel as under the default one."""
+    """Distances, ``dist`` bytes and paths are the same bytes under the
+    oracle kernel as under the default one."""
     graph, pairs = instance(seed)
     for s, t in pairs:
         for method in PPSP_METHODS:
@@ -354,6 +369,13 @@ def test_kernel_oracle(seed):
             assert got.distance == ref.distance
             if ref.reachable:
                 assert got.path() == ref.path(), (seed, method, s, t)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_kernel_oracle_batch(seed):
+    """Batch records, paths and meters are the same bytes under the
+    oracle kernel as under the default one."""
+    graph, pairs = instance(seed)
     for method in BATCH_METHODS:
         ref = solve_batch(graph, pairs, method=method)
         got = solve_batch(graph, pairs, method=method, kernel=UfuncAtKernel())
