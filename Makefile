@@ -16,7 +16,7 @@ chaos:
 	$(PYTHON) -m pytest tests/robustness/ -q
 
 # Certificate chaos sweep: every bit-flip corruption class (distances,
-# cache payloads, checkpoint sidecars) x every serve method x seeds,
+# checkpoint sidecars) x every serve method x seeds,
 # checked end-to-end against ground truth — zero silent wrong answers.
 verify-chaos:
 	$(PYTHON) -m pytest tests/verify/ -q -m ''

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.frontier import Frontier
-from repro.parallel.primitives import expand_ranges, write_min
+from repro.parallel.primitives import expand_ranges
 
 
 @pytest.fixture(scope="module")
@@ -23,18 +23,6 @@ class TestPrimitives:
         counts = rng.integers(0, 12, k)
         out = benchmark(lambda: expand_ranges(starts, counts))
         assert len(out) == counts.sum()
-
-    def test_write_min_large(self, benchmark, rng):
-        n = 200_000
-        idx = rng.integers(0, n, 50_000)
-        cand = rng.uniform(0, 1, 50_000)
-
-        def run():
-            vals = np.full(n, 0.5)
-            return write_min(vals, idx, cand)
-
-        ok = benchmark(run)
-        assert ok.dtype == bool
 
     def test_relax_batch_kernel(self, benchmark, road):
         """The full gather-relax-scatter inner loop on a real frontier."""

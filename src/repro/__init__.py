@@ -33,7 +33,6 @@ from .api import (
     batch_ppsp,
     ppsp,
     validate_query,
-    warm,
 )
 from .core import (
     AStar,
@@ -48,7 +47,6 @@ from .core import (
     sssp,
 )
 from .graphs import Graph
-from .perf import WarmAnswer, WarmEngine
 from .robustness import (
     Budget,
     FaultInjector,
@@ -76,14 +74,11 @@ from .verify import (
     build_certificate,
 )
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "ppsp",
     "batch_ppsp",
-    "warm",
-    "WarmEngine",
-    "WarmAnswer",
     "PPSPAnswer",
     "PPSP_METHODS",
     "BATCH_METHODS",

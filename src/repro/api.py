@@ -9,10 +9,6 @@ This is the library facade most users need:
 Methods map to the paper's algorithms: ``sssp`` (no pruning), ``et``
 (early termination), ``astar``, ``bids``, ``bidastar``; batch methods
 are documented in :mod:`repro.core.batch`.
-
-For repeated queries against one graph, :func:`warm` returns a
-:class:`repro.perf.WarmEngine` — :func:`ppsp` behind cached heuristics
-and a result cache (see ``docs/perf.md``).
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from .core.stepping import SteppingStrategy
 __all__ = [
     "ppsp",
     "batch_ppsp",
-    "warm",
     "PPSPAnswer",
     "PPSP_METHODS",
     "BATCH_METHODS",
@@ -220,17 +215,3 @@ def batch_ppsp(graph, queries, *, method: str = "multi", **kwargs) -> BatchResul
     """
     return solve_batch(graph, queries, method=method, **kwargs)
 
-
-def warm(graph, **kwargs):
-    """A :class:`repro.perf.WarmEngine` bound to ``graph``.
-
-    The warm counterpart of :func:`ppsp`/:func:`batch_ppsp`: a miss is
-    a :func:`ppsp` call given the cached heuristic rows, so answers are
-    identical, and repeated queries come from an LRU result cache.
-    Keyword arguments (``landmarks=``, ``result_cache_size=``,
-    ``observer=``, ``verify_hits=``, ...) are forwarded to
-    :class:`~repro.perf.warm.WarmEngine`.
-    """
-    from .perf.warm import WarmEngine  # lazy: perf imports this module
-
-    return WarmEngine(graph, **kwargs)

@@ -11,7 +11,6 @@ from .generators import chung_lu_graph, social_graph, uniform_random_weights, we
 from .knn import clustered_points, knn_graph, skewed_points, uniform_points
 from .road import road_graph
 from .shm import SharedGraph, ShmFingerprintError
-from .spatial import GridIndex, knn_graph_grid
 from .validate import assert_valid, validate_graph
 from . import io
 
@@ -33,8 +32,6 @@ __all__ = [
     "clustered_points",
     "skewed_points",
     "road_graph",
-    "GridIndex",
-    "knn_graph_grid",
     "SharedGraph",
     "ShmFingerprintError",
     "validate_graph",

@@ -215,8 +215,7 @@ class Graph:
         two loads of the same graph agree regardless of labeling.  Used
         by checkpoint manifests and answer certificates to refuse
         resuming/validating against a different graph.  The cache
-        assumes the graph is frozen; mutating arrays in place stales it
-        (the same contract as :meth:`repro.perf.WarmEngine.invalidate`).
+        assumes the graph is frozen; mutating arrays in place stales it.
         """
         if self._fingerprint is None:
             import hashlib

@@ -58,8 +58,7 @@ class LandmarkSet:
     observer : repro.obs.Observer, optional
         Receives ``on_cache("landmark_h_row", ...)`` events for hits and
         misses of the per-target row cache.  Assignable after
-        construction (:class:`~repro.perf.warm.WarmEngine` attaches its
-        own observer to a landmark set handed to it).
+        construction.
     """
 
     def __init__(
@@ -117,10 +116,9 @@ class LandmarkSet:
         ``max_cached_targets`` entries) and wrapped in a
         :class:`~repro.heuristics.geometric.MemoizedHeuristic`, so the
         ``h`` row built for one query is reused by every later query to
-        the same target instead of recomputed from the landmark matrix —
-        the warm-engine path for coordinate-free graphs.  Pass
-        ``cache=False`` for a fresh, unshared instance (e.g. when the
-        caller resets evaluation counters for an ablation).
+        the same target instead of recomputed from the landmark matrix.
+        Pass ``cache=False`` for a fresh, unshared instance (e.g. when
+        the caller resets evaluation counters for an ablation).
         """
         target = int(target)
         if not cache or self.max_cached_targets <= 0:
@@ -144,10 +142,6 @@ class LandmarkSet:
             if self.observer is not None:
                 self.observer.on_cache("landmark_h_row", "evict")
         return h
-
-    def clear_cache(self) -> None:
-        """Drop all cached per-target heuristic rows (graph mutated)."""
-        self._h_cache.clear()
 
 
 class LandmarkHeuristic(Heuristic):

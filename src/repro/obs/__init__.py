@@ -1,10 +1,10 @@
 """Observability layer: metrics registry, query spans, exposition.
 
-The production leg that follows robustness (budgets/checked mode) and
-perf (warm serving): make every per-run quantity the paper's evaluation
-reasons about — work/depth, prune counts, μ-settlement, cache hit
-rates, budget consumption — visible as first-class metrics without
-taxing the default path.
+The production leg that follows robustness (budgets/checked mode):
+make every per-run quantity the paper's evaluation reasons about —
+work/depth, prune counts, μ-settlement, cache hit rates, budget
+consumption — visible as first-class metrics without taxing the
+default path.
 
 Three pieces:
 

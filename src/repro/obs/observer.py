@@ -3,7 +3,6 @@
 Instrumented call sites (:func:`~repro.core.engine.run_policy`,
 :class:`~repro.core.frontier.Frontier`,
 :func:`~repro.core.batch.solve_batch`,
-:class:`~repro.perf.warm.WarmEngine`,
 :func:`~repro.robustness.resilient.resilient_ppsp`,
 :class:`~repro.serve.pipeline.ServePipeline`,
 :class:`~repro.heuristics.landmarks.LandmarkSet`) all take an optional
@@ -25,7 +24,7 @@ sinks at once:
 
       obs = Observer()
       with obs.span("bidastar", source=s, target=t) as span:
-          engine.query(s, t, method="bidastar")
+          ppsp(graph, s, t, method="bidastar", observer=obs)
       span.to_json()   # work, depth, steps, pruned, mu-settled, caches...
 
 Engine runs under an observer always carry a
@@ -108,7 +107,7 @@ class Observer:
             "Sparse<->dense frontier representation switches (App. B)", ("to",))
         self._cache_events = r.counter(
             "repro_cache_events_total",
-            "Warm-layer cache traffic (result / heuristic / landmark_h_row)",
+            "Landmark heuristic-row cache traffic (landmark_h_row)",
             ("layer", "event"))
         self._batches = r.counter(
             "repro_batches_total", "Batch executions", ("method",))
@@ -156,8 +155,8 @@ class Observer:
             ("result",))
         self._verify_quarantine = r.counter(
             "repro_verify_quarantine_total",
-            "Corrupt state quarantined instead of served "
-            "(result-cache / checkpoint)", ("layer",))
+            "Corrupt state quarantined instead of served (checkpoint)",
+            ("layer",))
         self._pool_batches = r.counter(
             "repro_pool_batches_total",
             "Batches executed on the process-pool backend", ("method",))
@@ -453,8 +452,7 @@ class Observer:
             self._span.fold_verify(f"repair-{result}")
 
     def on_quarantine(self, layer: str) -> None:
-        """Corrupt state dropped instead of served (result-cache /
-        checkpoint)."""
+        """Corrupt state dropped instead of served (checkpoint)."""
         self._verify_quarantine.inc(layer=layer)
         if self._span is not None:
             self._span.fold_verify(f"quarantine-{layer}")

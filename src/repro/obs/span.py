@@ -5,7 +5,7 @@ the paper's analysis reasons about for one execution — work/depth from
 the :class:`~repro.parallel.cost_model.WorkDepthMeter`, step/prune/μ
 structure from the :class:`~repro.core.tracing.StepTrace`, budget
 consumption from the :class:`~repro.robustness.budget.BudgetMeter`, and
-cache traffic from the warm layers — folded into a single
+landmark h-row cache traffic — folded into a single
 JSON-serializable record.
 
 Spans are opened with :meth:`Observer.span` and filled passively: every
@@ -61,7 +61,7 @@ class QuerySpan:
     ``pruned``) sum over every engine run folded into the span;
     ``mu_settled_step``/``final_mu``/``peak_frontier`` describe the most
     recent traced run (the query's own run for single queries).  Cache
-    counters cover every warm layer that fired while the span was open,
+    counters cover every cache layer that fired while the span was open,
     split per layer in ``cache_layers``.  ``budget`` holds the last
     folded :meth:`BudgetReport.to_dict` (None when no budget was set).
     """

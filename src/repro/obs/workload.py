@@ -1,10 +1,10 @@
 """The seeded stats workload behind ``repro stats``.
 
 One deterministic pass that exercises every instrumented layer on one
-graph: each of the five single-query methods runs cold then warm (so
-the result/heuristic caches see both misses and hits), a Multi-BiDS
-batch runs over the same pairs, one resilient query walks the fallback
-chain, a chaos-seeded serve pipeline trips a circuit breaker open,
+graph: each of the five single-query methods answers every pair once
+through :func:`repro.ppsp`, a Multi-BiDS batch runs over the same
+pairs, one resilient query walks the fallback chain, a chaos-seeded
+serve pipeline trips a circuit breaker open,
 routes through the fallback rungs, and recovers it via a half-open
 probe (all on a simulated clock), a verified serve run detects
 seeded bit-flip corruption and repairs it (exercising the certificate
@@ -51,72 +51,62 @@ def seeded_pairs(graph, num_pairs: int, seed: int) -> list[tuple[int, int]]:
 
 
 def stats_workload(
-    graph=None,
-    *,
-    num_pairs: int = 3,
-    seed: int = DEFAULT_STATS_SEED,
-    methods: tuple[str, ...] = STATS_METHODS,
-    warm_rounds: int = 2,
-    batch: bool = True,
-    resilient: bool = True,
-    serve: bool = True,
-    verify: bool = True,
-    hedge: bool = True,
-    overload: bool = True,
-    observer: Observer | None = None,
+    graph=None, *, num_pairs: int = 3, seed: int = DEFAULT_STATS_SEED
 ) -> Observer:
     """Run the observed workload and return the (filled) observer.
 
-    ``graph`` defaults to the seeded 8x8 road grid; any graph with
-    coordinates (or none, if A* methods are dropped from ``methods``)
-    works.  Each query runs inside its own :class:`QuerySpan`, so the
-    returned observer carries both the lifetime metrics and the
-    per-query records.
+    ``graph`` defaults to the seeded 8x8 road grid; on a graph without
+    coordinates the A* methods are skipped.  Each query runs inside its
+    own :class:`QuerySpan`, so the returned observer carries both the
+    lifetime metrics and the per-query records.
     """
-    from ..perf.warm import WarmEngine
+    from ..api import ppsp
+    from ..core.batch import solve_batch
+    from ..robustness.clock import SimClock
+    from ..robustness.faults import FaultInjector
     from ..robustness.resilient import resilient_ppsp
+    from ..serve import ServePipeline
+    from ..serve.hedging import (
+        HedgePolicy,
+        LatencyEstimator,
+        ShardTimeout,
+        SimShardTransport,
+        supervise_shards,
+    )
+    from ..serve.overload import OverloadController, RetryBudget
 
     if graph is None:
         graph = default_stats_graph()
-    obs = observer if observer is not None else Observer()
+    obs = Observer()
     pairs = seeded_pairs(graph, num_pairs, seed)
-    engine = WarmEngine(graph, observer=obs)
 
     has_coords = graph.coords is not None and graph.coord_system is not None
     run_methods = tuple(
-        m for m in methods if has_coords or m not in ("astar", "bidastar")
+        m for m in STATS_METHODS if has_coords or m not in ("astar", "bidastar")
     )
 
     for method in run_methods:
         for s, t in pairs:
             with obs.span(method, source=s, target=t) as span:
-                span.distance = engine.query(s, t, method=method).distance
-        for _ in range(max(warm_rounds - 1, 0)):
-            for s, t in pairs:
-                with obs.span(method, source=s, target=t) as span:
-                    span.distance = engine.query(s, t, method=method).distance
+                span.distance = ppsp(graph, s, t, method=method, observer=obs).distance
 
-    if batch and len(pairs) >= 2:
+    if len(pairs) >= 2:
         with obs.span("batch-multi") as span:
-            res = engine.batch(pairs, method="multi")
+            res = solve_batch(graph, pairs, method="multi", observer=obs)
             span.exact = res.exact
-    if resilient and pairs:
+    if pairs:
         s, t = pairs[0]
         with obs.span("resilient", source=s, target=t) as span:
             ans = resilient_ppsp(graph, s, t, observer=obs)
             span.distance = ans.distance
 
-    if serve and len(pairs) >= 2:
+    if len(pairs) >= 2:
         # A deterministic serve story on a simulated clock: the first
         # two shards hit injected permanent faults, trip the batch
         # breaker open, and route through the resilient rungs; admission
         # sheds the lowest-priority pair; after the cooldown a second
         # run's half-open probe closes the breaker again.  Every counter
         # this touches is seed-reproducible.
-        from ..robustness.clock import SimClock
-        from ..robustness.faults import FaultInjector
-        from ..serve import ServePipeline
-
         sim = SimClock()
         pipe = ServePipeline(
             graph,
@@ -139,15 +129,11 @@ def stats_workload(
             res = pipe.run(pairs)
             span.exact = res.exact
 
-    if verify and len(pairs) >= 2:
         # The verification story, two acts: a clean verified run proves
         # every answer valid, then seeded bit-flips corrupt tentative
         # distances mid-run and every corrupted answer is refuted by its
         # certificate, repaired by an exact recompute, and re-proven —
         # filling the verify/repair counter families deterministically.
-        from ..robustness.faults import FaultInjector
-        from ..serve import ServePipeline
-
         with obs.span("serve-verify") as span:
             res = ServePipeline(
                 graph, method="multi", verify=True, observer=obs
@@ -166,92 +152,77 @@ def stats_workload(
             res = pipe.run(pairs)
             span.exact = res.exact
 
-    if hedge:
-        # The straggler story, on the simulated shard transport so no
-        # real process pool (and no wall-clock noise) is involved: one
-        # healthy shard, one mildly slow shard whose primary outruns
-        # its hedge, and one wedged shard whose hedge wins the race.
-        # Then a lone shard blows its deadline, and a dry retry budget
-        # denies a hedge outright.  The pool-level reactions to the
-        # deadline signal (worker quarantine, a failed ping on the
-        # wedged executor) are mirrored directly on the observer so
-        # those families stay seed-deterministic without spawning
-        # processes.
-        from ..robustness.clock import SimClock
-        from ..serve.hedging import (
-            HedgePolicy,
-            LatencyEstimator,
-            ShardTimeout,
-            SimShardTransport,
-            supervise_shards,
-        )
-        from ..serve.overload import RetryBudget
+    # The straggler story, on the simulated shard transport so no
+    # real process pool (and no wall-clock noise) is involved: one
+    # healthy shard, one mildly slow shard whose primary outruns
+    # its hedge, and one wedged shard whose hedge wins the race.
+    # Then a lone shard blows its deadline, and a dry retry budget
+    # denies a hedge outright.  The pool-level reactions to the
+    # deadline signal (worker quarantine, a failed ping on the
+    # wedged executor) are mirrored directly on the observer so
+    # those families stay seed-deterministic without spawning
+    # processes.
+    sim = SimClock()
 
-        sim = SimClock()
+    def latency(task, lane):
+        if lane == "hedge":
+            return 1.0 if task["shard"] == 1 else 0.02
+        return {0: 0.05, 1: 0.4, 2: 9.0}[task["shard"]]
 
-        def latency(task, lane):
-            if lane == "hedge":
-                return 1.0 if task["shard"] == 1 else 0.02
-            return {0: 0.05, 1: 0.4, 2: 9.0}[task["shard"]]
+    supervise_shards(
+        SimShardTransport(sim, latency),
+        [{"shard": i} for i in range(3)],
+        clock=sim,
+        deadline=30.0,
+        policy=HedgePolicy(),
+        estimator=LatencyEstimator(seed=seed),
+        observer=obs,
+    )
 
+    sim2 = SimClock()
+    try:
         supervise_shards(
-            SimShardTransport(sim, latency),
-            [{"shard": i} for i in range(3)],
-            clock=sim,
-            deadline=30.0,
-            policy=HedgePolicy(),
-            estimator=LatencyEstimator(seed=seed),
-            observer=obs,
-        )
-
-        sim2 = SimClock()
-        try:
-            supervise_shards(
-                SimShardTransport(sim2, lambda task, lane: 60.0),
-                [{"shard": 0}],
-                clock=sim2,
-                deadline=0.5,
-                observer=obs,
-            )
-        except ShardTimeout:
-            obs.on_worker_suspect("deadline")
-            obs.on_pool_ping_failure("OSError")
-
-        sim3 = SimClock()
-        supervise_shards(
-            SimShardTransport(
-                sim3, lambda task, lane: 0.6 if lane == "primary" else 0.02
-            ),
+            SimShardTransport(sim2, lambda task, lane: 60.0),
             [{"shard": 0}],
-            clock=sim3,
-            policy=HedgePolicy(),
-            estimator=LatencyEstimator(seed=seed),
-            retry_budget=RetryBudget(
-                capacity=0.0, refill_per_s=0.0, clock=sim3, observer=obs
-            ),
+            clock=sim2,
+            deadline=0.5,
             observer=obs,
         )
+    except ShardTimeout:
+        obs.on_worker_suspect("deadline")
+        obs.on_pool_ping_failure("OSError")
 
-    if overload:
-        # The admission ladder, walked deterministically: a healthy
-        # flush stays exact, sojourn persistently above target for a
-        # full interval degrades to inexact, and a stuck queue sheds at
-        # the door.
-        from ..robustness.clock import SimClock
-        from ..serve.overload import OverloadController
+    sim3 = SimClock()
+    supervise_shards(
+        SimShardTransport(
+            sim3, lambda task, lane: 0.6 if lane == "primary" else 0.02
+        ),
+        [{"shard": 0}],
+        clock=sim3,
+        policy=HedgePolicy(),
+        estimator=LatencyEstimator(seed=seed),
+        retry_budget=RetryBudget(
+            capacity=0.0, refill_per_s=0.0, clock=sim3, observer=obs
+        ),
+        observer=obs,
+    )
 
-        simo = SimClock()
-        ctl = OverloadController(
-            clock=simo,
-            target_ms=100.0,
-            interval_ms=1000.0,
-            shed_multiple=8.0,
-            degrade_budget_ms=250.0,
-            observer=obs,
-        )
-        ctl.flush_mode(0.02)  # healthy: exact
-        ctl.flush_mode(0.5)  # above target, interval not yet elapsed
-        simo.advance(1.5)
-        ctl.flush_mode(0.5)  # persistent overload: inexact
-        ctl.should_shed(oldest_sojourn_s=1.2)  # door shed
+    # The admission ladder, walked deterministically: a healthy
+    # flush stays exact, sojourn persistently above target for a
+    # full interval degrades to inexact, and a stuck queue sheds at
+    # the door.
+    simo = SimClock()
+    ctl = OverloadController(
+        clock=simo,
+        target_ms=100.0,
+        interval_ms=1000.0,
+        shed_multiple=8.0,
+        degrade_budget_ms=250.0,
+        observer=obs,
+    )
+    ctl.flush_mode(0.02)  # healthy: exact
+    ctl.flush_mode(0.5)  # above target, interval not yet elapsed
+    simo.advance(1.5)
+    ctl.flush_mode(0.5)  # persistent overload: inexact
+    ctl.should_shed(oldest_sojourn_s=1.2)  # door shed
     return obs

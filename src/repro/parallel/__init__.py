@@ -1,28 +1,18 @@
-"""Parallel execution: cost model, fork-join simulator, process pool.
+"""Parallel execution: cost model, edge-gather primitive, process pool.
 
-The cost model and fork-join simulator *simulate* the paper's machine;
+The cost model *simulates* the paper's machine;
 :mod:`repro.parallel.pool` (imported lazily — it pulls in the batch
 solvers, which import this package) runs a batch's units on real worker
 processes over a shared-memory graph.
 """
 
 from .cost_model import WorkDepthMeter, simulated_time, speedup_curve
-from .forkjoin import ForkJoinSimulator, Task, fork, leaf, parallel_for_task
-from .primitives import dedup, exclusive_scan, expand_ranges, pack, write_min
+from .primitives import expand_ranges
 
 __all__ = [
     "WorkDepthMeter",
     "simulated_time",
     "speedup_curve",
-    "ForkJoinSimulator",
-    "Task",
-    "fork",
-    "leaf",
-    "parallel_for_task",
-    "write_min",
-    "pack",
-    "dedup",
-    "exclusive_scan",
     "expand_ranges",
     "ProcessPool",
     "WorkerCrashError",

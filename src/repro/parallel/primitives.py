@@ -1,61 +1,15 @@
-"""Data-parallel primitives in the vectorized-batch execution style.
+"""The edge-gather primitive in the vectorized-batch execution style.
 
-Each primitive is the numpy realization of the parallel operation the
-paper's C++ code performs with ParlayLib, together with its fork-join
-work/span so callers can charge a :class:`~repro.parallel.cost_model.
-WorkDepthMeter` honestly:
-
-=====================  ======  ============
-primitive              work    span
-=====================  ======  ============
-``write_min``          O(k)    O(log k)
-``pack`` (filter)      O(k)    O(log k)
-``dedup``              O(k)    O(log k)
-``exclusive_scan``     O(k)    O(log k)
-=====================  ======  ============
+:func:`expand_ranges` is the numpy realization of the parallel gather
+the paper's C++ code performs with ParlayLib: O(k) work and O(log k)
+span over the k edges it produces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_min", "pack", "dedup", "exclusive_scan", "expand_ranges"]
-
-
-def write_min(values: np.ndarray, idx: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Batched atomic ``write_min``: lower ``values[idx]`` to ``candidates``.
-
-    Returns the boolean success mask per candidate — ``True`` where the
-    candidate is strictly below the value *present before this batch*
-    (i.e. the CAS would have succeeded at least once).  Mirrors the
-    paper's write_min(p, v) primitive applied by a whole parallel-for.
-    """
-    idx = np.asarray(idx)
-    candidates = np.asarray(candidates)
-    before = values[idx]
-    np.minimum.at(values, idx, candidates)
-    return candidates < before
-
-
-def pack(array: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Parallel filter (ParlayLib ``pack``)."""
-    return array[mask]
-
-
-def dedup(array: np.ndarray) -> np.ndarray:
-    """Remove duplicates (semisort + pack in the parallel setting)."""
-    return np.unique(array)
-
-
-def exclusive_scan(array: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exclusive prefix sum; returns (scan, total)."""
-    out = np.zeros(len(array), dtype=np.int64)
-    if len(array):
-        np.cumsum(array[:-1], out=out[1:])
-        total = float(out[-1] + array[-1])
-    else:
-        total = 0.0
-    return out, total
+__all__ = ["expand_ranges"]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

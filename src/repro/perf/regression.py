@@ -1,12 +1,12 @@
 """Benchmark-regression harness: a fixed seeded workload + tolerance gate.
 
 ``repro bench`` (and ``python -m repro.perf.regression``) runs a frozen
-workload — every single-query method cold and warm, plus the batch
-solvers — on two seeded synthetic graphs, and emits a ``BENCH_<i>.json``
-snapshot at the repo root.  Each snapshot also embeds a comparison
-against the previous ``BENCH_*.json``, so the sequence of files *is*
-the project's performance trajectory: any PR that silently regresses
-work counts or wall-clock shows up as a failed tolerance gate.
+workload — every single-query method and the batch solvers — on two
+seeded synthetic graphs, and emits a ``BENCH_<i>.json`` snapshot at the
+repo root.  Each snapshot also embeds a comparison against the previous
+``BENCH_*.json``, so the sequence of files *is* the project's
+performance trajectory: any PR that silently regresses work counts or
+wall-clock shows up as a failed tolerance gate.
 
 Two kinds of numbers are recorded and gated differently:
 
@@ -44,8 +44,6 @@ SCHEMA = 1
 SEED = 1729
 METHODS = ("sssp", "et", "astar", "bids", "bidastar")
 BATCH_METHODS = ("multi", "plain-bids", "sssp-vc")
-#: the acceptance bar: warm repeated-query throughput vs cold start.
-MIN_WARM_SPEEDUP = 3.0
 #: the acceptance bar: serve-time certificate verification on a clean
 #: workload must cost less than this fraction of the unverified run.
 #: Re-baselined 0.15 -> 0.25 when the kernel layer landed: the plain
@@ -64,11 +62,11 @@ _WALL_FLOOR_S = 5e-3
 
 SCALES = {
     "tiny": dict(road_side=8, knn_points=120, num_pairs=3, repeats=2,
-                 warm_rounds=4, batch_pairs=4,
+                 batch_pairs=4,
                  verify_road_side=16, verify_pairs=6,
                  service_pairs=8, service_chunk=4, service_rounds=2),
     "small": dict(road_side=16, knn_points=400, num_pairs=4, repeats=3,
-                  warm_rounds=6, batch_pairs=6,
+                  batch_pairs=6,
                   # Large enough that the serve baseline clears the wall
                   # floor, so the verify-overhead gate actually engages.
                   verify_road_side=96, verify_pairs=12,
@@ -125,11 +123,10 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
     is the real signal).
     """
     from ..api import batch_ppsp, ppsp
-    from .warm import WarmEngine
 
     wl = build_workload(scale)
     cfg = wl["config"]
-    repeats, warm_rounds = cfg["repeats"], cfg["warm_rounds"]
+    repeats = cfg["repeats"]
     single: dict[str, dict] = {}
     batch: dict[str, dict] = {}
 
@@ -137,7 +134,6 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
         g = wl["graphs"][name]
         qpairs = wl["pairs"][name]
         single[name] = {}
-        engine = WarmEngine(g)
 
         for method in METHODS:
             # Cold: fresh policy/heuristic/arrays on every call.
@@ -152,31 +148,8 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
                 work += ans.run.meter.work
                 steps += ans.run.steps
                 relax += ans.run.relaxations
-
-            # Warm: one priming pass fills the caches, then the measured
-            # rounds are repeated queries — the serving steady state.
-            for s, t in qpairs:
-                engine.query(s, t, method=method)
-            t0 = time.perf_counter()
-            for _ in range(warm_rounds):
-                for s, t in qpairs:
-                    engine.query(s, t, method=method)
-            warm_s = (time.perf_counter() - t0) / (warm_rounds * len(qpairs))
-
-            # Warm, result cache bypassed: the engine still runs, but
-            # heuristic rows are cached — isolates the h-table effect
-            # for the A* family.
-            t0 = time.perf_counter()
-            for _ in range(repeats):
-                for s, t in qpairs:
-                    engine.query(s, t, method=method, use_cache=False)
-            warm_uncached_s = (time.perf_counter() - t0) / (repeats * len(qpairs))
-
             single[name][method] = {
                 "cold_s": cold_s,
-                "warm_s": warm_s,
-                "warm_uncached_s": warm_uncached_s,
-                "warm_speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
                 "work": work,
                 "steps": steps,
                 "relaxations": relax,
@@ -189,20 +162,15 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
             for _ in range(repeats):
                 res = batch_ppsp(g, bpairs, method=bmethod)
             cold_s = (time.perf_counter() - t0) / repeats
-            t0 = time.perf_counter()
-            for _ in range(repeats):
-                wres = engine.batch(bpairs, method=bmethod)
-            warm_s = (time.perf_counter() - t0) / repeats
             batch[name][bmethod] = {
                 "cold_s": cold_s,
-                "warm_s": warm_s,
                 "work": float(res.meter.work),
                 "num_searches": res.num_searches,
             }
 
     verify = _verify_overhead(wl)
     service = _service_section(wl)
-    gates = _gates(single, verify, service)
+    gates = _gates(verify, service)
     pool = _pool_section(wl) if backend == "process" else None
     return {
         "schema": SCHEMA,  # additive sections (e.g. "obs", "verify") do NOT
@@ -275,27 +243,23 @@ def _observed_metrics(wl: dict) -> dict:
     """One instrumented pass per graph: per-phase engine metrics.
 
     Runs after (and independently of) the timed loops with its own
-    :class:`WarmEngine` and observer, so it contributes nothing to the
-    gated counters; the numbers land in the snapshot's additive
-    ``"obs"`` section so work/pruning/μ-settlement and cache behaviour
-    are trended alongside the wall-clock trajectory.
+    observer, so it contributes nothing to the gated counters; the
+    numbers land in the snapshot's additive ``"obs"`` section so
+    work/pruning/μ-settlement are trended alongside the wall-clock
+    trajectory.
     """
+    from ..api import ppsp
     from ..obs import Observer
-    from .warm import WarmEngine
 
     out: dict[str, dict] = {}
     for name in sorted(wl["graphs"]):
         g = wl["graphs"][name]
         obs = Observer()
-        engine = WarmEngine(g, observer=obs)
         rows: dict[str, dict] = {}
         for method in METHODS:
-            # Cold round then warm round: the second pass exercises the
-            # result cache, so hit counts below are non-trivial.
-            for _ in range(2):
-                for s, t in wl["pairs"][name]:
-                    with obs.span(method, source=s, target=t):
-                        engine.query(s, t, method=method)
+            for s, t in wl["pairs"][name]:
+                with obs.span(method, source=s, target=t):
+                    ppsp(g, s, t, method=method, observer=obs)
             spans = [sp for sp in obs.spans if sp.method == method]
             rows[method] = {
                 "work": sum(sp.work for sp in spans),
@@ -303,18 +267,8 @@ def _observed_metrics(wl: dict) -> dict:
                 "steps": sum(sp.steps for sp in spans),
                 "pruned": sum(sp.pruned for sp in spans),
                 "mu_settled_steps": [sp.mu_settled_step for sp in spans],
-                "cache_hits": sum(sp.cache_hits for sp in spans),
             }
-        stats = engine.stats()
-        out[name] = {
-            "methods": rows,
-            "cache": {
-                "result_hits": stats["results"]["hits"],
-                "result_misses": stats["results"]["misses"],
-                "heuristic_hits": stats["heuristics"]["hits"],
-                "heuristic_misses": stats["heuristics"]["misses"],
-            },
-        }
+        out[name] = {"methods": rows}
     return out
 
 
@@ -483,26 +437,14 @@ def _service_section(wl: dict, *, workers: int = 2) -> dict:
     }
 
 
-def _gates(single: dict, verify: dict, service: dict) -> dict:
+def _gates(verify: dict, service: dict) -> dict:
     """The acceptance gates computed from the measured workload."""
-    speedups = {}
-    for method in ("astar", "bidastar"):
-        vals = [
-            graph_rows[method]["warm_speedup"]
-            for graph_rows in single.values()
-            if method in graph_rows
-        ]
-        speedups[method] = min(vals) if vals else float("inf")
     return {
-        "min_required_warm_speedup": MIN_WARM_SPEEDUP,
-        "warm_speedup_astar": speedups.get("astar"),
-        "warm_speedup_bidastar": speedups.get("bidastar"),
         "max_verify_overhead": VERIFY_MAX_OVERHEAD,
         "verify_overhead": verify["worst_gated_overhead"],
         "min_required_service_speedup": MIN_SERVICE_SPEEDUP,
         "service_speedup": service.get("speedup"),
-        "pass": all(v >= MIN_WARM_SPEEDUP for v in speedups.values())
-        and verify["pass"] and service["pass"],
+        "pass": verify["pass"] and service["pass"],
     }
 
 
@@ -546,7 +488,6 @@ def compare(
                 ("steps", work_tolerance),
                 ("relaxations", work_tolerance),
                 ("cold_s", wall_tolerance),
-                ("warm_s", wall_tolerance),
             ):
                 cur_v, base_v = row.get(metric), base.get(metric)
                 if cur_v is None or base_v is None or base_v <= 0:
@@ -624,7 +565,7 @@ def bench_command(
 
     Returns ``(payload, exit_code)``; the exit code is nonzero only when
     ``check`` is set and the gate failed (a comparable baseline showed a
-    regression, or the warm-speedup gate missed).
+    regression, or an acceptance gate missed).
     """
     directory = Path(directory)
     out_path = Path(output) if output else next_bench_path(directory)

@@ -29,8 +29,6 @@ or becomes inf/nan) but stays a legal float:
 
 * ``flip_dist_at``          — flip bits of tentative distances inside a
   run (``on_step_start``), producing silently wrong final answers;
-* ``flip_cache_payload``    — corrupt a :class:`~repro.perf.WarmEngine`
-  cached answer as it is served (``corrupt_warm_answer``);
 * ``flip_checkpoint``       — flip one byte of a just-written serve
   checkpoint sidecar (``on_checkpoint_written``), corrupting durable
   state a resume would otherwise trust.
@@ -129,7 +127,6 @@ class FaultInjector:
         stall_seconds: float = 0.05,
         flip_dist_at: int | None = None,
         flip_dist_count: int = 1,
-        flip_cache_payload: bool = False,
         flip_checkpoint: bool = False,
         kill_worker_at: int | None = None,
         stall_worker_at: int | None = None,
@@ -153,7 +150,6 @@ class FaultInjector:
         self.stall_seconds = float(stall_seconds)
         self.flip_dist_at = flip_dist_at
         self.flip_dist_count = int(flip_dist_count)
-        self.flip_cache_payload = bool(flip_cache_payload)
         self.flip_checkpoint = bool(flip_checkpoint)
         self.kill_worker_at = kill_worker_at
         self.stall_worker_at = stall_worker_at
@@ -178,8 +174,8 @@ class FaultInjector:
         Those faults draw on this injector's seeded RNG and step
         indices, so a copy shipped to pool workers would fire different
         faults than the serial run.  The pool-level worker faults and
-        the parent-side ``flip_checkpoint`` / ``flip_cache_payload``
-        never enter an engine run and do not count.
+        the parent-side ``flip_checkpoint`` never enter an engine run
+        and do not count.
         """
         steps = (self.corrupt_dist_at, self.corrupt_mu_at, self.drop_frontier_at,
                  self.raise_at, self.stall_at, self.flip_dist_at)
@@ -300,24 +296,6 @@ class FaultInjector:
         return None
 
     # -- storage hooks --------------------------------------------------
-    def corrupt_warm_answer(self, answer):
-        """Maybe bit-flip a cached answer as it is served.
-
-        Called by :class:`~repro.perf.WarmEngine` on every cache hit
-        (when wired); returns the answer to actually serve.  The flip
-        models in-cache payload corruption — the served copy and the
-        stored entry both carry the bad distance, so detection must
-        evict, not just recompute.
-        """
-        if not (self.flip_cache_payload and self._armed()):
-            return answer
-        if not np.isfinite(answer.distance) or answer.distance <= 0:
-            return answer
-        from dataclasses import replace
-
-        self._record(-1, "flip-cache")
-        return replace(answer, distance=self._flip_bits(answer.distance))
-
     def on_checkpoint_written(self, store) -> None:
         """Maybe flip one byte of a just-written checkpoint sidecar.
 

@@ -5,9 +5,6 @@ witness path plus lower-bound evidence — and the independent
 :class:`CertificateChecker` validates them in O(path length + k spot
 checks).  Built on top of it:
 
-* :class:`repro.perf.WarmEngine` ``verify_hits=True`` — cache hits are
-  re-checked and failing entries quarantined (evicted and recomputed,
-  never served);
 * :class:`repro.serve.ServePipeline` ``verify=True`` — every answer is
   checked before it is recorded; a failed check triggers one exact
   recompute and re-check (the ``repaired`` outcome);

@@ -162,12 +162,6 @@ class TestHeuristicRowCache:
         assert h2 is not h1
         assert ls.cache_hits == 0  # bypass does not touch the counters
 
-    def test_clear_cache_forces_rebuild(self, small_social):
-        ls = LandmarkSet(small_social, k=4)
-        h1 = ls.heuristic_to(7)
-        ls.clear_cache()
-        assert ls.heuristic_to(7) is not h1
-
     def test_lru_bound_respected(self, small_social):
         ls = LandmarkSet(small_social, k=3, max_cached_targets=2)
         ls.heuristic_to(1)

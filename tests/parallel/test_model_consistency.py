@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.cost_model import WorkDepthMeter
-from repro.parallel.forkjoin import ForkJoinSimulator, parallel_for_task
+from tests.parallel.test_forkjoin import ForkJoinSimulator, parallel_for_task
 
 
 def replay_time(step_work: list[float], processors: int) -> float:

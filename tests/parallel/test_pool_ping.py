@@ -189,10 +189,10 @@ def test_run_shards_out_of_order_in_shard_order_with_own_latency(monkeypatch):
     assert latency[1] < latency[2] < latency[0]
 
 
-@pytest.mark.parametrize("fault", ["flip_checkpoint", "flip_cache_payload"])
+@pytest.mark.parametrize("fault", ["flip_checkpoint"])
 def test_parent_side_faults_ship(fault):
-    """These faults act in the parent, after a checkpoint write or on a
-    warm-cache hit, so the pool may run the batch."""
+    """This fault acts in the parent, after a checkpoint write, so the
+    pool may run the batch."""
     injector = FaultInjector(**{fault: True})
     kwargs, split = shippable_kwargs({"fault_injector": injector, "kernel": None})
     assert kwargs == {} and split is injector

@@ -1,53 +1,8 @@
-"""Data-parallel primitive tests."""
+"""Edge-gather primitive tests."""
 
 import numpy as np
 
-from repro.parallel.primitives import dedup, exclusive_scan, expand_ranges, pack, write_min
-
-
-class TestWriteMin:
-    def test_lowers_values(self):
-        vals = np.array([5.0, 5.0, 5.0])
-        ok = write_min(vals, np.array([0, 2]), np.array([3.0, 7.0]))
-        assert list(vals) == [3.0, 5.0, 5.0]
-        assert list(ok) == [True, False]
-
-    def test_duplicate_indices_take_min(self):
-        vals = np.array([10.0])
-        ok = write_min(vals, np.array([0, 0, 0]), np.array([7.0, 3.0, 9.0]))
-        assert vals[0] == 3.0
-        # All three were below the pre-batch value 10.
-        assert list(ok) == [True, True, True]
-
-    def test_equal_value_not_success(self):
-        vals = np.array([4.0])
-        ok = write_min(vals, np.array([0]), np.array([4.0]))
-        assert not ok[0]
-
-    def test_empty_batch(self):
-        vals = np.array([1.0])
-        ok = write_min(vals, np.array([], dtype=int), np.array([]))
-        assert len(ok) == 0
-
-
-class TestPackDedup:
-    def test_pack(self):
-        a = np.array([1, 2, 3, 4])
-        assert list(pack(a, np.array([True, False, True, False]))) == [1, 3]
-
-    def test_dedup(self):
-        assert list(dedup(np.array([3, 1, 3, 2, 1]))) == [1, 2, 3]
-
-
-class TestExclusiveScan:
-    def test_basic(self):
-        scan, total = exclusive_scan(np.array([2, 3, 4]))
-        assert list(scan) == [0, 2, 5]
-        assert total == 9
-
-    def test_empty(self):
-        scan, total = exclusive_scan(np.array([], dtype=int))
-        assert len(scan) == 0 and total == 0
+from repro.parallel.primitives import expand_ranges
 
 
 class TestExpandRanges:

@@ -3,10 +3,10 @@
 A seeded family of random geometric instances (50 x 4 pairs, the
 200-pair floor) has zero-weight arcs, unreachable and self pairs, and
 every third instance directed.  Axes: method (``PPSP_METHODS``,
-``BATCH_METHODS``); entry point (``ppsp``, ``WarmEngine.query`` miss
-and hit, ``solve_batch`` on raw pairs and on a ``QueryGraph``,
-``batch_ppsp``, ``ServePipeline.run``, ``QueryService`` futures replayed
-against the batches the service recorded); backend (serial, a
+``BATCH_METHODS``); entry point (``ppsp``, ``solve_batch`` on raw
+pairs and on a ``QueryGraph``, ``batch_ppsp``, ``ServePipeline.run``,
+``QueryService`` futures replayed against the batches the service
+recorded); backend (serial, a
 persistent and an ephemeral process pool); certify; directed; kernel
 (the default or the ``np.minimum.at`` oracle); budget (none, spent
 exactly — ``max_steps`` equal to the unbudgeted steps, summed over a
@@ -44,7 +44,6 @@ from repro.core.policies import AStar, BiDAStar, BiDS, EarlyTermination, SsspPol
 from repro.core.reference import run_policy_reference
 from repro.graphs import from_edges, road_graph
 from repro.kernels import Kernel
-from repro.perf import WarmEngine
 from repro.robustness import Budget, SimClock
 from repro.serve import QueryService, ServePipeline
 from repro.verify import CertificateChecker
@@ -181,7 +180,7 @@ def batch_key(res, pairs) -> tuple:
             list(meter.step_work))
 
 
-# Single-query entry points: ppsp, reference engine, WarmEngine.query
+# Single-query entry points: ppsp, reference engine
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_query(seed):
     """Every method cold, through the reference engine, and under a
@@ -213,27 +212,6 @@ def test_single_query(seed):
                 assert not cut.exact and cut.budget_report.exhausted, ctx
                 assert cut.budget_report.reason == f"max_steps={steps - 1} reached", ctx
                 check_distance(cut.distance, want, False)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_warm_query(seed):
-    """Every method through one ``WarmEngine``: the miss answers as
-    ``ppsp`` does, the hit returns the miss's answer."""
-    graph, pairs = instance(seed)
-    engine = WarmEngine(graph)
-    for s, t in pairs:
-        want = truth_row(seed, s)[t]
-        for method in PPSP_METHODS:
-            ctx = (seed, method, s, t)
-            cold = ppsp(graph, s, t, method=method)
-            miss = engine.query(s, t, method=method, path=True)
-            hit = engine.query(s, t, method=method, path=True)
-            assert not miss.cached and hit.cached, ctx
-            assert (miss.distance, miss.exact) == (cold.distance, True), ctx
-            assert replace(hit, cached=False) == miss, ctx
-            check_distance(miss.distance, want, True)
-            if math.isfinite(want):
-                check_path(graph, miss.path(), s, t, miss.distance)
 
 
 # Batch entry points: solve_batch, QueryGraph, batch_ppsp, ServePipeline

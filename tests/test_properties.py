@@ -17,7 +17,7 @@ from repro.core.query_graph import QueryGraph, vertex_cover
 from repro.core.stepping import BellmanFord, DeltaStepping, DijkstraOrder, RhoStepping
 from repro.graphs import from_edges
 from repro.heuristics.geometric import PointHeuristic
-from repro.parallel.primitives import expand_ranges, write_min
+from repro.parallel.primitives import expand_ranges
 
 # ----------------------------------------------------------------------
 # Graph strategies
@@ -206,25 +206,6 @@ def test_vertex_cover_covers_every_query(pairs, directed):
             needed.update((a, b))
     # A copy whose only queries are self pairs answers nothing.
     assert cover <= needed
-
-
-@settings(**COMMON)
-@given(
-    st.lists(st.floats(0, 1000, allow_nan=False), min_size=1, max_size=50),
-    st.data(),
-)
-def test_write_min_invariants(values, data):
-    vals = np.array(values)
-    k = data.draw(st.integers(1, 30))
-    idx = np.array(data.draw(st.lists(st.integers(0, len(vals) - 1), min_size=k, max_size=k)))
-    cand = np.array(data.draw(st.lists(st.floats(0, 1000, allow_nan=False), min_size=k, max_size=k)))
-    before = vals.copy()
-    ok = write_min(vals, idx, cand)
-    # Never increases, lands on the minimum proposal, success iff below old.
-    assert (vals <= before).all()
-    for i in np.unique(idx):
-        assert vals[i] == min(before[i], cand[idx == i].min())
-    assert np.array_equal(ok, cand < before[idx])
 
 
 @settings(**COMMON)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import Graph, road_graph
+from repro.obs import Observer
 from repro.serve import (
     CheckpointCorrupt,
     CheckpointStore,
@@ -108,11 +109,13 @@ def test_pipeline_quarantines_corrupt_checkpoint(grid, truth, pairs, tmp_path):
     blob = bytearray(open(store.sidecar, "rb").read())
     blob[len(blob) // 3] ^= 0xFF
     open(store.sidecar, "wb").write(bytes(blob))
+    obs = Observer()
     pipe = ServePipeline(grid, method="multi", checkpoint_path=ckpt,
-                         checkpoint_every=4)
+                         checkpoint_every=4, observer=obs)
     res = pipe.run(pairs, resume=True)
     assert "checkpoint_quarantined" in res.details
     assert res.resumed_queries == 0  # recomputed, never resumed
+    assert 'repro_verify_quarantine_total{layer="checkpoint"} 1' in obs.export_text()
     for key, expected in truth.items():
         assert abs(res.distances[key] - expected) <= 1e-6 * max(1.0, expected)
 
