@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow test-pool test-service test-hedge test-kernels soak chaos verify-chaos serve bench stats reproduce reproduce-tiny report examples clean
+.PHONY: install test test-slow test-pool test-service test-stall test-kernels soak chaos verify-chaos serve bench stats reproduce reproduce-tiny report examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -45,11 +45,12 @@ test-service:
 	$(PYTHON) -m pytest tests/test_conformance.py -q -m service
 
 # Straggler chaos: a pool worker stalls mid-shard (never killed) across
-# every batch method x 1/2/4 workers — hedged runs beat the stall with
-# bit-identical answers, deadline-only runs time out and recover via
-# the breaker/resilient chain (docs/robustness.md).
-test-hedge:
-	$(PYTHON) -m pytest tests/parallel/test_pool_stall_chaos.py -q -m hedge \
+# every batch method x 1/2/4 workers — the batch deadline times the
+# stall out and quarantines the workers once, the respawned pool then
+# answers byte-identically to serial, and the pipeline and service
+# recover via the breaker/resilient chain (docs/robustness.md).
+test-stall:
+	$(PYTHON) -m pytest tests/parallel/test_pool_stall_chaos.py -q -m stall \
 		-W error::pytest.PytestUnhandledThreadExceptionWarning
 
 # Scatter-min kernel suites: byte-for-byte property checks of the

@@ -74,7 +74,7 @@ from .verify import (
     build_certificate,
 )
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "ppsp",

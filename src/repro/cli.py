@@ -310,15 +310,11 @@ def _serve_chaos_injector(args):
     )
 
 
-def _serve_hedging_kwargs(args):
-    """shard_deadline / hedge / retry_budget kwargs from the CLI flags."""
+def _serve_recovery_kwargs(args):
+    """shard_deadline / retry_budget kwargs from the CLI flags."""
     kwargs = {}
     if args.shard_deadline is not None:
         kwargs["shard_deadline"] = args.shard_deadline
-    if args.hedge:
-        from .serve import HedgePolicy
-
-        kwargs["hedge"] = HedgePolicy(factor=args.hedge_factor)
     if args.retry_budget is not None:
         from .serve import RetryBudget
 
@@ -366,7 +362,7 @@ def _cmd_serve_batch(args) -> int:
         fault_injector=_serve_chaos_injector(args),
         backend=args.backend,
         workers=args.workers,
-        **_serve_hedging_kwargs(args),
+        **_serve_recovery_kwargs(args),
     )
     res = pipeline.run(queries, resume=args.resume)
     payload = {
@@ -442,7 +438,7 @@ def _cmd_serve(args) -> int:
         codel_interval_ms=args.codel_interval_ms,
         shed_multiple=args.shed_multiple,
         degrade_budget_ms=args.degrade_budget_ms,
-        **_serve_hedging_kwargs(args),
+        **_serve_recovery_kwargs(args),
     )
     try:
         with service as svc:
@@ -656,20 +652,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "returned; refuted answers are repaired by an "
                          "exact recompute (outcome 'repaired')")
     sv.add_argument("--shard-deadline", type=float, metavar="SECONDS",
-                    help="per-shard wall deadline (--backend process): a "
-                         "shard past it times out instead of hanging, and "
-                         "the suspect worker pool is quarantined and "
-                         "respawned")
-    sv.add_argument("--hedge", action="store_true",
-                    help="hedged re-execution (--backend process): launch a "
-                         "backup of a straggling shard once it exceeds "
-                         "--hedge-factor x the median shard latency; first "
-                         "result wins, answers stay bit-identical")
-    sv.add_argument("--hedge-factor", type=float, default=3.0,
-                    help="hedge a shard after FACTOR x median shard latency")
+                    help="wall deadline of each pool batch, counted from "
+                         "submission (--backend process): a batch past it "
+                         "times out instead of hanging, the suspect worker "
+                         "pool is quarantined and respawned, and the shard "
+                         "is re-answered through the resilient chain")
     sv.add_argument("--retry-budget", type=float, metavar="TOKENS",
-                    help="token-bucket capacity shared by hedges and "
-                         "resilient-chain retries (default: unbounded)")
+                    help="token-bucket capacity for resilient-chain "
+                         "retries (default: unbounded)")
     sv.add_argument("--chaos-flip-dist", type=int, metavar="N",
                     help="inject N seeded bit-flips into tentative "
                          "distances per fault firing (chaos testing)")
@@ -708,16 +698,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="admission capacity per coalesced batch; excess "
                           "sheds lowest-priority first")
     srv.add_argument("--shard-deadline", type=float, metavar="SECONDS",
-                     help="per-shard wall deadline for pool batches "
+                     help="wall deadline of each pool batch "
                           "(see 'serve-batch --shard-deadline')")
-    srv.add_argument("--hedge", action="store_true",
-                     help="hedged re-execution of straggling shards "
-                          "(see 'serve-batch --hedge')")
-    srv.add_argument("--hedge-factor", type=float, default=3.0,
-                     help="hedge a shard after FACTOR x median shard latency")
     srv.add_argument("--retry-budget", type=float, metavar="TOKENS",
-                     help="token-bucket capacity shared by hedges and "
-                          "resilient-chain retries (default: unbounded)")
+                     help="token-bucket capacity for resilient-chain "
+                          "retries (default: unbounded)")
     srv.add_argument("--codel-target-ms", type=float, default=100.0,
                      help="queue-sojourn target; sojourn persistently above "
                           "it for a full interval means overloaded")

@@ -201,8 +201,6 @@ def solve_batch(
     workers: int | None = None,
     pool=None,
     shard_deadline: float | None = None,
-    hedge=None,
-    retry_budget=None,
     **engine_kwargs,
 ) -> BatchResult:
     """Answer a batch of PPSP queries.
@@ -249,13 +247,11 @@ def solve_batch(
     (``budget``, ``max_sources``, a ``kernel``) are rejected with a
     ``ValueError``.
 
-    ``shard_deadline`` (per-task wall seconds from submission),
-    ``hedge`` (a :class:`~repro.serve.hedging.HedgePolicy` or ``None``),
-    and ``retry_budget`` (a :class:`~repro.serve.overload.RetryBudget`)
-    arm the process backend's straggler defenses — task timeouts,
-    hedged re-execution, budget-gated backups (see
-    :mod:`repro.serve.hedging`).  Because tasks are deterministic,
-    hedged answers stay bit-identical to serial.  Process backend only.
+    ``shard_deadline`` (wall seconds from submission) bounds a process
+    batch: a stuck worker raises
+    :class:`~repro.parallel.pool.ShardTimeout` after the pool has
+    quarantined its workers, instead of hanging the batch.  Process
+    backend only.
 
     Remaining keyword arguments flow into every engine run this batch
     launches (all five solvers), e.g. a caller-built ``kernel=``
@@ -295,10 +291,8 @@ def solve_batch(
     else:
         if workers is not None or pool is not None:
             raise ValueError("workers/pool apply to backend='process' only")
-        if shard_deadline is not None or hedge is not None or retry_budget is not None:
-            raise ValueError(
-                "shard_deadline/hedge/retry_budget apply to backend='process' only"
-            )
+        if shard_deadline is not None:
+            raise ValueError("shard_deadline applies to backend='process' only")
         if max_sources is not None and method != "multi":
             raise ValueError("max_sources applies to the 'multi' method only")
 
@@ -316,8 +310,6 @@ def solve_batch(
             injector=injector,
             observer=observer,
             deadline=shard_deadline,
-            hedge=hedge,
-            retry_budget=retry_budget,
             strategy=strategy,
             certify=certify,
             **engine_kwargs,

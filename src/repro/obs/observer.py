@@ -203,22 +203,8 @@ class Observer:
             "Shards that produced no result within their deadline")
         self._pool_suspects = r.counter(
             "repro_pool_suspect_workers_total",
-            "Worker-set quarantines (deadline timeout / stuck straggler)",
+            "Worker-set quarantines by reason (deadline)",
             ("reason",))
-        self._hedge_launched = r.counter(
-            "repro_hedge_launched_total",
-            "Backup shard executions launched for stragglers")
-        self._hedge_races = r.counter(
-            "repro_hedge_races_total",
-            "Resolved hedge races by winning lane (primary / hedge)",
-            ("winner",))
-        self._hedge_denied = r.counter(
-            "repro_hedge_denied_total",
-            "Hedges skipped because the retry budget was dry")
-        self._hedge_delay = r.histogram(
-            "repro_hedge_delay_seconds",
-            "Straggler age when its hedge launched",
-            buckets=TIME_BUCKETS)
         self._overload_decisions = r.counter(
             "repro_overload_decisions_total",
             "Degradation-ladder decisions (exact / inexact / shed)",
@@ -228,7 +214,7 @@ class Observer:
             "Submissions shed at the door by queue-delay overload control")
         self._retry_denials = r.counter(
             "repro_overload_retry_denials_total",
-            "Retry-budget denials by kind (hedge / retry)",
+            "Retry-budget denials by kind (retry)",
             ("kind",))
         self._kernel_calls = r.counter(
             "repro_kernel_invocations_total",
@@ -345,7 +331,7 @@ class Observer:
         self._pool_workers.set(workers)
 
     def on_pool_shard(self, status: str, seconds: float) -> None:
-        """Pool hook: one shard reached a terminal status (ok / crashed)."""
+        """Pool hook: one shard reached a terminal status (ok / crashed / timeout)."""
         self._pool_shards.inc(status=status)
         self._pool_shard_seconds.observe(seconds)
 
@@ -366,22 +352,6 @@ class Observer:
         self._pool_suspects.inc(reason=reason)
 
     # ------------------------------------------------------------------
-    # Hedging hooks (straggler defense)
-    # ------------------------------------------------------------------
-    def on_hedge_launch(self, delay_s: float) -> None:
-        """Hedge hook: a backup shard launched after ``delay_s`` waiting."""
-        self._hedge_launched.inc()
-        self._hedge_delay.observe(delay_s)
-
-    def on_hedge_result(self, winner: str) -> None:
-        """Hedge hook: a race resolved (``winner`` = primary / hedge)."""
-        self._hedge_races.inc(winner=winner)
-
-    def on_hedge_denied(self) -> None:
-        """Hedge hook: the retry budget refused a backup launch."""
-        self._hedge_denied.inc()
-
-    # ------------------------------------------------------------------
     # Overload-control hooks
     # ------------------------------------------------------------------
     def on_overload_decision(self, mode: str) -> None:
@@ -393,7 +363,7 @@ class Observer:
         self._overload_shed.inc()
 
     def on_retry_denied(self, kind: str) -> None:
-        """Overload hook: the retry budget denied a token (hedge / retry)."""
+        """Overload hook: the retry budget denied a token (``kind`` = retry)."""
         self._retry_denials.inc(kind=kind)
 
     # ------------------------------------------------------------------

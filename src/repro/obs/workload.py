@@ -8,9 +8,7 @@ serve pipeline trips a circuit breaker open,
 routes through the fallback rungs, and recovers it via a half-open
 probe (all on a simulated clock), a verified serve run detects
 seeded bit-flip corruption and repairs it (exercising the certificate
-checker, repair, and quarantine counters), a simulated-transport
-straggler story exercises hedged re-execution (a hedge win, a primary
-win, a shard deadline, a budget denial), and the overload controller
+checker, repair, and quarantine counters), and the overload controller
 walks its full ladder (exact -> inexact -> shed).
 All randomness flows from one seed,
 so the resulting metrics — everything except wall-clock histograms —
@@ -66,14 +64,7 @@ def stats_workload(
     from ..robustness.faults import FaultInjector
     from ..robustness.resilient import resilient_ppsp
     from ..serve import ServePipeline
-    from ..serve.hedging import (
-        HedgePolicy,
-        LatencyEstimator,
-        ShardTimeout,
-        SimShardTransport,
-        supervise_shards,
-    )
-    from ..serve.overload import OverloadController, RetryBudget
+    from ..serve.overload import OverloadController
 
     if graph is None:
         graph = default_stats_graph()
@@ -151,61 +142,6 @@ def stats_workload(
         with obs.span("serve-verify") as span:
             res = pipe.run(pairs)
             span.exact = res.exact
-
-    # The straggler story, on the simulated shard transport so no
-    # real process pool (and no wall-clock noise) is involved: one
-    # healthy shard, one mildly slow shard whose primary outruns
-    # its hedge, and one wedged shard whose hedge wins the race.
-    # Then a lone shard blows its deadline, and a dry retry budget
-    # denies a hedge outright.  The pool-level reactions to the
-    # deadline signal (worker quarantine, a failed ping on the
-    # wedged executor) are mirrored directly on the observer so
-    # those families stay seed-deterministic without spawning
-    # processes.
-    sim = SimClock()
-
-    def latency(task, lane):
-        if lane == "hedge":
-            return 1.0 if task["shard"] == 1 else 0.02
-        return {0: 0.05, 1: 0.4, 2: 9.0}[task["shard"]]
-
-    supervise_shards(
-        SimShardTransport(sim, latency),
-        [{"shard": i} for i in range(3)],
-        clock=sim,
-        deadline=30.0,
-        policy=HedgePolicy(),
-        estimator=LatencyEstimator(seed=seed),
-        observer=obs,
-    )
-
-    sim2 = SimClock()
-    try:
-        supervise_shards(
-            SimShardTransport(sim2, lambda task, lane: 60.0),
-            [{"shard": 0}],
-            clock=sim2,
-            deadline=0.5,
-            observer=obs,
-        )
-    except ShardTimeout:
-        obs.on_worker_suspect("deadline")
-        obs.on_pool_ping_failure("OSError")
-
-    sim3 = SimClock()
-    supervise_shards(
-        SimShardTransport(
-            sim3, lambda task, lane: 0.6 if lane == "primary" else 0.02
-        ),
-        [{"shard": 0}],
-        clock=sim3,
-        policy=HedgePolicy(),
-        estimator=LatencyEstimator(seed=seed),
-        retry_budget=RetryBudget(
-            capacity=0.0, refill_per_s=0.0, clock=sim3, observer=obs
-        ),
-        observer=obs,
-    )
 
     # The admission ladder, walked deterministically: a healthy
     # flush stays exact, sojourn persistently above target for a

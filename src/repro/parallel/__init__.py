@@ -15,11 +15,12 @@ __all__ = [
     "speedup_curve",
     "expand_ranges",
     "ProcessPool",
+    "ShardTimeout",
     "WorkerCrashError",
     "run_units",
 ]
 
-_POOL_EXPORTS = {"ProcessPool", "WorkerCrashError", "run_units"}
+_POOL_EXPORTS = {"ProcessPool", "ShardTimeout", "WorkerCrashError", "run_units"}
 
 
 def __getattr__(name):

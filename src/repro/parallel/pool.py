@@ -18,13 +18,12 @@ results back.  Results are therefore **bit-identical** to
 ``backend="serial"`` by construction: same distances, same paths, same
 certificates, same work/depth meter.
 
-Every batch runs under :func:`~repro.serve.hedging.supervise_shards`,
-which waits for each task and, when the call sets a per-task deadline
-or a :class:`~repro.serve.hedging.HedgePolicy`, times out stuck tasks
-and hedges stragglers.  Worker death (SIGKILL, OOM) surfaces as
-:class:`WorkerCrashError`; the serve pipeline treats that as a shard
-failure, so its breakers and checkpoint/resume machinery recover
-exactly as for any other fault.
+A batch may carry a deadline counted from submission: a stuck (not
+crashed) worker then surfaces as :class:`ShardTimeout` after the pool
+quarantines its workers, instead of hanging the batch.  Worker death
+(SIGKILL, OOM) surfaces as :class:`WorkerCrashError`.  The serve
+pipeline treats either as a shard failure, so its breakers and
+checkpoint/resume machinery recover exactly as for any other fault.
 
 Inherently single-process features — ``budget``, ``max_sources``, a
 caller's ``kernel``, auditors/tracing, engine-level fault injection —
@@ -48,7 +47,13 @@ from ..core.batch import run_unit
 from ..graphs.csr import Graph
 from ..graphs.shm import SharedGraph, export_graph
 
-__all__ = ["ProcessPool", "WorkerCrashError", "run_units", "shippable_kwargs"]
+__all__ = [
+    "ProcessPool",
+    "ShardTimeout",
+    "WorkerCrashError",
+    "run_units",
+    "shippable_kwargs",
+]
 
 logger = logging.getLogger("repro.pool")
 
@@ -81,6 +86,24 @@ class WorkerCrashError(RuntimeError):
     """
 
 
+class ShardTimeout(RuntimeError):
+    """A batch's tasks produced no result within its deadline.
+
+    Carries the index of the first unfinished task and the deadline.
+    Raised by :meth:`ProcessPool.run_shards` after it has cancelled the
+    remaining tasks and quarantined the workers, so nothing is left
+    running; the serve pipeline treats it like any other backend
+    failure (breaker + per-query fallback chain).
+    """
+
+    def __init__(self, shard: int, deadline_s: float) -> None:
+        super().__init__(
+            f"shard {shard} produced no result within {deadline_s:.3f}s deadline"
+        )
+        self.shard = int(shard)
+        self.deadline_s = float(deadline_s)
+
+
 class ProcessPool:
     """A reusable pool of worker processes with shared-graph caching.
 
@@ -99,35 +122,26 @@ class ProcessPool:
     and the failed batch surfaces as :class:`WorkerCrashError` so the
     serve pipeline's breaker/retry path decides what to re-run.
 
-    Straggler defence is set per call on :meth:`run_shards` (see
-    :mod:`repro.serve.hedging`): a per-task deadline times out stuck
-    tasks (:class:`~repro.serve.hedging.ShardTimeout`), and a
-    :class:`~repro.serve.hedging.HedgePolicy` launches first-result-wins
-    backups of stragglers on a small separate *hedge lane* executor
-    (``min(2, workers)`` slots), so a backup can proceed even when
-    every primary worker slot is wedged.  A task timeout, or a
-    straggling primary still stuck when the batch ends, quarantines
-    the primary worker set: processes are killed and the next dispatch
-    respawns fresh ones (counted in :attr:`quarantines` /
-    :attr:`respawns`).  The hedge delay comes from a latency estimate
-    the pool keeps across batches.  A batch submits all its tasks at
-    once, so a task's deadline and its learned latency both run from
-    submission and include its wait behind the batch's other tasks.
+    The straggler defence is a deadline set per :meth:`run_shards`
+    call.  A batch submits all its tasks at once and the deadline runs
+    from submission, so it covers each task's wait behind the batch's
+    other tasks.  When it expires, the batch raises
+    :class:`ShardTimeout` and the worker set is quarantined: processes
+    are killed and the next dispatch respawns fresh ones (counted in
+    :attr:`quarantines` / :attr:`respawns`).
     """
 
     def __init__(self, workers: int | None = None, *, observer=None) -> None:
         self.workers = max(1, int(workers) if workers is not None else os.cpu_count() or 1)
         self._executor: ProcessPoolExecutor | None = None
-        self._hedge_executor: ProcessPoolExecutor | None = None
         self._shared: dict[str, SharedGraph] = {}
         self._closed = False
         self._spawns = 0
         #: executor rebuilds after a worker crash (0 for a healthy pool).
         self.respawns = 0
-        #: suspect-worker quarantines (deadline timeouts / stuck stragglers).
+        #: suspect-worker quarantines (deadline timeouts).
         self.quarantines = 0
         self.observer = observer
-        self._estimator = None  # lazy LatencyEstimator (hedging import)
 
     # ------------------------------------------------------------------
     def share(self, graph) -> dict:
@@ -159,27 +173,8 @@ class ProcessPool:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
-    def _ensure_hedge_executor(self) -> ProcessPoolExecutor:
-        """The hedge lane: a small separate executor for backup shards.
-
-        Separate on purpose — when every primary slot is wedged behind
-        a stuck worker, a hedge submitted to the same executor would
-        queue behind the very straggler it is meant to beat.
-        """
-        if self._hedge_executor is None:
-            resource_tracker.ensure_running()  # see _ensure_executor
-            self._hedge_executor = ProcessPoolExecutor(
-                min(2, self.workers), _FORK_OR_SPAWN
-            )
-        return self._hedge_executor
-
-    def _discard_hedge_executor(self) -> None:
-        if self._hedge_executor is not None:
-            self._hedge_executor.shutdown(wait=False, cancel_futures=True)
-            self._hedge_executor = None
-
     def _quarantine(self, reason: str, *, observer=None) -> None:
-        """Kill the (suspect) primary worker set; next dispatch respawns.
+        """Kill the (suspect) worker set; next dispatch respawns.
 
         ``shutdown(wait=False)`` alone would leave a wedged worker
         sleeping in its slot forever, so the processes are SIGKILLed
@@ -188,8 +183,8 @@ class ProcessPool:
 
         The executor stays referenced until its manager thread has seen
         the shutdown and the deaths: tasks may still be queued, and a
-        collected executor leaves that thread failing futures the
-        supervisor already cancelled.
+        collected executor leaves that thread failing futures
+        :meth:`run_shards` already cancelled.
         """
         executor = self._executor
         if executor is not None:
@@ -273,73 +268,74 @@ class ProcessPool:
         *,
         observer=None,
         deadline: float | None = None,
-        hedge=None,
-        retry_budget=None,
     ) -> list[dict]:
         """Execute shard tasks on the workers; results in shard order.
 
-        Shards run under :func:`~repro.serve.hedging.supervise_shards`;
-        each one reports its own dispatch-to-result time to the
-        observer.  ``deadline`` (per-shard wall seconds) makes a shard
-        that produces nothing in time raise
-        :class:`~repro.serve.hedging.ShardTimeout` (after quarantining
-        the suspect workers) instead of blocking forever; ``hedge`` (a
-        :class:`~repro.serve.hedging.HedgePolicy`) hedges stragglers on
-        the backup lane, first result winning bit-identically, each
-        hedge drawing a token from ``retry_budget`` when one is given.
-        With neither, the supervisor simply waits for every shard.
+        Every task is submitted at once; each one reports its own
+        submission-to-result time to the observer.  ``deadline`` (wall
+        seconds from submission) bounds the whole batch: when it
+        expires with a task unfinished, the remaining tasks are
+        cancelled, the worker set is quarantined and
+        :class:`ShardTimeout` is raised instead of blocking forever.
 
         A worker death poisons the executor (every pending shard with
-        it), so the executors are discarded and
-        :class:`WorkerCrashError` raised — the caller retries the whole
-        batch or fails the shard upward.  That holds whether the death
-        is found at a result or already at submission (a worker that
-        died while idle).  Any ordinary exception from a worker
-        propagates as-is, exactly as the serial backend would raise it.
+        it), so the executor is discarded and :class:`WorkerCrashError`
+        raised — the caller retries the whole batch or fails the shard
+        upward.  That holds whether the death is found at a result or
+        already at submission (a worker that died while idle).  Any
+        ordinary exception from a worker propagates as-is, after the
+        remaining tasks are cancelled, exactly as the serial backend
+        would raise it.
         """
-        from ..serve.hedging import LatencyEstimator, ShardTimeout, supervise_shards
-
         if self._closed:
             raise RuntimeError("pool is closed")
+        if deadline is not None and deadline <= 0:
+            raise ValueError(f"deadline must be > 0, got {deadline}")
         if not tasks:
             return []
         observer = observer if observer is not None else self.observer
-        if self._estimator is None:
-            self._estimator = LatencyEstimator()
         start = time.perf_counter()
+        expires = None if deadline is None else start + deadline
+        futures: dict = {}
+        seconds = [0.0] * len(tasks)
         try:
-            results, report = supervise_shards(
-                _ExecutorTransport(self),
-                tasks,
-                deadline=deadline,
-                policy=hedge,
-                estimator=self._estimator,
-                retry_budget=retry_budget,
-                observer=observer,
-            )
+            executor = self._ensure_executor()
+            for index, task in enumerate(tasks):
+                futures[executor.submit(_pool_worker, task)] = index
+            pending = set(futures)
+            while pending:
+                timeout = None if expires is None else max(0.0, expires - time.perf_counter())
+                done, pending = _futures_wait(pending, timeout, FIRST_COMPLETED)
+                if not done:
+                    raise ShardTimeout(min(futures[f] for f in pending), deadline)
+                now = time.perf_counter()
+                for future in done:
+                    seconds[futures[future]] = now - start
+                    future.result()  # a task's own exception propagates
         except ShardTimeout:
+            for future in futures:
+                future.cancel()
             if observer is not None:
+                observer.on_shard_timeout()
                 observer.on_pool_shard("timeout", time.perf_counter() - start)
             self._quarantine("deadline", observer=observer)
             raise
         except BrokenProcessPool:
             self._discard_executor()
-            self._discard_hedge_executor()
             if observer is not None:
                 observer.on_pool_crash()
                 observer.on_pool_shard("crashed", time.perf_counter() - start)
             raise WorkerCrashError(
                 "a pool worker died mid-shard; the batch produced no answers"
             ) from None
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
         if observer is not None:
-            for seconds in report.latencies:
-                observer.on_pool_shard("ok", seconds)
-        # A primary that lost its hedge race *and* is still running now
-        # is genuinely stuck (a merely queued loser was cancelled, a
-        # merely slow one has finished by the end of the batch).
-        if any(not handle.done() for _idx, handle in report.stragglers):
-            self._quarantine("straggler", observer=observer)
-        return results
+            for value in seconds:
+                observer.on_pool_shard("ok", value)
+        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -362,16 +358,9 @@ class ProcessPool:
                 finally:
                     self._executor = None
         finally:
-            try:
-                if self._hedge_executor is not None:
-                    try:
-                        self._hedge_executor.shutdown(wait=True, cancel_futures=True)
-                    finally:
-                        self._hedge_executor = None
-            finally:
-                shared, self._shared = self._shared, {}
-                for handle in shared.values():
-                    handle.unlink()
+            shared, self._shared = self._shared, {}
+            for handle in shared.values():
+                handle.unlink()
 
     def __enter__(self) -> "ProcessPool":
         return self
@@ -384,37 +373,6 @@ class ProcessPool:
             self.close()
         except Exception:
             pass
-
-
-class _ExecutorTransport:
-    """Adapt the pool's executors to the supervise_shards protocol.
-
-    Primaries go to the main executor; hedge copies go to the
-    dedicated hedge lane with worker-fault task keys already stripped
-    by the supervisor (the fault models a sick worker, not sick work).
-    """
-
-    def __init__(self, pool: "ProcessPool") -> None:
-        self._pool = pool
-
-    def submit(self, task: dict, lane: str = "primary"):
-        if lane == "hedge":
-            executor = self._pool._ensure_hedge_executor()
-        else:
-            executor = self._pool._ensure_executor()
-        return executor.submit(_pool_worker, task)
-
-    def wait(self, handles, timeout):
-        done, _not_done = _futures_wait(
-            handles, timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        return done
-
-    def result(self, handle):
-        return handle.result(timeout=0)
-
-    def cancel(self, handle) -> bool:
-        return handle.cancel()
 
 
 # ----------------------------------------------------------------------
@@ -449,8 +407,8 @@ def _pool_worker(task: dict) -> dict:
     # Injected worker stall: a *real* sleep halfway through the shard,
     # modelling a wedged-but-alive worker (swap storm, hung syscall).
     # Unlike the engine-level simulated stall this blocks actual wall
-    # time, which is exactly what shard deadlines and hedging defend
-    # against; the worker eventually wakes and returns correct bytes.
+    # time, which is exactly what the batch deadline defends against;
+    # the worker eventually wakes and returns correct bytes.
     stall_s = float(task.get("stall") or 0.0)
     stall_at = len(units) // 2 if stall_s > 0 else None
     out = []
@@ -515,8 +473,6 @@ def run_units(
     injector=None,
     observer=None,
     deadline: float | None = None,
-    hedge=None,
-    retry_budget=None,
     **run_kwargs,
 ) -> list:
     """Run batch units on worker processes; results in unit order.
@@ -525,8 +481,9 @@ def run_units(
     TASKS_PER_WORKER * pool.workers)`` tasks of consecutive units, all
     submitted at once; each free worker takes the next queued task and
     answers its units with ``run_unit(graph, unit, **run_kwargs)``.
-    ``injector`` kill/stall faults are armed by task index.  ``label``
-    names the batch method for the observer.  Pass an existing
+    ``injector`` kill/stall faults are armed by task index, and
+    ``deadline`` bounds the batch (see :meth:`ProcessPool.run_shards`).
+    ``label`` names the batch method for the observer.  Pass an existing
     :class:`ProcessPool` to reuse workers and the shared graph across
     batches; otherwise an ephemeral pool of ``workers`` processes is
     created and torn down (segments unlinked) around this one call,
@@ -556,13 +513,7 @@ def run_units(
             tasks.append(task)
         if observer is not None:
             observer.on_pool_batch(label, pool.workers)
-        done = pool.run_shards(
-            tasks,
-            observer=observer,
-            deadline=deadline,
-            hedge=hedge,
-            retry_budget=retry_budget,
-        )
+        done = pool.run_shards(tasks, observer=observer, deadline=deadline)
     finally:
         if own_pool:
             pool.close()

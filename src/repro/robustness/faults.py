@@ -40,8 +40,8 @@ mid-task, modeling an OOM-killed or segfaulted worker process that the
 pool must surface as a batch failure.  ``stall_worker_at`` is its
 wedged-but-alive sibling: the worker sleeps ``stall_worker_seconds`` of
 real wall time mid-task — invisible to ``BrokenProcessPool``
-detection, recoverable only by task deadlines / hedged re-execution
-(:mod:`repro.serve.hedging`).
+detection, recoverable only by the batch deadline
+(:meth:`repro.parallel.pool.ProcessPool.run_shards`).
 
 Every decision flows from one seeded RNG plus hash-based per-vertex
 noise, so a chaos run is exactly reproducible from its seed.  Injection
@@ -64,7 +64,7 @@ class InjectedFault(RuntimeError):
 
     ``transient=True`` marks failures that a retry may survive (the
     injector disarms after ``max_fires``); the fallback chain retries
-    those with backoff and skips straight to the next rung otherwise.
+    those on the same rung and skips straight to the next rung otherwise.
     """
 
     def __init__(self, message: str, *, transient: bool = True) -> None:
@@ -287,8 +287,8 @@ class FaultInjector:
         stays *alive*: it sleeps ``stall_worker_seconds`` of real wall
         time halfway through its task — a wedged worker the executor
         cannot detect (no ``BrokenProcessPool``), which is the failure
-        mode task deadlines and hedged re-execution exist for.  Fires
-        at most once per ``max_fires``.
+        mode the batch deadline exists for.  Fires at most once per
+        ``max_fires``.
         """
         if self.stall_worker_at == task_index and self._armed():
             self._record(task_index, "stall-worker")

@@ -10,10 +10,7 @@ Each engine rung runs under its own (fresh) budget and, when checked
 mode is on, under an :class:`~repro.robustness.auditor.InvariantAuditor`.
 Transient failures (exceptions carrying ``transient=True``, e.g. an
 :class:`~repro.robustness.faults.InjectedFault` from chaos tests) are
-retried on the same rung with seeded decorrelated-jitter backoff
-(:func:`~repro.serve.overload.next_backoff` — delays spread out instead
-of doubling in lockstep, and an injectable RNG/sleep keeps tests
-deterministic), optionally gated by a shared
+retried at once on the same rung, optionally gated by a shared
 :class:`~repro.serve.overload.RetryBudget` so a fleet of failing
 queries cannot mount a retry storm; permanent failures —
 an :class:`~repro.robustness.auditor.InvariantViolation`, a missing
@@ -28,7 +25,6 @@ produced, not just what it was.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,10 +91,6 @@ def resilient_ppsp(
     methods: tuple[str, ...] = DEFAULT_CHAIN,
     budget=None,
     retries: int = 1,
-    backoff: float = 0.0,
-    backoff_cap: float | None = None,
-    rng=None,
-    sleep=None,
     retry_budget=None,
     checked: bool = False,
     reference_fallback: bool = True,
@@ -118,21 +110,7 @@ def resilient_ppsp(
         budget-exhausted rung contributes its upper bound and the chain
         moves on.
     retries : int
-        Extra tries per rung for *transient* failures.
-    backoff : float
-        Base sleep (seconds) between transient retries.  Each delay is
-        drawn with decorrelated jitter — ``min(cap, uniform(backoff,
-        3 x previous))`` — so concurrent retriers spread out instead of
-        synchronizing into waves.  Zero (the default) retries
-        immediately — tests stay fast.
-    backoff_cap : float or None
-        Ceiling on one jittered delay; defaults to ``16 x backoff``.
-    rng : None | int | numpy.random.Generator
-        Seed/generator for the jitter draws; pass a seed for
-        deterministic delays in tests.
-    sleep : callable or None
-        Injectable sleep (default :func:`time.sleep`); tests pass a
-        recorder so no real time is spent.
+        Extra tries per rung for *transient* failures, made at once.
     retry_budget : repro.serve.overload.RetryBudget or None
         Shared token bucket gating retries (one token each).  A denied
         acquisition skips the remaining tries on the rung and moves
@@ -166,13 +144,6 @@ def resilient_ppsp(
     best_bound = np.inf
     best_answer: PPSPAnswer | None = None
     best_method: str | None = None
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    if sleep is None:
-        sleep = time.sleep
-    if backoff_cap is None:
-        backoff_cap = 16.0 * backoff
-    prev_delay = backoff
 
     def note(report: AttemptReport) -> None:
         attempts.append(report)
@@ -210,17 +181,8 @@ def resilient_ppsp(
                     transient=transient,
                 ))
                 if transient and attempt <= retries:
-                    if retry_budget is not None and not retry_budget.try_acquire(
-                        kind="retry"
-                    ):
+                    if retry_budget is not None and not retry_budget.try_acquire():
                         break  # bucket dry: degrade to the next rung
-                    if backoff > 0:
-                        from ..serve.overload import next_backoff
-
-                        prev_delay = next_backoff(
-                            prev_delay, base=backoff, cap=backoff_cap, rng=rng
-                        )
-                        sleep(prev_delay)
                     continue
                 break  # permanent (or retries spent): next rung
             if ans.exact:

@@ -25,13 +25,11 @@ individual submissions into right-sized batches over a persistent warm
 worker pool and resolves each one as a future — see ``repro serve`` and
 the service section of ``docs/robustness.md``.
 
-Straggler-proofing lives in two sibling modules:
-:mod:`repro.serve.hedging` supplies per-task deadlines and hedged
-re-execution for the process backend (a stalled worker can no longer
-hang a batch — it is timed out and quarantined, or outraced by a
-bit-identical backup), and :mod:`repro.serve.overload` supplies the
-retry token bucket, decorrelated-jitter backoff, and the CoDel
-admission control the query service runs under.
+A stalled pool worker cannot hang a batch: ``shard_deadline`` times
+the batch out on the process backend, the pool quarantines its
+workers, and the pipeline re-answers the shard through its breaker and
+resilient chain.  :mod:`repro.serve.overload` supplies the retry token
+bucket and the CoDel admission control the query service runs under.
 """
 
 from .admission import (
@@ -47,20 +45,7 @@ from .admission import (
 )
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
 from .checkpoint import CheckpointCorrupt, CheckpointStore, batch_fingerprint
-from .hedging import (
-    HedgePolicy,
-    LatencyEstimator,
-    ShardTimeout,
-    SimShardTransport,
-    SuperviseReport,
-    supervise_shards,
-)
-from .overload import (
-    CoDelShedder,
-    OverloadController,
-    RetryBudget,
-    next_backoff,
-)
+from .overload import CoDelShedder, OverloadController, RetryBudget
 from .pipeline import SERVE_METHODS, PipelineResult, ServePipeline, serve_batch
 from .service import (
     FLUSH_REASONS,
@@ -97,14 +82,7 @@ __all__ = [
     "FAILED",
     "REPAIRED",
     "OUTCOMES",
-    "ShardTimeout",
-    "HedgePolicy",
-    "LatencyEstimator",
-    "SuperviseReport",
-    "SimShardTransport",
-    "supervise_shards",
     "RetryBudget",
     "CoDelShedder",
     "OverloadController",
-    "next_backoff",
 ]

@@ -1,24 +1,16 @@
-"""Overload control: retry budgets, jittered backoff, CoDel.
+"""Overload control: retry budgets and CoDel.
 
-Serving survives stragglers by *retrying* work (hedges, fallback-chain
-rung retries) and survives floods by *refusing* work (degrading to
-budgeted answers, shedding at the door).  Both mechanisms amplify load
-if left unbounded: a retry storm doubles traffic exactly when the
-system can least afford it, and a fixed exponential backoff
-synchronizes clients into waves.  This module holds the three small
-controllers that keep them bounded, shared by
-:mod:`repro.serve.hedging`, :func:`repro.robustness.resilient.
-resilient_ppsp`, and :class:`repro.serve.service.QueryService`:
+Serving survives faults by *retrying* work (fallback-chain rung
+retries) and survives floods by *refusing* work (degrading to budgeted
+answers, shedding at the door).  Both mechanisms amplify load if left
+unbounded: a retry storm doubles traffic exactly when the system can
+least afford it.  This module holds the small controllers that keep
+them bounded, used by :func:`repro.robustness.resilient.resilient_ppsp`
+and :class:`repro.serve.service.QueryService`:
 
-* :func:`next_backoff` — decorrelated-jitter backoff (the AWS
-  "decorrelated jitter" recipe): each delay is drawn uniformly from
-  ``[base, 3 x previous]``, capped, so repeated retries spread out
-  instead of marching in lockstep.  Seedable, hence deterministic in
-  tests.
-* :class:`RetryBudget` — a token bucket shared by *all* retry-like
-  work (hedged shard backups, resilient rung retries).  When the
-  bucket is dry, retries are denied and callers degrade instead of
-  amplifying; denials are counted per kind.
+* :class:`RetryBudget` — a token bucket bounding resilient rung
+  retries.  When the bucket is dry, retries are denied and callers
+  degrade instead of amplifying; denials are counted.
 * :class:`CoDelShedder` — queue-delay controller in the spirit of
   CoDel: a queue is healthy while *some* recent batch saw sojourn
   below target, overloaded once sojourn stays above target for a full
@@ -42,43 +34,21 @@ import threading
 from ..robustness.clock import as_clock
 
 __all__ = [
-    "next_backoff",
     "RetryBudget",
     "CoDelShedder",
     "OverloadController",
 ]
 
 
-def next_backoff(previous: float, *, base: float, cap: float, rng) -> float:
-    """One decorrelated-jitter backoff step.
-
-    ``sleep = min(cap, uniform(base, 3 x previous))`` — each delay
-    depends on the previous one, so consecutive retries decorrelate
-    instead of doubling in lockstep.  ``previous`` is the last delay
-    slept (pass ``base`` before the first retry).
-
-    Parameters
-    ----------
-    rng : numpy.random.Generator
-        The caller's seeded generator; determinism in tests comes from
-        seeding this.
-    """
-    base = float(base)
-    if base <= 0:
-        return 0.0
-    hi = max(base, 3.0 * float(previous))
-    return min(float(cap), float(rng.uniform(base, hi)))
-
-
 class RetryBudget:
-    """A token bucket bounding all retry-like work.
+    """A token bucket bounding resilient-chain retries.
 
-    Hedged shard backups and resilient-chain rung retries draw from
-    *one* bucket, so a straggler storm cannot also fund a retry storm.
-    Tokens refill continuously at ``refill_per_s`` up to ``capacity``;
-    a denied acquisition is counted (per ``kind``) and reported to the
-    observer, and the caller is expected to degrade — skip the hedge,
-    fall through to the next rung — rather than wait.
+    Every rung retry draws from *one* bucket, so a fleet of failing
+    queries cannot mount a retry storm.  Tokens refill continuously at
+    ``refill_per_s`` up to ``capacity``; a denied acquisition is counted
+    in :attr:`denied` and reported to the observer, and the caller is
+    expected to degrade — fall through to the next rung — rather than
+    wait.
 
     Thread-safe: the service dispatcher thread and submitting threads
     may share one budget.
@@ -104,7 +74,7 @@ class RetryBudget:
         self._stamp = self._now()
         self._lock = threading.Lock()
         self.granted = 0
-        self.denied: dict[str, int] = {}
+        self.denied = 0
 
     def _refill_locked(self) -> None:
         now = self._now()
@@ -119,7 +89,7 @@ class RetryBudget:
             self._refill_locked()
             return self._tokens
 
-    def try_acquire(self, tokens: float = 1.0, *, kind: str = "retry") -> bool:
+    def try_acquire(self, tokens: float = 1.0) -> bool:
         """Take ``tokens`` if available; deny (and count) otherwise."""
         with self._lock:
             self._refill_locked()
@@ -127,9 +97,9 @@ class RetryBudget:
                 self._tokens -= tokens
                 self.granted += 1
                 return True
-            self.denied[kind] = self.denied.get(kind, 0) + 1
+            self.denied += 1
         if self.observer is not None:
-            self.observer.on_retry_denied(kind)
+            self.observer.on_retry_denied("retry")
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -67,7 +67,6 @@ from .admission import (
 )
 from .breaker import BreakerBoard
 from .checkpoint import CheckpointCorrupt, CheckpointStore, batch_fingerprint
-from .hedging import HedgePolicy
 
 __all__ = ["ServePipeline", "PipelineResult", "serve_batch", "SERVE_METHODS"]
 
@@ -168,6 +167,12 @@ class ServePipeline:
     pool : repro.parallel.pool.ProcessPool or None
         Reuse an existing pool (and its shared graph export) across
         runs; by default each ``run()`` builds and tears down its own.
+    shard_deadline : float or None
+        Wall seconds a pool batch may take from submission
+        (``backend="process"``); past it the pool quarantines its
+        workers and the shard routes through the resilient chain.
+    retry_budget : repro.serve.overload.RetryBudget or None
+        Token bucket gating the resilient chain's transient retries.
     verify : bool
         Turn on the answer-verification stage: certificates are
         requested from every solver, checked per answer, and failing
@@ -214,7 +219,6 @@ class ServePipeline:
         workers: int | None = None,
         pool=None,
         shard_deadline: float | None = None,
-        hedge=None,
         retry_budget=None,
     ) -> None:
         if method not in SERVE_METHODS:
@@ -227,10 +231,6 @@ class ServePipeline:
             raise ValueError(f"deadline_ms must be nonnegative, got {deadline_ms}")
         if shard_deadline is not None and shard_deadline <= 0:
             raise ValueError(f"shard_deadline must be > 0, got {shard_deadline}")
-        if hedge is not None and not isinstance(hedge, HedgePolicy):
-            # Checked here: a shard failing on it would be contained and
-            # rerouted through the per-query chain without a word.
-            raise TypeError(f"hedge must be a HedgePolicy or None, got {hedge!r}")
         self.graph = graph
         self.method = method
         self.checkpoint_path = checkpoint_path
@@ -248,11 +248,7 @@ class ServePipeline:
         self.workers = workers
         self.pool = pool
         self._pool = None
-        # Straggler defense (process backend): per-shard deadline, a
-        # HedgePolicy or None, and the retry token bucket shared between
-        # hedges and resilient-chain retries.
         self.shard_deadline = shard_deadline
-        self.hedge = hedge
         self.retry_budget = retry_budget
         self.verify = bool(verify)
         self.certify = bool(certify) or self.verify
@@ -279,7 +275,10 @@ class ServePipeline:
         Accepts ``ServeQuery`` objects, ``(s, t)`` pairs, and
         ``(s, t, priority)`` triples.  Exact-duplicate keys collapse
         (keeping the highest priority and earliest deadline) so shard
-        accounting maps one-to-one onto answer keys.
+        accounting maps one-to-one onto answer keys.  The list holds
+        copies: the default deadline and a duplicate's merge never
+        write into the caller's objects, so the same submission can be
+        run (or resumed) again later.
         """
         out: list[ServeQuery] = []
         by_key: dict[tuple[int, int], ServeQuery] = {}
@@ -287,8 +286,7 @@ class ServePipeline:
             None if self.deadline_ms is None else self._now() + self.deadline_ms / 1000.0
         )
         for q in queries:
-            if not isinstance(q, ServeQuery):
-                q = ServeQuery(*q)
+            q = replace(q) if isinstance(q, ServeQuery) else ServeQuery(*q)
             validate_query(self.graph, q.source, q.target)
             if q.deadline is None:
                 q.deadline = default_deadline
@@ -540,8 +538,7 @@ class ServePipeline:
                 # the pool.
                 backend_kwargs = {
                     "backend": "process", "pool": self._pool,
-                    "shard_deadline": self.shard_deadline, "hedge": self.hedge,
-                    "retry_budget": self.retry_budget,
+                    "shard_deadline": self.shard_deadline,
                 }
             try:
                 res = solve_batch(

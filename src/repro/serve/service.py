@@ -2,8 +2,8 @@
 
 Everything below :class:`QueryService` answers *pre-assembled* batches;
 this module serves a **stream**.  Clients submit individual queries (or
-small bursts) and get a :class:`ServiceFuture` back immediately; an
-adaptive micro-batcher coalesces the submission queue into right-sized
+small bursts) and get a :class:`ServiceFuture` back immediately; a
+micro-batcher coalesces the submission queue into right-sized
 batches and executes each one through the existing
 :class:`~repro.serve.pipeline.ServePipeline` — so admission/shedding,
 per-query deadlines, circuit breakers, certificates, and checkpointing
@@ -167,7 +167,7 @@ class _Pending:
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """What one flush executed — the differential suite replays these."""
+    """What one flush executed — the conformance matrix replays these."""
 
     index: int
     keys: tuple
@@ -276,7 +276,7 @@ class QueryService:
         self._stop = False
         self._thread: threading.Thread | None = None
 
-        #: executed-batch log (newest last); the differential suite
+        #: executed-batch log (newest last); the conformance matrix
         #: replays these compositions against the serial backend.
         self.batches: deque[BatchRecord] = deque(maxlen=4096)
         self._next_batch_index = 0

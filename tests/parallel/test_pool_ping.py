@@ -6,7 +6,9 @@ class is logged, counted per exception type on the observer, and the
 executor is respawned.  An executor that broke while idle fails at
 ``submit`` already; dispatch must treat that like a break at a result.
 Dispatch returns shard results in shard order whatever order the
-shards finish in, and reports each shard's own latency.  A batch is cut
+shards finish in, and reports each shard's own latency.  A batch
+deadline, counted from submission, cancels what is left, quarantines
+the workers once and raises ``ShardTimeout``.  A batch is cut
 into at most ``TASKS_PER_WORKER`` tasks per worker of consecutive units
 in plan order.  The fake executors and the in-process pool below keep
 this tier-1 (fork-free); the real-pool behaviour rides in the
@@ -32,6 +34,7 @@ from repro.parallel import pool as pool_module
 from repro.parallel.pool import (
     TASKS_PER_WORKER,
     ProcessPool,
+    ShardTimeout,
     WorkerCrashError,
     _pool_worker,
     shippable_kwargs,
@@ -141,33 +144,54 @@ def test_run_shards_broken_at_submit_raises_crash_and_discards(pool):
 
 
 class _TimedExecutor:
-    """Completes each shard after its own delay, on a timer thread."""
+    """Completes each shard after its own delay, on a timer thread.
 
-    def __init__(self, delays):
+    A future stays pending until its timer fires, like a task still
+    queued for a worker, so ``cancel()`` takes it back.  ``errors``
+    maps a shard to the exception it fails with.
+    """
+
+    def __init__(self, delays, errors=None):
         self.delays = delays
+        self.errors = errors or {}
+        self.futures: list[Future] = []
         self.finished: list[int] = []
         self.timers: list[threading.Timer] = []
 
     def submit(self, fn, task):
         future = Future()
-        future.set_running_or_notify_cancel()
+        self.futures.append(future)
 
         def finish(shard=task["shard"]):
+            if not future.set_running_or_notify_cancel():
+                return  # cancelled while queued
             self.finished.append(shard)
-            future.set_result({"shard": shard, "units": []})
+            if shard in self.errors:
+                future.set_exception(self.errors[shard])
+            else:
+                future.set_result({"shard": shard, "units": []})
 
         timer = threading.Timer(self.delays[task["shard"]], finish)
         self.timers.append(timer)
         timer.start()
         return future
 
+    def join(self):
+        for timer in self.timers:
+            timer.join(timeout=5)
+            assert not timer.is_alive()
+
 
 class _ShardLog:
     def __init__(self):
         self.shards: list[tuple[str, float]] = []
+        self.timeouts = 0
 
     def on_pool_shard(self, status, seconds):
         self.shards.append((status, seconds))
+
+    def on_shard_timeout(self):
+        self.timeouts += 1
 
 
 def test_run_shards_out_of_order_in_shard_order_with_own_latency(monkeypatch):
@@ -177,9 +201,7 @@ def test_run_shards_out_of_order_in_shard_order_with_own_latency(monkeypatch):
     p = ProcessPool(workers=3, observer=log)
     monkeypatch.setattr(p, "_ensure_executor", lambda: fake)
     results = p.run_shards([{"shard": i} for i in range(3)])
-    for timer in fake.timers:
-        timer.join(timeout=5)
-        assert not timer.is_alive()
+    fake.join()
     assert fake.finished == [1, 2, 0]
     assert [r["shard"] for r in results] == [0, 1, 2]
     assert [status for status, _ in log.shards] == ["ok"] * 3
@@ -187,6 +209,72 @@ def test_run_shards_out_of_order_in_shard_order_with_own_latency(monkeypatch):
     for shard, seconds in enumerate(latency):
         assert seconds >= 0.9 * delays[shard], (shard, latency)
     assert latency[1] < latency[2] < latency[0]
+
+
+@pytest.fixture
+def timed_pool(monkeypatch):
+    """A pool over a ``_TimedExecutor`` that records its quarantines."""
+
+    def build(delays, errors=None):
+        fake = _TimedExecutor(delays, errors)
+        log = _ShardLog()
+        p = ProcessPool(workers=2, observer=log)
+        quarantined: list[str] = []
+        monkeypatch.setattr(p, "_ensure_executor", lambda: fake)
+        monkeypatch.setattr(p, "_quarantine", lambda reason, observer=None:
+                            quarantined.append(reason))
+        built.append(fake)
+        return p, fake, log, quarantined
+
+    built: list[_TimedExecutor] = []
+    yield build
+    for fake in built:
+        for timer in fake.timers:
+            timer.cancel()  # the slow shards need not fire
+        fake.join()
+
+
+def test_deadline_times_out_cancels_and_quarantines_once(timed_pool):
+    p, fake, log, quarantined = timed_pool({0: 0.02, 1: 5.0, 2: 5.0})
+    with pytest.raises(ShardTimeout) as err:
+        p.run_shards([{"shard": i} for i in range(3)], deadline=0.3)
+    assert err.value.shard == 1
+    assert err.value.deadline_s == pytest.approx(0.3)
+    assert fake.futures[0].done() and not fake.futures[0].cancelled()
+    assert [f.cancelled() for f in fake.futures[1:]] == [True, True]
+    assert quarantined == ["deadline"]
+    assert log.timeouts == 1
+    (status, seconds), = log.shards
+    assert status == "timeout"
+    assert 0.25 <= seconds < 5.0
+
+
+def test_tasks_inside_the_deadline_come_back_in_shard_order(timed_pool):
+    p, fake, log, quarantined = timed_pool({0: 0.3, 1: 0.02, 2: 0.15})
+    results = p.run_shards([{"shard": i} for i in range(3)], deadline=5.0)
+    assert [r["shard"] for r in results] == [0, 1, 2]
+    assert fake.finished == [1, 2, 0]
+    assert [status for status, _ in log.shards] == ["ok"] * 3
+    assert quarantined == []
+
+
+@pytest.mark.parametrize("deadline", [0.0, -1.0])
+def test_nonpositive_deadline_rejected(timed_pool, deadline):
+    p, fake, _log, _quarantined = timed_pool({0: 0.01})
+    with pytest.raises(ValueError, match="deadline must be > 0"):
+        p.run_shards([{"shard": 0}], deadline=deadline)
+    assert fake.futures == []  # nothing was submitted
+
+
+def test_task_exception_propagates_after_cancelling_the_rest(timed_pool):
+    boom = RuntimeError("shard exploded")
+    p, fake, log, quarantined = timed_pool(
+        {0: 0.02, 1: 5.0, 2: 5.0}, errors={0: boom})
+    with pytest.raises(RuntimeError, match="shard exploded"):
+        p.run_shards([{"shard": i} for i in range(3)], deadline=30.0)
+    assert fake.futures[0].exception() is boom
+    assert [f.cancelled() for f in fake.futures[1:]] == [True, True]
+    assert quarantined == [] and log.shards == []
 
 
 @pytest.mark.parametrize("fault", ["flip_checkpoint"])

@@ -107,77 +107,17 @@ class TestDegradedRungs:
         assert np.isinf(res.distance)
 
 
-class TestJitteredBackoff:
-    """Decorrelated-jitter retry delays: seeded, bounded, budget-gated."""
-
-    def _transient_run(self, grid, grid_query, *, seed, **kwargs):
-        s, t, _ = grid_query
-        slept: list[float] = []
-        res = resilient_ppsp(
-            grid, s, t,
-            retries=2, backoff=0.05,
-            rng=np.random.default_rng(seed),
-            sleep=slept.append,
-            fault_injector=FaultInjector(
-                seed=1, raise_at=2, transient=True, max_fires=2
-            ),
-            **kwargs,
-        )
-        return res, slept
-
-    def test_sleeps_are_jittered_within_bounds(self, grid, grid_query):
-        res, slept = self._transient_run(grid, grid_query, seed=3)
-        assert res.exact
-        assert len(slept) == 2  # two transient failures, two backoffs
-        for delay in slept:
-            assert 0.05 <= delay <= 16.0 * 0.05  # [base, default cap]
-
-    def test_seeded_delays_are_reproducible(self, grid, grid_query):
-        _, first = self._transient_run(grid, grid_query, seed=11)
-        _, again = self._transient_run(grid, grid_query, seed=11)
-        _, other = self._transient_run(grid, grid_query, seed=12)
-        assert first == again
-        assert first != other
-
-    def test_backoff_cap_clamps_delays(self, grid, grid_query):
-        s, t, _ = grid_query
-        slept: list[float] = []
-        resilient_ppsp(
-            grid, s, t,
-            retries=2, backoff=1.0, backoff_cap=1.0,
-            rng=np.random.default_rng(0),
-            sleep=slept.append,
-            fault_injector=FaultInjector(
-                seed=1, raise_at=2, transient=True, max_fires=2
-            ),
-        )
-        assert slept == [1.0, 1.0]  # uniform(1, 3) clamped to the cap
-
-    def test_zero_backoff_never_sleeps(self, grid, grid_query):
-        res, slept = self._transient_run(grid, grid_query, seed=0, backoff_cap=None)
-        assert slept  # sanity: the seeded run does back off
-        s, t, _ = grid_query
-        called: list[float] = []
-        res = resilient_ppsp(
-            grid, s, t, retries=2, backoff=0.0, sleep=called.append,
-            fault_injector=FaultInjector(
-                seed=1, raise_at=2, transient=True, max_fires=2
-            ),
-        )
-        assert res.exact
-        assert called == []
+class TestRetryBudget:
+    """A shared retry budget gates the chain's transient retries."""
 
     def test_dry_retry_budget_degrades_to_next_rung(self, grid, grid_query):
         from repro.serve import RetryBudget
 
         s, t, true = grid_query
         budget = RetryBudget(capacity=0.0, refill_per_s=0.0)
-        slept: list[float] = []
         res = resilient_ppsp(
             grid, s, t,
-            retries=2, backoff=0.05,
-            rng=np.random.default_rng(0),
-            sleep=slept.append,
+            retries=2,
             retry_budget=budget,
             fault_injector=FaultInjector(
                 seed=1, raise_at=2, transient=True, max_fires=1
@@ -186,5 +126,4 @@ class TestJitteredBackoff:
         assert res.exact
         assert res.distance == pytest.approx(true)
         assert res.method != DEFAULT_CHAIN[0]  # degraded, not retried
-        assert slept == []  # denied before any backoff
-        assert budget.denied == {"retry": 1}
+        assert budget.denied == 1

@@ -1,4 +1,4 @@
-"""Overload-control unit tests: backoff, budgets, CoDel, ladder.
+"""Overload-control unit tests: retry budgets, CoDel, ladder.
 
 The controllers are exercised directly under :class:`SimClock`, then
 end-to-end through an inline :class:`QueryService` (door shedding,
@@ -8,9 +8,9 @@ time — tier-1 fast and deterministic.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.obs import Observer
 from repro.robustness import SimClock
 from repro.serve import (
     SHED,
@@ -18,40 +18,7 @@ from repro.serve import (
     OverloadController,
     QueryService,
     RetryBudget,
-    next_backoff,
 )
-
-
-class TestNextBackoff:
-    def test_zero_base_disables_backoff(self):
-        rng = np.random.default_rng(0)
-        assert next_backoff(1.0, base=0.0, cap=10.0, rng=rng) == 0.0
-
-    def test_seeded_sequence_is_reproducible(self):
-        def seq(seed):
-            rng = np.random.default_rng(seed)
-            delays, prev = [], 0.1
-            for _ in range(6):
-                prev = next_backoff(prev, base=0.1, cap=5.0, rng=rng)
-                delays.append(prev)
-            return delays
-
-        assert seq(7) == seq(7)
-        assert seq(7) != seq(8)
-
-    def test_bounds(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d = next_backoff(100.0, base=1.0, cap=2.0, rng=rng)
-            assert 1.0 <= d <= 2.0
-
-    def test_decorrelated_growth_from_previous(self):
-        # the upper end of the draw tracks 3x the previous delay
-        rng = np.random.default_rng(1)
-        draws = [next_backoff(10.0, base=0.1, cap=1e9, rng=rng)
-                 for _ in range(50)]
-        assert max(draws) > 10.0  # reaches beyond the previous delay
-        assert all(d <= 30.0 for d in draws)
 
 
 class TestRetryBudget:
@@ -61,15 +28,18 @@ class TestRetryBudget:
         with pytest.raises(ValueError):
             RetryBudget(refill_per_s=-0.1)
 
-    def test_drains_then_denies_per_kind(self):
+    def test_drains_then_denies(self):
         clock = SimClock()
-        budget = RetryBudget(capacity=2.0, refill_per_s=0.0, clock=clock)
-        assert budget.try_acquire(kind="hedge")
-        assert budget.try_acquire(kind="retry")
-        assert not budget.try_acquire(kind="hedge")
-        assert not budget.try_acquire(kind="retry")
-        assert budget.denied == {"hedge": 1, "retry": 1}
+        obs = Observer()
+        budget = RetryBudget(capacity=2.0, refill_per_s=0.0, clock=clock,
+                             observer=obs)
+        assert budget.try_acquire() and budget.try_acquire()
+        assert not budget.try_acquire()
+        assert not budget.try_acquire()
+        assert budget.denied == 2
         assert budget.granted == 2
+        denials = obs.registry.get("repro_overload_retry_denials_total")
+        assert denials.value(kind="retry") == 2
 
     def test_refills_over_simulated_time(self):
         clock = SimClock()

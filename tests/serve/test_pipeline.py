@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import dijkstra
 from repro.core import QueryAnswer
+from repro.graphs import road_graph
 from repro.obs import Observer
 from repro.robustness import Budget, FaultInjector, SimClock
 from repro.serve import SERVE_METHODS, ServePipeline, ServeQuery, serve_batch
@@ -56,10 +57,6 @@ class TestOutcomes:
         with pytest.raises(ValueError, match="never part of this batch"):
             res.distance(323, 34)
 
-    def test_hedge_must_be_a_policy(self, serve_graph):
-        with pytest.raises(TypeError, match="HedgePolicy or None"):
-            ServePipeline(serve_graph, backend="process", hedge=True)
-
     def test_work_metered_across_shards(self, serve_graph, serve_pairs):
         res = serve_batch(serve_graph, serve_pairs, checkpoint_every=2)
         assert res.meter.work > 0 and res.details["num_shards"] == 4
@@ -107,6 +104,37 @@ class TestDeadlines:
             return res.answers, list(inj.fired)
 
         assert run() == run()
+
+    def test_caller_queries_are_not_mutated(self, tmp_path):
+        """The default deadline and a duplicate's merge go into copies:
+        the same ``ServeQuery`` objects answer alike when run again later
+        or resumed after a kill, and come back unchanged."""
+        graph = road_graph(10, 10, seed=1)
+        sim = SimClock()
+        queries = [ServeQuery(0, 99), ServeQuery(5, 90), ServeQuery(0, 99, priority=3)]
+        pipe = ServePipeline(graph, clock=sim, deadline_ms=1000.0)
+        assert pipe.run(queries).counts() == {"ok": 2}
+        sim.advance(5.0)
+        assert pipe.run(queries).counts() == {"ok": 2}
+
+        class Killed(Exception):
+            pass
+
+        def kill(manifest):
+            raise Killed
+
+        job = [ServeQuery(0, 99), ServeQuery(5, 90), ServeQuery(3, 80), ServeQuery(7, 70)]
+        common = dict(clock=sim, deadline_ms=1000.0, checkpoint_every=2,
+                      checkpoint_path=str(tmp_path / "job.ckpt.json"))
+        with pytest.raises(Killed):
+            ServePipeline(graph, checkpoint_hook=kill, **common).run(job)
+        sim.advance(60.0)
+        res = ServePipeline(graph, **common).run(job, resume=True)
+        assert res.counts() == {"ok": 4}
+        assert res.resumed_queries == 2
+        assert [(q.priority, q.deadline) for q in queries + job] == [
+            (0, None), (0, None), (3, None), (0, None), (0, None), (0, None), (0, None),
+        ]
 
     def test_per_query_deadline_beats_default(self, serve_graph, serve_pairs):
         sim = SimClock(start=10.0)
