@@ -31,12 +31,13 @@ test-slow:
 	$(PYTHON) -m pytest tests/ -m slow
 
 # Multi-process backend suites: the conformance matrix's process-pool
-# cells (answer records byte-equal to serial), worker-kill chaos, and
-# shared-memory leak checks (fork-heavy, not tier-1; POOL_SMOKE=1 trims
-# the matrix cells to the CI slice).
+# cells (answer records byte-equal to serial), worker-kill chaos,
+# shared-memory leak checks and worker CPU pinning (fork-heavy, not
+# tier-1; POOL_SMOKE=1 trims the matrix cells to the CI slice).
 test-pool:
 	$(PYTHON) -m pytest tests/test_conformance.py -q -m pool
-	$(PYTHON) -m pytest tests/parallel/test_pool_chaos.py tests/graphs/test_shm.py -q -m ''
+	$(PYTHON) -m pytest tests/parallel/test_pool_chaos.py tests/graphs/test_shm.py \
+		tests/parallel/test_pool_affinity.py -q -m ''
 
 # The conformance matrix's query-service cells on a process pool: service
 # answers bit-identical to serial replays of its own coalesced batches,

@@ -13,10 +13,10 @@ matching the columns of the paper's Fig. 7:
   (Sec. 4.3), the minimum set of SSSPs that answers everything.
 
 Every method is one pipeline.  :func:`plan_units` splits the batch into
-independent engine runs (:class:`BatchUnit`): one per query-graph
-connected component for ``multi`` (per component of each query subset
-when ``max_sources`` chunks the batch), one per query for the plain
-modes, one per covering source for the SSSP methods.  :func:`run_unit`
+independent engine runs (:class:`BatchUnit`): for ``multi``, a few
+composite runs that each pack consecutive query-graph components into
+one shared frontier (Alg. 2), one per query for the plain modes, one per
+covering source for the SSSP methods.  :func:`run_unit`
 answers one unit and :func:`reassemble` merges the unit results in the
 serial order with the method's meter-merge structure.  The serial
 backend runs the units inline; the process backend
@@ -55,12 +55,17 @@ __all__ = [
     "run_unit",
     "reassemble",
     "BATCH_METHODS",
+    "PACK_SOURCES",
 ]
 
 BATCH_METHODS = ("multi", "plain-bids", "plain-star-bids", "sssp-plain", "sssp-vc")
 
 #: methods whose units keep no per-query search state (no paths).
 _PLAIN = ("plain-bids", "plain-star-bids")
+
+#: endpoints (concurrent searches) one packed ``multi`` unit holds,
+#: unless ``max_sources`` sets the bound.
+PACK_SOURCES = 16
 
 
 @dataclass
@@ -115,7 +120,7 @@ class BatchUnit(NamedTuple):
 
     ``pairs`` are the queries the unit answers, as stored keys in answer
     order.  A ``multi`` unit searches from every endpoint of its pairs
-    (one query-graph component, ``directed`` like its batch); a plain
+    (whole query-graph components, ``directed`` like its batch); a plain
     unit runs one BiDS for its one pair; an SSSP unit searches from
     ``source`` — over the reverse graph when ``reverse`` is set (a
     directed target copy) — and answers a pair from its source
@@ -137,17 +142,17 @@ class BatchPlan:
 
     ``owner`` maps every answer key, in result order, to the index of
     the unit answering it (``None`` for a self pair that no SSSP
-    covers: it is its own answer).  Meters merge concurrently within
-    each of ``groups`` when ``parallel`` is set (sequentially
-    otherwise), and sequentially across groups.  ``max_sources`` is set
-    when ``multi`` ran in query subsets.
+    covers: it is its own answer).  Unit meters merge concurrently when
+    ``parallel`` is set, sequentially otherwise.  ``components`` counts
+    a ``multi`` batch's query-graph components; ``max_sources`` is set
+    when that bound cut it into more than one unit.
     """
 
     method: str
     units: list[BatchUnit]
     owner: dict
-    groups: list[list[int]]
     parallel: bool
+    components: int = 0
     max_sources: int | None = None
 
 
@@ -213,11 +218,14 @@ def solve_batch(
     One ``strategy`` serves every engine run of the batch: the engine
     resets it at the start of each run.
 
-    ``max_sources`` (Multi-BiDS only) bounds concurrent searches: the
-    engine's distance table is ``O(n · |V_q|)``, so very large batches
-    are processed in query-subsets of at most this many endpoints — the
-    space-control strategy of Sec. 4.2 ("process a subset of queries in
-    turn").
+    ``multi`` packs the batch's query-graph components into composite
+    runs of at most :data:`PACK_SOURCES` endpoints (:func:`plan_units`).
+    ``max_sources`` (Multi-BiDS only) sets that bound instead: the
+    engine's distance table is ``O(n · |V_q|)``, so a batch with more
+    endpoints is processed in units of at most this many, run in turn
+    on the simulated machine, a larger component cut into query
+    subsets — the space-control strategy of Sec. 4.2 ("process a subset
+    of queries in turn").  Both backends honour it.
 
     ``budget`` (a :class:`repro.robustness.Budget`) is shared across the
     whole batch: one meter covers every engine run, and a run the meter
@@ -244,8 +252,7 @@ def solve_batch(
     Workers run the same units through the same :func:`run_unit`, so the
     answers — distances, paths, and certificates — are bit-identical
     to ``backend="serial"``; features that are inherently single-process
-    (``budget``, ``max_sources``, a ``kernel``) are rejected with a
-    ``ValueError``.
+    (``budget``, a ``kernel``) are rejected with a ``ValueError``.
 
     ``shard_deadline`` (wall seconds from submission) bounds a process
     batch: a stuck worker raises
@@ -281,20 +288,18 @@ def solve_batch(
                 "build it with QueryGraph(pairs, directed=True)"
             )
     _validate_endpoints(graph, qg)
+    if max_sources is not None and method != "multi":
+        raise ValueError("max_sources applies to the 'multi' method only")
 
     if backend == "process":
         from ..parallel.pool import run_units, shippable_kwargs  # lazy: pool imports this module
 
-        engine_kwargs, injector = shippable_kwargs(
-            engine_kwargs, budget=budget, max_sources=max_sources
-        )
+        engine_kwargs, injector = shippable_kwargs(engine_kwargs, budget=budget)
     else:
         if workers is not None or pool is not None:
             raise ValueError("workers/pool apply to backend='process' only")
         if shard_deadline is not None:
             raise ValueError("shard_deadline applies to backend='process' only")
-        if max_sources is not None and method != "multi":
-            raise ValueError("max_sources applies to the 'multi' method only")
 
     plan = plan_units(graph, qg, method, max_sources=max_sources)
     if certify:
@@ -362,16 +367,17 @@ def plan_units(
 ) -> BatchPlan:
     """Split a batch into independent units (no engine work).
 
-    ``multi`` runs each query-graph connected component as its own
-    engine run.  Components exchange no shortest-path information, but
-    a whole-batch run would still couple them: the stepping threshold
-    comes from the *global* frontier minimum, so an unrelated component
-    would alter extraction batching (and last-ulp float trajectories)
-    everywhere.  Separate runs are independent, so the simulated machine
-    executes them concurrently (``merge_parallel``).  With
-    ``max_sources`` below the batch's endpoint count, edges are first
-    greedily packed into query subsets whose union of endpoints stays
-    within the bound; subsets run one after another (``merge``).
+    ``multi`` packs consecutive query-graph components, in plan order,
+    into composite Multi-BiDS runs (Alg. 2: one frontier over every
+    search of the unit, so a step serves them all).  A unit holds at
+    most ``max_sources`` (default :data:`PACK_SOURCES`) endpoints and is
+    closed once it reaches ``ceil(K / ceil(K / bound))`` of the batch's
+    ``K`` endpoints, which balances the units; the rule reads only the
+    batch, so both backends run one plan.  By default a component is
+    never split (a larger one is a unit of its own) and the units run
+    concurrently on the simulated machine (``merge_parallel``).  Only an
+    explicit ``max_sources`` below ``K`` cuts a larger component into
+    greedy query subsets, and then every unit runs in turn (``merge``).
 
     The plain modes run one BiDS per query; the SSSP methods one full
     SSSP per source (the distinct sources of non-self queries for
@@ -379,28 +385,39 @@ def plan_units(
     queries it covers.  Self pairs need no search.
     """
     if method == "multi":
-        subsets = [qg]
-        if max_sources is not None and qg.num_vertices > max_sources:
-            subsets = [QueryGraph(pairs, directed=qg.directed)
-                       for pairs in _subsets(qg, max_sources)]
-        else:
-            max_sources = None
+        bound = PACK_SOURCES if max_sources is None else max_sources
+        if bound < 2:
+            raise ValueError("max_sources must be at least 2 (one query)")
+        pieces: list[QueryGraph] = []
+        comps = qg.components()
+        for comp in comps:
+            if max_sources is None or comp.num_vertices <= bound:
+                pieces.append(comp)
+            else:
+                pieces += [QueryGraph(subset, directed=qg.directed)
+                           for subset in _subsets(comp, bound)]
+        k = qg.num_vertices
+        close_at = -(-k // -(-k // bound))
         units: list[BatchUnit] = []
-        groups: list[list[int]] = []
-        for subset in subsets:
-            comps = subset.components()
-            groups.append(list(range(len(units), len(units) + len(comps))))
-            units += [BatchUnit(method, tuple(_keys(sub)), qg.directed) for sub in comps]
+        pairs: list[tuple[int, int]] = []
+        size = 0
+        for piece in pieces:
+            if pairs and (size >= close_at or size + piece.num_vertices > bound):
+                units.append(BatchUnit(method, tuple(pairs), qg.directed))
+                pairs, size = [], 0
+            pairs += _keys(piece)
+            size += piece.num_vertices
+        units.append(BatchUnit(method, tuple(pairs), qg.directed))
         owner = {key: u for u, unit in enumerate(units) for key in unit.pairs}
-        return BatchPlan(method, units, owner, groups, True, max_sources)
+        chunked = max_sources is not None and len(units) > 1
+        return BatchPlan(method, units, owner, not chunked, len(comps),
+                         max_sources if chunked else None)
 
     if method in _PLAIN:
         keys = _keys(qg)
         units = [BatchUnit(method, (key,)) for key in keys]
         owner = {key: u for u, key in enumerate(keys)}
-        return BatchPlan(
-            method, units, owner, [list(range(len(units)))], method == "plain-star-bids"
-        )
+        return BatchPlan(method, units, owner, method == "plain-star-bids")
 
     if method == "sssp-plain":
         sources = sorted({s for s, t in qg.original_pairs if s != t})
@@ -437,23 +454,24 @@ def plan_units(
         )
         for u, qi in enumerate(source_indices)
     ]
-    return BatchPlan(method, units, owner, [list(range(len(units)))], False)
+    return BatchPlan(method, units, owner, False)
 
 
 def _subsets(qg: QueryGraph, max_sources: int) -> list[list[tuple[int, int]]]:
-    """Greedy query subsets of at most ``max_sources`` endpoints each."""
-    if max_sources < 2:
-        raise ValueError("max_sources must be at least 2 (one query)")
+    """Greedy query subsets of at most ``max_sources`` endpoints each.
+
+    A directed endpoint is a (vertex, role) copy, as in the query graph.
+    """
     subsets: list[list[tuple[int, int]]] = []
     subset: list[tuple[int, int]] = []
-    endpoints: set[int] = set()
-    for pair in _keys(qg):
-        added = {pair[0], pair[1]} - endpoints
-        if subset and len(endpoints) + len(added) > max_sources:
+    endpoints: set = set()
+    for s, t in _keys(qg):
+        ends = {(s, 1), (t, -1)} if qg.directed else {s, t}
+        if subset and len(endpoints | ends) > max_sources:
             subsets.append(subset)
             subset, endpoints = [], set()
-        subset.append(pair)
-        endpoints.update(pair)
+        subset.append((s, t))
+        endpoints |= ends
     if subset:
         subsets.append(subset)
     return subsets
@@ -576,8 +594,7 @@ def reassemble(graph, plan: BatchPlan, results: list[UnitResult], *,
     """Merge unit results into one :class:`BatchResult`.
 
     Keys come out in the plan's order with the record their unit built;
-    meters fold concurrently within a plan group and sequentially across
-    groups, a lone meter passing through as is.
+    meters fold as the plan says, a lone meter passing through as is.
     """
     if certify:
         from ..verify import build_certificate  # lazy: verify imports obs
@@ -589,16 +606,13 @@ def reassemble(graph, plan: BatchPlan, results: list[UnitResult], *,
             cert = (build_certificate(graph, key[0], key[1], plan.method, 0.0, True)
                     if certify else None)
             answers[key] = QueryAnswer(0.0, certificate=cert)
-    meter = _merge(
-        [_merge([results[u].meter for u in group], plan.parallel) for group in plan.groups],
-        False,
-    )
+    meter = _merge([res.meter for res in results], plan.parallel)
     details: dict = {}
-    if plan.max_sources is not None:
-        details = {"chunks": len(plan.groups), "max_sources": plan.max_sources}
-    elif plan.method == "multi":
-        if len(results) > 1:
-            details["components"] = len(results)
+    if plan.method == "multi":
+        if plan.components > 1:
+            details["components"] = plan.components
+        if plan.max_sources is not None:
+            details.update(chunks=len(results), max_sources=plan.max_sources)
         details["steps"] = sum(res.steps for res in results)
         details["relaxations"] = sum(res.relaxations for res in results)
     return BatchResult(

@@ -41,7 +41,7 @@ def walk_path(graph, dist: np.ndarray, source: int, target: int) -> list[int]:
 def _walk_path_dfs(rev, dist: np.ndarray, source: int, target: int) -> list[int]:
     """Backtracking walk over the valid-predecessor relation.
 
-    Scalar scans over the cached ``csr_lists()`` view: at typical
+    Scalar scans over the cached ``csr_views()`` memoryviews: at typical
     road/knn degrees each hop touches a handful of edges, where numpy
     scalar indexing and boxing dominate the walk.
     A greedy single walk is not enough: on a zero-weight plateau every
@@ -50,7 +50,7 @@ def _walk_path_dfs(rev, dist: np.ndarray, source: int, target: int) -> list[int]
     Strict-progress candidates (dist[u] < dist[v]) are pushed last and
     therefore explored first; plateau hops only when forced.
     """
-    indptr, indices, weights = rev.csr_lists()
+    indptr, indices, weights = rev.csr_views()
     ditem = dist.item
     stack = [target]
     parent: dict[int, int | None] = {target: None}

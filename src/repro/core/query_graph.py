@@ -120,10 +120,10 @@ class QueryGraph:
         Queries in different components of ``G_q`` share no endpoints
         (for directed batches, no source/target *copies*), so their
         searches exchange no shortest-path information — each component
-        is an independent sub-batch.  This is the unit of work the batch
-        solvers decompose over: the serial multi-source solver runs the
-        components one by one and the process-pool backend ships them to
-        workers, which is what makes the two backends bit-identical.
+        is an independent sub-batch.  The batch planner packs whole
+        components, in this order, into composite Multi-BiDS units
+        (:func:`repro.core.batch.plan_units`) that both backends run, which
+        is what makes the two backends bit-identical.
 
         Components are returned in order of first appearance in
         ``original_pairs``; each sub-QueryGraph carries its own slice of

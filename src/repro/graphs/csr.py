@@ -60,7 +60,7 @@ class Graph:
     _reverse: "Graph | None" = field(default=None, repr=False, compare=False)
     _fingerprint: str | None = field(default=None, repr=False, compare=False)
     _edge_src: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _csr_lists: tuple | None = field(default=None, repr=False, compare=False)
+    _csr_views: tuple | None = field(default=None, repr=False, compare=False)
     _out_degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
     _weight_stats: tuple | None = field(default=None, repr=False, compare=False)
     #: pass ``validate=False`` to skip construction checks — only for
@@ -185,24 +185,24 @@ class Graph:
             )
         return self._edge_src
 
-    def csr_lists(self) -> tuple[list[int], list[int], list[float]]:
-        """``(indptr, indices, weights)`` as plain Python lists (cached).
+    def csr_views(self) -> tuple[memoryview, memoryview, memoryview]:
+        """``(indptr, indices, weights)`` as zero-copy memoryviews (cached).
 
         The scalar walks (path reconstruction, per-hop certificate
         checks) touch a handful of edges per vertex, where numpy scalar
         indexing plus ``int()``/``float()`` boxing costs several times
-        the comparison itself; list indexing returns native objects.
-        O(m) to build once, then shared by every walk.  Views of the
-        cache: do not mutate.  Same frozen-graph contract as
-        :meth:`fingerprint`.
+        the comparison itself; indexing a memoryview of the contiguous
+        arrays returns native ints and floats without copying the graph
+        into Python lists.  Read-only use: do not mutate.  Same
+        frozen-graph contract as :meth:`fingerprint`.
         """
-        if self._csr_lists is None:
-            self._csr_lists = (
-                self.indptr.tolist(),
-                self.indices.tolist(),
-                self.weights.tolist(),
+        if self._csr_views is None:
+            self._csr_views = (
+                memoryview(self.indptr),
+                memoryview(self.indices),
+                memoryview(self.weights),
             )
-        return self._csr_lists
+        return self._csr_views
 
     def has_coords(self) -> bool:
         return self.coords is not None

@@ -162,7 +162,7 @@ class Observer:
             "Batches executed on the process-pool backend", ("method",))
         self._pool_shards = r.counter(
             "repro_pool_shards_total",
-            "Pool shards by completion status (ok / crashed)", ("status",))
+            "Pool shards by completion status (ok / crashed / timeout)", ("status",))
         self._pool_workers = r.gauge(
             "repro_pool_workers",
             "Worker processes of the most recent pool batch")

@@ -25,9 +25,13 @@ quarantines its workers, instead of hanging the batch.  Worker death
 pipeline treats either as a shard failure, so its breakers and
 checkpoint/resume machinery recover exactly as for any other fault.
 
-Inherently single-process features — ``budget``, ``max_sources``, a
-caller's ``kernel``, auditors/tracing, engine-level fault injection —
-are rejected up front (:func:`shippable_kwargs`) rather than silently
+Each worker of a pool with at most one worker per CPU is bound to its
+own CPU, so two fresh workers never queue behind each other on one CPU
+while another idles.
+
+Inherently single-process features — ``budget``, a caller's
+``kernel``, auditors/tracing, engine-level fault injection — are
+rejected up front (:func:`shippable_kwargs`) rather than silently
 diverging from serial semantics.
 """
 
@@ -162,7 +166,12 @@ class ProcessPool:
             # and that tracker unlinks the live shared graph as "leaked"
             # when its worker exits.
             resource_tracker.ensure_running()
-            self._executor = ProcessPoolExecutor(self.workers, _FORK_OR_SPAWN)
+            cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+            pin = {}
+            if 1 < self.workers <= len(cpus):
+                pin = {"initializer": _pin_worker,
+                       "initargs": (_FORK_OR_SPAWN.Value("i", 0), cpus)}
+            self._executor = ProcessPoolExecutor(self.workers, _FORK_OR_SPAWN, **pin)
             self._spawns += 1
             self.respawns = self._spawns - 1
         return self._executor
@@ -383,6 +392,17 @@ class ProcessPool:
 _ATTACHED: dict[tuple[str, str], object] = {}
 
 
+def _pin_worker(counter, cpus: list[int]) -> None:
+    """Executor initializer: bind this worker to the next CPU of ``cpus``."""
+    with counter.get_lock():
+        slot = counter.value
+        counter.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
+    except OSError:  # pragma: no cover - a CPU withdrawn since the fork
+        pass
+
+
 def _pool_ping(i: int) -> int:
     """Health-check no-op: proves the worker is alive and answering."""
     return os.getpid()
@@ -427,9 +447,7 @@ def _pool_worker(task: dict) -> dict:
 # ----------------------------------------------------------------------
 # Parent side: check what can ship, cut tasks, dispatch.
 # ----------------------------------------------------------------------
-def shippable_kwargs(
-    engine_kwargs: dict, *, budget=None, max_sources=None
-) -> tuple[dict, object]:
+def shippable_kwargs(engine_kwargs: dict, *, budget=None) -> tuple[dict, object]:
     """Reject what cannot run on workers; split off the fault injector.
 
     Returns ``(engine_kwargs, injector)``: the engine kwargs to ship and
@@ -438,12 +456,11 @@ def shippable_kwargs(
     dropped (workers build their own kernel); a caller's kernel
     instance cannot ship.
     """
-    for arg, label in ((budget, "budget"), (max_sources, "max_sources")):
-        if arg is not None:
-            raise ValueError(
-                f"{label} is not supported by backend='process'; "
-                "it is inherently single-process — use backend='serial'"
-            )
+    if budget is not None:
+        raise ValueError(
+            "budget is not supported by backend='process'; "
+            "it is inherently single-process — use backend='serial'"
+        )
     engine_kwargs = dict(engine_kwargs)
     if engine_kwargs.get("kernel", False) is None:
         del engine_kwargs["kernel"]

@@ -238,7 +238,7 @@ class CertificateChecker:
         if math.isnan(f.w) or math.isnan(f.du) or math.isnan(f.dv):
             return f"fact #{index}: NaN value"
         tol = self.tolerance * max(1.0, abs(f.w), abs(f.du) if math.isfinite(f.du) else 1.0)
-        indptr, indices, weights = g.csr_lists()
+        indptr, indices, weights = g.csr_views()
         arc_ok = False
         for e in range(indptr[f.u], indptr[f.u + 1]):
             if indices[e] == f.v and abs(weights[e] - f.w) <= tol:
@@ -266,7 +266,7 @@ def _min_arc_weight(graph, u: int, v: int):
     n = graph.num_vertices
     if not (0 <= u < n):
         return None
-    indptr, indices, weights = graph.csr_lists()
+    indptr, indices, weights = graph.csr_views()
     best = None
     # Scalar scan: called once per path hop, where degree-sized numpy
     # temporaries cost more than the comparison loop itself.

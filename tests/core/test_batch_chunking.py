@@ -1,11 +1,83 @@
-"""Chunked Multi-BiDS (Sec. 4.2 space control) and directed VC tests."""
+"""Packed and chunked Multi-BiDS plans (Alg. 2, Sec. 4.2 space control)
+and directed VC tests."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import dijkstra
-from repro.core.batch import solve_batch
+from repro.core.batch import PACK_SOURCES, plan_units, solve_batch
 from repro.core.query_graph import QueryGraph, vertex_cover
+
+
+def _endpoints(unit) -> int:
+    return QueryGraph(unit.pairs, directed=unit.directed).num_vertices
+
+
+def _stored(qg):
+    """Stored (s, t) keys of a query graph's edges, in edge order."""
+    verts = qg.vertices
+    return [(int(verts[i]), int(verts[j])) for i, j in qg.edges]
+
+
+class TestPackedPlan:
+    """``plan_units`` packs whole components, in plan order, into a few
+    balanced composite units (Alg. 2)."""
+
+    def test_disjoint_pairs_balance_into_two_units(self, small_road):
+        pairs = [(2 * i, 2 * i + 1) for i in range(13)]  # 26 endpoints
+        plan = plan_units(small_road, QueryGraph(pairs), "multi")
+        assert [_endpoints(u) for u in plan.units] == [14, 12]
+        assert [key for u in plan.units for key in u.pairs] == pairs
+        assert plan.parallel and plan.components == 13
+        res = solve_batch(small_road, pairs, method="multi")
+        assert res.details["components"] == 13 and "chunks" not in res.details
+        assert res.num_searches == 26
+
+    def test_units_keep_plan_order_within_the_bound(self, small_road):
+        rng = np.random.default_rng(4)
+        n = small_road.num_vertices
+        pairs = [tuple(int(x) for x in rng.choice(n, 2, replace=False)) for _ in range(40)]
+        qg = QueryGraph(pairs)
+        plan = plan_units(small_road, qg, "multi")
+        comps = [_stored(comp) for comp in qg.components()]
+        assert plan.components == len(comps) > 1 and len(plan.units) > 1
+        assert all(_endpoints(u) <= PACK_SOURCES for u in plan.units)
+        # Consecutive whole components, in the order the batch names them.
+        flat = [key for u in plan.units for key in u.pairs]
+        assert flat == [key for comp in comps for key in comp] == list(plan.owner)
+        for u in plan.units:
+            for comp in comps:
+                assert set(comp) <= set(u.pairs) or not set(comp) & set(u.pairs)
+
+    def test_a_component_is_never_split_by_default(self, small_road):
+        star = QueryGraph.star(0, list(range(1, 21)))  # 21 endpoints, one component
+        plan = plan_units(small_road, star, "multi")
+        assert len(plan.units) == 1 and _endpoints(plan.units[0]) == 21
+        chunked = plan_units(small_road, star, "multi", max_sources=8)
+        assert all(_endpoints(u) <= 8 for u in chunked.units)
+        assert len(chunked.units) > 1 and not chunked.parallel
+        assert chunked.max_sources == 8
+
+    def test_components_count_survives_packing(self, small_road):
+        pairs = [(0, 5), (5, 9), (20, 30), (40, 40)]
+        res = solve_batch(small_road, pairs, method="multi")
+        assert res.details["components"] == 3
+        assert len(res._units) == 1
+
+    def test_directed_bound_counts_source_and_target_copies(self):
+        from repro.experiments.ext_directed import directed_road
+
+        g = directed_road(400, seed=5)
+        # One component over four copies of three vertices: 10 is a
+        # source and a target.
+        qg = QueryGraph([(10, 40), (90, 40), (90, 10)], directed=True)
+        assert len(qg.components()) == 1 and qg.num_vertices == 4
+        plan = plan_units(g, qg, "multi", max_sources=3)
+        assert len(plan.units) == 2
+        assert all(_endpoints(u) <= 3 for u in plan.units)
+        full = solve_batch(g, qg, method="multi")
+        chunked = solve_batch(g, qg, method="multi", max_sources=3)
+        assert chunked.distances == full.distances
 
 
 class TestChunkedMulti:

@@ -85,9 +85,10 @@ class TestBatchInstrumentation:
         res = solve_batch(grid, pairs, method="multi", observer=obs)
         assert _counter(obs, "repro_batches_total", method="multi") == 1
         assert _counter(obs, "repro_batch_searches_total", method="multi") == res.num_searches
-        # The multi solver runs one engine pass per query-graph
-        # component; these three pairs share no endpoints.
-        assert _counter(obs, "repro_runs_total", policy="multi") == 3
+        # These three pairs share no endpoints: three query-graph
+        # components, packed into one composite engine run.
+        assert res.details["components"] == 3
+        assert _counter(obs, "repro_runs_total", policy="multi") == 1
         obs2 = Observer()
         solve_batch(grid, [(0, 99), (0, 50), (50, 7)], method="multi", observer=obs2)
         assert _counter(obs2, "repro_runs_total", policy="multi") == 1

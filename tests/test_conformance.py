@@ -7,7 +7,8 @@ every third instance directed.  Axes: method (``PPSP_METHODS``,
 pairs and on a ``QueryGraph``, ``batch_ppsp``, ``ServePipeline.run``,
 ``QueryService`` futures replayed against the batches the service
 recorded); backend (serial, a
-persistent and an ephemeral process pool); certify; directed; kernel
+persistent and an ephemeral process pool, and ``max_sources`` on the
+pool); certify; directed; kernel
 (the default or the ``np.minimum.at`` oracle); budget (none, spent
 exactly — ``max_steps`` equal to the unbudgeted steps, summed over a
 batch's units — or cut one step short).
@@ -524,6 +525,21 @@ def test_process_backend(pool, seed, method):
                            backend="process", pool=pool)
         assert batch_key(proc, pairs) == batch_key(serial, pairs), (seed, method, certify)
         check_batch(graph, seed, pairs, proc, certified=certify)
+
+
+@pytest.mark.pool
+@pytest.mark.parametrize("seed", POOL_SEEDS)
+def test_process_backend_max_sources(pool, seed):
+    """An explicit ``max_sources`` ships: its bounded units (a larger
+    component cut into query subsets, run in turn) give the serial
+    records byte for byte."""
+    graph, pairs = instance(seed)
+    for bound in (2, 4):
+        serial = solve_batch(graph, pairs, method="multi", certify=True, max_sources=bound)
+        proc = solve_batch(graph, pairs, method="multi", certify=True, max_sources=bound,
+                           backend="process", pool=pool)
+        assert batch_key(proc, pairs) == batch_key(serial, pairs), (seed, bound)
+        check_batch(graph, seed, pairs, proc, certified=True)
 
 
 @pytest.mark.pool
