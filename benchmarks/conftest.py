@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.percentiles import sample_query_pairs, target_at_percentile
-from repro.experiments.harness import tune_delta
+from repro.kernels.calibrate import calibrate_delta
 from repro.experiments.suite import build_graph
 from repro.graphs.connectivity import largest_component
 
@@ -52,7 +52,7 @@ def pair_at(graph, percentile: float, seed: int = 42) -> tuple[int, int]:
 
 @pytest.fixture(scope="session")
 def delta_of():
-    return tune_delta
+    return calibrate_delta
 
 
 @pytest.fixture(scope="session")

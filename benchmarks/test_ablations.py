@@ -11,8 +11,8 @@ import pytest
 from repro.core.engine import run_policy
 from repro.core.policies import BiDS, SsspPolicy
 from repro.core.stepping import BellmanFord, DeltaStepping, DijkstraOrder, RhoStepping
-from repro.experiments.harness import tune_delta
 from repro.graphs import build_graph
+from repro.kernels.calibrate import calibrate_delta
 
 from conftest import pair_at
 
@@ -20,7 +20,7 @@ from conftest import pair_at
 class TestFrontierModes:
     @pytest.mark.parametrize("mode", ["auto", "sparse", "dense"])
     def test_sssp_frontier_mode(self, benchmark, road, mode):
-        delta = tune_delta(road)
+        delta = calibrate_delta(road)
         res = benchmark.pedantic(
             lambda: run_policy(
                 road, SsspPolicy(0), strategy=DeltaStepping(delta), frontier_mode=mode
@@ -34,7 +34,7 @@ class TestFrontierModes:
 class TestBidirectionalRelaxation:
     @pytest.mark.parametrize("pull", [False, True], ids=["push-only", "push+pull"])
     def test_pull_relax(self, benchmark, knn, pull):
-        delta = tune_delta(knn)
+        delta = calibrate_delta(knn)
         res = benchmark.pedantic(
             lambda: run_policy(
                 knn, SsspPolicy(0), strategy=DeltaStepping(delta), pull_relax=pull
@@ -49,7 +49,7 @@ class TestDeltaSensitivity:
     @pytest.mark.parametrize("factor", [0.25, 1.0, 4.0, 16.0], ids=lambda f: f"delta-x{f:g}")
     def test_delta_scaling(self, benchmark, road, factor):
         """The paper tunes Δ by doubling; this shows the cost surface."""
-        delta = tune_delta(road) * factor
+        delta = calibrate_delta(road) * factor
         s, t = pair_at(road, 50.0)
         res = benchmark.pedantic(
             lambda: run_policy(road, BiDS(s, t), strategy=DeltaStepping(delta)),
@@ -71,7 +71,7 @@ class TestSteppingStrategies:
         ids=["delta", "rho", "bellman-ford", "dijkstra-order"],
     )
     def test_strategy(self, benchmark, road, make):
-        delta = tune_delta(road)
+        delta = calibrate_delta(road)
         s, t = pair_at(road, 50.0)
         res = benchmark.pedantic(
             lambda: run_policy(road, BiDS(s, t), strategy=make(delta)),

@@ -12,7 +12,8 @@ from repro.baselines.pnp import pnp_ppsp
 from repro.core.engine import run_policy
 from repro.core.policies import BiDAStar, BiDS
 from repro.core.stepping import DeltaStepping
-from repro.experiments.harness import run_single_query, tune_delta
+from repro.experiments.harness import run_single_query
+from repro.kernels.calibrate import calibrate_delta
 from repro.heuristics.landmarks import LandmarkSet
 
 from conftest import pair_at
@@ -28,7 +29,7 @@ class TestALT:
         assert ls.k == 6
 
     def test_alt_bidastar_query(self, benchmark, social, landmarks):
-        delta = tune_delta(social)
+        delta = calibrate_delta(social)
         s, t = pair_at(social, 50.0)
 
         def run():
@@ -47,7 +48,7 @@ class TestALT:
         assert res.answer == pytest.approx(ref, rel=1e-6)
 
     def test_alt_reduces_work_vs_bids(self, social, landmarks):
-        delta = tune_delta(social)
+        delta = calibrate_delta(social)
         s, t = pair_at(social, 50.0)
         alt = run_policy(
             social,
@@ -73,14 +74,14 @@ class TestPLL:
         pll = PrunedLandmarkLabeling(knn)
         s, t = pair_at(knn, 50.0)
         got = benchmark(lambda: pll.query(s, t))
-        ref = run_single_query(knn, "bids", s, t, delta=tune_delta(knn)).answer
+        ref = run_single_query(knn, "bids", s, t, delta=calibrate_delta(knn)).answer
         assert got == pytest.approx(ref, rel=1e-6)
 
 
 class TestPnP:
     def test_pnp_query(self, benchmark, road):
         s, t = pair_at(road, 50.0)
-        delta = tune_delta(road)
+        delta = calibrate_delta(road)
         got = benchmark.pedantic(
             lambda: pnp_ppsp(road, s, t, strategy=DeltaStepping(delta)),
             rounds=3,
@@ -96,7 +97,7 @@ class TestChunkedBatch:
         from repro.core.batch import solve_batch
         from repro.core.query_graph import QueryGraph
 
-        delta = tune_delta(road)
+        delta = calibrate_delta(road)
         qg = QueryGraph.clique(batch_vertices(road))
         res = benchmark.pedantic(
             lambda: solve_batch(

@@ -7,7 +7,8 @@ representative — the series the paper plots.
 import pytest
 
 from repro.analysis.percentiles import target_at_percentile
-from repro.experiments.harness import run_single_query, tune_delta
+from repro.experiments.harness import run_single_query
+from repro.kernels.calibrate import calibrate_delta
 from repro.graphs.connectivity import largest_component
 
 PERCENTILE_POINTS = (1.0, 5.0, 25.0, 50.0, 75.0, 100.0)
@@ -17,7 +18,7 @@ METHODS = ("sssp", "et", "bids", "astar", "bidastar")
 @pytest.mark.parametrize("percentile", PERCENTILE_POINTS, ids=lambda p: f"p{p:g}")
 @pytest.mark.parametrize("method", METHODS)
 def test_time_vs_percentile(benchmark, road, method, percentile):
-    delta = tune_delta(road)
+    delta = calibrate_delta(road)
     s = int(largest_component(road)[0])
     t = target_at_percentile(road, s, percentile)
     timing = benchmark.pedantic(

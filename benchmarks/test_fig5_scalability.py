@@ -8,7 +8,8 @@ import pytest
 
 from repro.experiments.fig5 import PROCESSOR_COUNTS, collect
 from repro.parallel.cost_model import speedup_curve
-from repro.experiments.harness import run_single_query, tune_delta
+from repro.experiments.harness import run_single_query
+from repro.kernels.calibrate import calibrate_delta
 
 from conftest import pair_at
 
@@ -17,7 +18,7 @@ METHODS = ("sssp", "et", "bids")
 
 @pytest.mark.parametrize("method", METHODS)
 def test_speedup_curve_pipeline(benchmark, rep_graph, method):
-    delta = tune_delta(rep_graph)
+    delta = calibrate_delta(rep_graph)
     s, t = pair_at(rep_graph, 50.0)
 
     def run():

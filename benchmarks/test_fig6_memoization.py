@@ -7,7 +7,8 @@ computation.  Road uses spherical (expensive) heuristics, k-NN Euclidean
 
 import pytest
 
-from repro.experiments.harness import run_single_query, tune_delta
+from repro.experiments.harness import run_single_query
+from repro.kernels.calibrate import calibrate_delta
 
 from conftest import pair_at
 
@@ -25,7 +26,7 @@ VARIANTS = [
 )
 def test_memoization(benchmark, request, graph_fixture, method, memoize):
     g = request.getfixturevalue(graph_fixture)
-    delta = tune_delta(g)
+    delta = calibrate_delta(g)
     s, t = pair_at(g, 50.0)
     timing = benchmark.pedantic(
         lambda: run_single_query(g, method, s, t, delta=delta, memoize=memoize),
@@ -44,7 +45,7 @@ def test_memoization_reduces_heuristic_evaluations(road):
     from repro.core.policies import AStar
     from repro.core.stepping import DeltaStepping
 
-    delta = tune_delta(road)
+    delta = calibrate_delta(road)
     s, t = pair_at(road, 50.0)
     memo = run_policy(road, AStar(s, t, memoize=True), strategy=DeltaStepping(delta))
     plain = run_policy(road, AStar(s, t, memoize=False), strategy=DeltaStepping(delta))

@@ -11,13 +11,13 @@ import pytest
 from repro.core.batch import BATCH_METHODS, solve_batch
 from repro.core.query_graph import PATTERNS
 from repro.core.stepping import DeltaStepping
-from repro.experiments.harness import tune_delta
+from repro.kernels.calibrate import calibrate_delta
 
 
 @pytest.mark.parametrize("pattern", list(PATTERNS))
 @pytest.mark.parametrize("method", BATCH_METHODS)
 def test_batch_pattern(benchmark, road, batch_vertices, pattern, method):
-    delta = tune_delta(road)
+    delta = calibrate_delta(road)
     verts = batch_vertices(road)
     qg = PATTERNS[pattern](verts)
 

@@ -7,7 +7,8 @@ coordinates, like the paper's "-" cells.
 
 import pytest
 
-from repro.experiments.harness import HEURISTIC_METHODS, run_single_query, tune_delta
+from repro.experiments.harness import HEURISTIC_METHODS, run_single_query
+from repro.kernels.calibrate import calibrate_delta
 
 from conftest import pair_at
 
@@ -20,7 +21,7 @@ PERCENTILES = (1.0, 50.0, 99.0)
 def test_single_ppsp(benchmark, rep_graph, method, percentile):
     if method in HEURISTIC_METHODS and not rep_graph.has_coords():
         pytest.skip("A* needs coordinates (paper's '-' cells)")
-    delta = tune_delta(rep_graph)
+    delta = calibrate_delta(rep_graph)
     s, t = pair_at(rep_graph, percentile)
 
     timing = benchmark.pedantic(

@@ -163,7 +163,9 @@ def ppsp(
         distance = float(run.answer[target])
     else:
         distance = float(run.answer)
-    exact = not run.exhausted
+    # A self pair is answered by its bind, even when a budget cuts the
+    # run before its first step.
+    exact = source == target or not run.exhausted
     certificate = None
     if certify:
         from .verify import certificate_for_run  # lazy: verify imports obs

@@ -130,7 +130,7 @@ def _cmd_query(args) -> int:
             "exact": res.exact,
             "reachable": res.reachable,
             "attempts": [
-                {"method": a.method, "attempt": a.attempt, "outcome": a.outcome,
+                {"method": a.method, "outcome": a.outcome,
                  **({"error": a.error} if a.error else {})}
                 for a in res.attempts
             ],
@@ -310,18 +310,6 @@ def _serve_chaos_injector(args):
     )
 
 
-def _serve_recovery_kwargs(args):
-    """shard_deadline / retry_budget kwargs from the CLI flags."""
-    kwargs = {}
-    if args.shard_deadline is not None:
-        kwargs["shard_deadline"] = args.shard_deadline
-    if args.retry_budget is not None:
-        from .serve import RetryBudget
-
-        kwargs["retry_budget"] = RetryBudget(capacity=args.retry_budget)
-    return kwargs
-
-
 def _cmd_serve_batch(args) -> int:
     """The fault-tolerant batch pipeline (checkpoints, deadlines, breakers)."""
     from .serve import ServePipeline
@@ -362,7 +350,7 @@ def _cmd_serve_batch(args) -> int:
         fault_injector=_serve_chaos_injector(args),
         backend=args.backend,
         workers=args.workers,
-        **_serve_recovery_kwargs(args),
+        shard_deadline=args.shard_deadline,
     )
     res = pipeline.run(queries, resume=args.resume)
     payload = {
@@ -434,11 +422,7 @@ def _cmd_serve(args) -> int:
         deadline_ms=args.deadline_ms,
         max_queue=args.max_queue,
         observer=observer,
-        codel_target_ms=args.codel_target_ms,
-        codel_interval_ms=args.codel_interval_ms,
-        shed_multiple=args.shed_multiple,
-        degrade_budget_ms=args.degrade_budget_ms,
-        **_serve_recovery_kwargs(args),
+        shard_deadline=args.shard_deadline,
     )
     try:
         with service as svc:
@@ -657,9 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "times out instead of hanging, the suspect worker "
                          "pool is quarantined and respawned, and the shard "
                          "is re-answered through the resilient chain")
-    sv.add_argument("--retry-budget", type=float, metavar="TOKENS",
-                    help="token-bucket capacity for resilient-chain "
-                         "retries (default: unbounded)")
     sv.add_argument("--chaos-flip-dist", type=int, metavar="N",
                     help="inject N seeded bit-flips into tentative "
                          "distances per fault firing (chaos testing)")
@@ -700,23 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--shard-deadline", type=float, metavar="SECONDS",
                      help="wall deadline of each pool batch "
                           "(see 'serve-batch --shard-deadline')")
-    srv.add_argument("--retry-budget", type=float, metavar="TOKENS",
-                     help="token-bucket capacity for resilient-chain "
-                          "retries (default: unbounded)")
-    srv.add_argument("--codel-target-ms", type=float, default=100.0,
-                     help="queue-sojourn target; sojourn persistently above "
-                          "it for a full interval means overloaded")
-    srv.add_argument("--codel-interval-ms", type=float, default=1000.0,
-                     help="how long sojourn must stay above target before "
-                          "the service degrades")
-    srv.add_argument("--shed-multiple", type=float, default=8.0,
-                     help="shed new queries at the door once the oldest "
-                          "queued query has waited MULTIPLE x target")
-    srv.add_argument("--degrade-budget-ms", type=float,
-                     help="under persistent overload, degrade flushed "
-                          "queries to budgeted (exact=false) answers with "
-                          "this wall budget instead of queueing further "
-                          "(unset: ladder is exact -> shed)")
     srv.add_argument("--pairs-file",
                      help="read 's t [priority]' lines from this file "
                           "instead of stdin")

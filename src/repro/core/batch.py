@@ -496,7 +496,9 @@ def run_unit(graph, unit: BatchUnit, *, strategy=None, certify: bool = False,
         (key,) = unit.pairs
         s, t = key
         res = run_policy(graph, BiDS(s, t), strategy=strategy, **engine_kwargs)
-        d, exact = float(res.answer), not res.exhausted
+        # A self pair is answered by its bind, even when a budget cuts
+        # the run before its first step.
+        d, exact = float(res.answer), s == t or not res.exhausted
         cert = certificate_for_run(graph, s, t, "bids", d, exact, res) if certify else None
         return UnitResult(
             {key: QueryAnswer.of(d, exact, cert)}, res.meter, 2, res.steps, res.relaxations,
@@ -511,9 +513,10 @@ def run_unit(graph, unit: BatchUnit, *, strategy=None, certify: bool = False,
             {}, res.meter, qg.num_vertices, res.steps, res.relaxations, rows=dist,
             _walk=lambda key: _stitch(graph, dist, index[key], key),
         )
-        exact, pd = not res.exhausted, res.processed_dist
+        pd = res.processed_dist
         for key, (i, j) in index.items():
             d = res.answer[key]
+            exact = key[0] == key[1] or not res.exhausted
             cert = None
             if certify:
                 # Row j is the target copy's search, over the reverse

@@ -21,7 +21,8 @@ from ..core.engine import run_policy
 from ..core.policies import AStar, BiDAStar, BiDS, EarlyTermination
 from ..core.stepping import DeltaStepping
 from ..heuristics.landmarks import LandmarkSet
-from .harness import render_table, save_results, tune_delta
+from ..kernels.calibrate import calibrate_delta
+from .harness import render_table, save_results
 from .suite import build_suite
 
 __all__ = ["collect", "main"]
@@ -40,7 +41,7 @@ def collect(
     """work[graph][percentile][algo] = mean edge relaxations per query."""
     out: dict[str, dict] = {}
     for spec, g in build_suite(scale, categories=("social", "web")):
-        delta = tune_delta(g)
+        delta = calibrate_delta(g)
         t0 = time.perf_counter()
         landmarks = LandmarkSet(g, k=num_landmarks)
         preprocess_seconds = time.perf_counter() - t0

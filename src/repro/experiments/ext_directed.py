@@ -29,7 +29,8 @@ from ..core.stepping import DeltaStepping
 from ..graphs.connectivity import largest_component
 from ..graphs.csr import from_edges
 from ..graphs.generators import uniform_random_weights
-from .harness import render_table, save_results, tune_delta
+from ..kernels.calibrate import calibrate_delta
+from .harness import render_table, save_results
 
 __all__ = ["directed_road", "directed_social", "collect", "main"]
 
@@ -109,7 +110,7 @@ def collect(scale: str = "small", *, seed: int = 61) -> dict:
     out: dict[str, dict] = {}
     n = _SIZES[scale]
     for graph in (directed_road(n, seed=seed), directed_social(n, seed=seed + 1)):
-        delta = tune_delta(graph)
+        delta = calibrate_delta(graph)
         qg = _overlapping_batch(graph, 6, seed + 2)
         cover = vertex_cover(qg)
         results = {}

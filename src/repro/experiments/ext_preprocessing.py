@@ -29,7 +29,8 @@ from ..baselines.pll import PrunedLandmarkLabeling
 from ..core.engine import run_policy
 from ..core.policies import BiDS
 from ..core.stepping import DeltaStepping
-from .harness import render_table, save_results, tune_delta
+from ..kernels.calibrate import calibrate_delta
+from .harness import render_table, save_results
 from .suite import build_suite
 
 __all__ = ["collect", "main"]
@@ -59,7 +60,7 @@ def collect(
     for spec, g in build_suite(scale):
         if graphs is not None and spec.name not in graphs:
             continue
-        delta = tune_delta(g)
+        delta = calibrate_delta(g)
         t0 = time.perf_counter()
         pll = PrunedLandmarkLabeling(g)
         pll_prep = time.perf_counter() - t0

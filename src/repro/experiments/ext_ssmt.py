@@ -23,7 +23,8 @@ from ..core.batch import solve_batch
 from ..core.query_graph import QueryGraph
 from ..core.stepping import DeltaStepping
 from ..graphs.connectivity import largest_component
-from .harness import render_table, save_results, tune_delta
+from ..kernels.calibrate import calibrate_delta
+from .harness import render_table, save_results
 from .suite import build_suite
 
 __all__ = ["collect", "main", "TARGET_COUNTS"]
@@ -41,7 +42,7 @@ def collect(
     """ratio[graph][k] = T(multi) / T(one SSSP) at k targets (< 1: BiDS wins)."""
     out: dict[str, dict] = {}
     for spec, g in build_suite(scale):
-        delta = tune_delta(g)
+        delta = calibrate_delta(g)
         rng = np.random.default_rng(seed)
         lcc = largest_component(g)
         picks = rng.choice(lcc, size=max(target_counts) + 1, replace=False)

@@ -27,7 +27,8 @@ from ..analysis.percentiles import sample_query_pairs
 from ..core.engine import run_policy
 from ..core.policies import BiDS
 from ..core.stepping import BellmanFord, DeltaStepping, DijkstraOrder, RhoStepping
-from .harness import render_table, save_results, tune_delta
+from ..kernels.calibrate import calibrate_delta
+from .harness import render_table, save_results
 from .suite import build_suite
 
 __all__ = ["collect", "main", "STRATEGIES"]
@@ -55,7 +56,7 @@ def collect(
     """stats[graph][strategy] = {seconds, steps, relaxations}."""
     out: dict[str, dict] = {}
     for spec, g in build_suite(scale):
-        delta = tune_delta(g)
+        delta = calibrate_delta(g)
         pairs = sample_query_pairs(g, percentile, num_pairs=num_pairs, seed=seed)
         per: dict[str, dict[str, float]] = {
             s: {"seconds": 0.0, "steps": 0, "relaxations": 0} for s in STRATEGIES

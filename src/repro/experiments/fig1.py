@@ -21,7 +21,8 @@ import numpy as np
 from ..core.engine import run_policy
 from ..core.policies import AStar, BiDAStar, BiDS, EarlyTermination, SsspPolicy
 from ..graphs.road import road_graph
-from .harness import render_table, save_results, tune_delta
+from ..kernels.calibrate import calibrate_delta
+from .harness import render_table, save_results
 
 __all__ = ["touched_sets", "render_map", "main", "ALGORITHMS"]
 
@@ -33,7 +34,7 @@ def touched_sets(graph, s: int, t: int, *, delta: float | None = None) -> dict[s
     from ..core.stepping import DeltaStepping
 
     if delta is None:
-        delta = tune_delta(graph)
+        delta = calibrate_delta(graph)
     policies = {
         "sssp": SsspPolicy(s),
         "et": EarlyTermination(s, t),

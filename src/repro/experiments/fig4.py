@@ -16,13 +16,13 @@ import numpy as np
 
 from ..analysis.percentiles import doubling_rank_targets
 from ..graphs.connectivity import largest_component
+from ..kernels.calibrate import calibrate_delta
 from .harness import (
     HEURISTIC_METHODS,
     OUR_METHODS,
     render_table,
     run_single_query,
     save_results,
-    tune_delta,
 )
 from .suite import build_graph, build_suite
 
@@ -44,7 +44,7 @@ def collect(
     lcc = largest_component(graph)
     source = int(rng.choice(lcc))
     targets = doubling_rank_targets(graph, source)
-    delta = tune_delta(graph)
+    delta = calibrate_delta(graph)
     series: dict[str, list[tuple[float, float]]] = {m: [] for m in methods}
     for target, percentile in targets:
         for m in methods:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 
 from ..analysis.percentiles import sample_query_pairs
+from ..kernels.calibrate import calibrate_delta
 from ..parallel.cost_model import speedup_curve
 from .harness import (
     HEURISTIC_METHODS,
@@ -22,7 +23,6 @@ from .harness import (
     render_table,
     run_single_query,
     save_results,
-    tune_delta,
 )
 from .suite import build_graph, build_suite
 from .fig4 import REPRESENTATIVES
@@ -41,7 +41,7 @@ def collect(
     processor_counts=PROCESSOR_COUNTS,
 ) -> dict:
     """curves[method] = {processors: speedup} for one graph."""
-    delta = tune_delta(graph)
+    delta = calibrate_delta(graph)
     (s, t) = sample_query_pairs(graph, percentile, num_pairs=1, seed=seed)[0]
     curves: dict[str, dict[int, float]] = {}
     for m in methods:

@@ -17,7 +17,8 @@ import argparse
 
 from ..analysis.percentiles import sample_query_pairs
 from ..analysis.stats import geometric_mean
-from .harness import render_table, run_single_query, save_results, tune_delta
+from ..kernels.calibrate import calibrate_delta
+from .harness import render_table, run_single_query, save_results
 from .suite import graphs_with_coords
 
 __all__ = ["collect", "main", "VARIANTS"]
@@ -37,7 +38,7 @@ def collect(
     relative: dict[str, dict[str, float]] = {}
     categories: dict[str, str] = {}
     for spec, g in graphs_with_coords(scale):
-        delta = tune_delta(g)
+        delta = calibrate_delta(g)
         pairs = sample_query_pairs(g, percentile, num_pairs=num_pairs, seed=seed)
         sums: dict[str, float] = {v: 0.0 for v in ("et",) + VARIANTS}
         for s, t in pairs:

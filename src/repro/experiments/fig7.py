@@ -28,7 +28,8 @@ from ..core.batch import solve_batch
 from ..core.query_graph import PATTERNS
 from ..core.stepping import DeltaStepping
 from ..graphs.connectivity import largest_component
-from .harness import render_table, save_results, tune_delta
+from ..kernels.calibrate import calibrate_delta
+from .harness import render_table, save_results
 from .suite import build_suite
 
 __all__ = ["collect", "main", "METHOD_LABELS", "PROCESSORS"]
@@ -55,7 +56,7 @@ def collect(
     normalized: dict[str, dict[str, dict[str, float]]] = {p: {} for p in patterns}
     raw: dict[str, dict[str, dict[str, float]]] = {p: {} for p in patterns}
     for spec, g in build_suite(scale):
-        delta = tune_delta(g)
+        delta = calibrate_delta(g)
         rng = np.random.default_rng(seed)
         lcc = largest_component(g)
         verts = rng.choice(lcc, size=num_sources, replace=False).tolist()

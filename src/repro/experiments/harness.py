@@ -1,4 +1,4 @@
-"""Shared experiment machinery: Δ tuning, timed runs, table rendering.
+"""Shared experiment machinery: timed runs, table rendering.
 
 Everything the per-table/figure experiment modules have in common lives
 here so each experiment reads like its description in the paper:
@@ -21,10 +21,10 @@ from ..baselines.mbq import mbq_ppsp
 from ..core.engine import run_policy
 from ..core.policies import AStar, BiDAStar, BiDS, EarlyTermination, SsspPolicy
 from ..core.stepping import DeltaStepping
+from ..kernels.calibrate import calibrate_delta
 from ..parallel.cost_model import WorkDepthMeter
 
 __all__ = [
-    "tune_delta",
     "timed",
     "run_single_query",
     "Timing",
@@ -40,28 +40,6 @@ OUR_METHODS = ("sssp", "et", "bids", "astar", "bidastar")
 BASELINE_METHODS = ("gi-et", "gi-astar", "mbq-et", "mbq-astar")
 #: methods that need coordinates (excluded on social/web graphs).
 HEURISTIC_METHODS = {"astar", "bidastar", "gi-astar", "mbq-astar"}
-
-_DELTA_CACHE: dict[str, float] = {}
-
-
-def tune_delta(graph, *, source: int | None = None, doublings: int = 10) -> float:
-    """Pick Δ by the paper's doubling procedure (Sec. 6.1).
-
-    Starting from a small Δ, run SSSP and double Δ until the running
-    time converges to its minimum.  The search itself lives in
-    :func:`repro.kernels.calibrate.calibrate_delta` (cached by graph
-    fingerprint and shared with :func:`repro.core.stepping.default_strategy`);
-    this wrapper keeps the historical per-name cache for experiment
-    scripts that rebuild identically-named graphs.
-    """
-    key = f"{graph.name}:{graph.num_vertices}:{graph.num_edges}"
-    if key in _DELTA_CACHE:
-        return _DELTA_CACHE[key]
-    from ..kernels.calibrate import calibrate_delta
-
-    best_delta = calibrate_delta(graph, source=source, doublings=doublings)
-    _DELTA_CACHE[key] = best_delta
-    return best_delta
 
 
 @dataclass
@@ -103,7 +81,7 @@ def run_single_query(
     graph-tuned Δ so comparisons isolate the algorithm, not the tuning.
     """
     if delta is None:
-        delta = tune_delta(graph)
+        delta = calibrate_delta(graph)
 
     if method in OUR_METHODS:
         def make_policy():

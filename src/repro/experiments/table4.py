@@ -15,6 +15,7 @@ import argparse
 import numpy as np
 
 from ..analysis.percentiles import sample_query_pairs
+from ..kernels.calibrate import calibrate_delta
 from .harness import (
     BASELINE_METHODS,
     HEURISTIC_METHODS,
@@ -23,7 +24,6 @@ from .harness import (
     render_table,
     run_single_query,
     save_results,
-    tune_delta,
 )
 from .suite import SUITE, build_suite
 
@@ -52,7 +52,7 @@ def collect(
     }
     mismatches: list[str] = []
     for spec, g in build_suite(scale):
-        delta = tune_delta(g)
+        delta = calibrate_delta(g)
         for p in percentiles:
             pairs = sample_query_pairs(g, p, num_pairs=num_pairs, seed=seed)
             per_method: dict[str, list[float]] = {m: [] for m in methods}

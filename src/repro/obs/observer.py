@@ -117,8 +117,6 @@ class Observer:
         self._fallback = r.counter(
             "repro_fallback_attempts_total",
             "Fallback-chain rung attempts by outcome", ("method", "outcome"))
-        self._retries = r.counter(
-            "repro_fallback_retries_total", "Transient-failure retries in fallback chains")
         self._budget_exhausted = r.counter(
             "repro_budget_exhausted_total", "Runs stopped by an execution budget", ("limit",))
         self._query_seconds = r.histogram(
@@ -205,17 +203,9 @@ class Observer:
             "repro_pool_suspect_workers_total",
             "Worker-set quarantines by reason (deadline)",
             ("reason",))
-        self._overload_decisions = r.counter(
-            "repro_overload_decisions_total",
-            "Degradation-ladder decisions (exact / inexact / shed)",
-            ("mode",))
         self._overload_shed = r.counter(
             "repro_overload_shed_total",
             "Submissions shed at the door by queue-delay overload control")
-        self._retry_denials = r.counter(
-            "repro_overload_retry_denials_total",
-            "Retry-budget denials by kind (retry)",
-            ("kind",))
         self._kernel_calls = r.counter(
             "repro_kernel_invocations_total",
             "scatter_min kernel invocations by concrete implementation",
@@ -315,12 +305,10 @@ class Observer:
         if self._span is not None:
             self._span.fold_cache(layer, event)
 
-    def on_fallback(self, method: str, attempt: int, outcome: str) -> None:
+    def on_fallback(self, method: str, outcome: str) -> None:
         self._fallback.inc(method=method, outcome=outcome)
-        if attempt > 1:
-            self._retries.inc()
         if self._span is not None:
-            self._span.fold_fallback(method, attempt, outcome)
+            self._span.fold_fallback(method, outcome)
 
     # ------------------------------------------------------------------
     # Process-pool hooks
@@ -352,19 +340,11 @@ class Observer:
         self._pool_suspects.inc(reason=reason)
 
     # ------------------------------------------------------------------
-    # Overload-control hooks
+    # Door-shed hook
     # ------------------------------------------------------------------
-    def on_overload_decision(self, mode: str) -> None:
-        """Overload hook: one ladder decision (exact / inexact / shed)."""
-        self._overload_decisions.inc(mode=mode)
-
     def on_overload_shed(self) -> None:
-        """Overload hook: a submission was shed at the door."""
+        """Service hook: a submission was shed at the door."""
         self._overload_shed.inc()
-
-    def on_retry_denied(self, kind: str) -> None:
-        """Overload hook: the retry budget denied a token (``kind`` = retry)."""
-        self._retry_denials.inc(kind=kind)
 
     # ------------------------------------------------------------------
     # Serve-pipeline hooks

@@ -88,7 +88,6 @@ class QuerySpan:
     budget: dict | None = None
     batch_searches: int = 0
     fallback_attempts: list = field(default_factory=list)
-    retries: int = 0
     verification: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
 
@@ -131,13 +130,9 @@ class QuerySpan:
         else:
             raise ValueError(f"unknown cache event {event!r}")
 
-    def fold_fallback(self, method: str, attempt: int, outcome: str) -> None:
-        """Fold one fallback-chain attempt in (resilient execution)."""
-        self.fallback_attempts.append(
-            {"method": method, "attempt": int(attempt), "outcome": outcome}
-        )
-        if attempt > 1:
-            self.retries += 1
+    def fold_fallback(self, method: str, outcome: str) -> None:
+        """Fold one fallback-chain rung in (resilient execution)."""
+        self.fallback_attempts.append({"method": method, "outcome": outcome})
 
     def fold_verify(self, event: str) -> None:
         """Fold one verification event (check outcome / repair / quarantine)."""
@@ -172,10 +167,7 @@ class QuerySpan:
             },
             "budget": self.budget,
             "batch_searches": self.batch_searches,
-            "fallback": {
-                "attempts": self.fallback_attempts,
-                "retries": self.retries,
-            },
+            "fallback": {"attempts": self.fallback_attempts},
             "verification": self.verification,
             "wall_seconds": self.wall_seconds,
         }
@@ -210,7 +202,6 @@ class QuerySpan:
             budget=payload.get("budget"),
             batch_searches=payload.get("batch_searches", 0),
             fallback_attempts=fallback.get("attempts", []),
-            retries=fallback.get("retries", 0),
             # Absent in pre-1.5 span exports; default keeps those loading.
             verification=payload.get("verification", {}),
             wall_seconds=payload.get("wall_seconds", 0.0),

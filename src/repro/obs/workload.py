@@ -5,11 +5,10 @@ graph: each of the five single-query methods answers every pair once
 through :func:`repro.ppsp`, a Multi-BiDS batch runs over the same
 pairs, one resilient query walks the fallback chain, a chaos-seeded
 serve pipeline trips a circuit breaker open,
-routes through the fallback rungs, and recovers it via a half-open
-probe (all on a simulated clock), a verified serve run detects
+routes through the fallback rungs and recovers it via a half-open
+probe (all on a simulated clock), and a verified serve run detects
 seeded bit-flip corruption and repairs it (exercising the certificate
-checker, repair, and quarantine counters), and the overload controller
-walks its full ladder (exact -> inexact -> shed).
+checker, repair, and quarantine counters).
 All randomness flows from one seed,
 so the resulting metrics — everything except wall-clock histograms —
 are reproducible byte for byte, which is what lets the text exposition
@@ -64,7 +63,6 @@ def stats_workload(
     from ..robustness.faults import FaultInjector
     from ..robustness.resilient import resilient_ppsp
     from ..serve import ServePipeline
-    from ..serve.overload import OverloadController
 
     if graph is None:
         graph = default_stats_graph()
@@ -108,9 +106,7 @@ def stats_workload(
             breaker_cooldown=5.0,
             clock=sim,
             observer=obs,
-            fault_injector=FaultInjector(
-                seed=seed, raise_at=0, transient=False, max_fires=2
-            ),
+            fault_injector=FaultInjector(seed=seed, raise_at=0, max_fires=2),
         )
         with obs.span("serve-batch") as span:
             res = pipe.run(pairs)
@@ -143,22 +139,4 @@ def stats_workload(
             res = pipe.run(pairs)
             span.exact = res.exact
 
-    # The admission ladder, walked deterministically: a healthy
-    # flush stays exact, sojourn persistently above target for a
-    # full interval degrades to inexact, and a stuck queue sheds at
-    # the door.
-    simo = SimClock()
-    ctl = OverloadController(
-        clock=simo,
-        target_ms=100.0,
-        interval_ms=1000.0,
-        shed_multiple=8.0,
-        degrade_budget_ms=250.0,
-        observer=obs,
-    )
-    ctl.flush_mode(0.02)  # healthy: exact
-    ctl.flush_mode(0.5)  # above target, interval not yet elapsed
-    simo.advance(1.5)
-    ctl.flush_mode(0.5)  # persistent overload: inexact
-    ctl.should_shed(oldest_sojourn_s=1.2)  # door shed
     return obs

@@ -11,7 +11,7 @@ The production-hardening layer over the PPSP engine:
 * :mod:`~repro.robustness.clock` — simulated time, so deadlines and
   breaker cooldowns are chaos-testable without sleeping;
 * :mod:`~repro.robustness.resilient` — the ``bidastar → bids → et →
-  dijkstra-reference`` fallback chain with retries.
+  dijkstra-reference`` fallback chain, one try per rung.
 """
 
 from .auditor import InvariantAuditor, InvariantViolation

@@ -12,9 +12,9 @@ corrupts a run in controlled, seedable ways:
 * ``perturb_heuristic`` — wrap A*/BiD-A* heuristics with positive noise
   (inadmissible; ``heuristic-endpoint``/``heuristic-inconsistent`` must
   fire);
-* ``raise_at``          — raise an :class:`InjectedFault` (transient or
-  permanent), which the :func:`~repro.robustness.resilient.resilient_ppsp`
-  fallback chain must absorb;
+* ``raise_at``          — raise an :class:`InjectedFault`, which the
+  :func:`~repro.robustness.resilient.resilient_ppsp` fallback chain must
+  absorb by handing the query to its next rung;
 * ``stall_at``          — inject per-step latency in *simulated* time:
   from the given step on, every step advances the injector's
   :class:`~repro.robustness.clock.SimClock` by ``stall_seconds`` instead
@@ -45,8 +45,7 @@ detection, recoverable only by the batch deadline
 
 Every decision flows from one seeded RNG plus hash-based per-vertex
 noise, so a chaos run is exactly reproducible from its seed.  Injection
-stops after ``max_fires`` faults, which is how "transient" failures are
-modeled: fire once, then behave.
+stops after ``max_fires`` faults: fire that many times, then behave.
 """
 
 from __future__ import annotations
@@ -60,16 +59,7 @@ _HASH = 2654435761
 
 
 class InjectedFault(RuntimeError):
-    """An artificial failure raised by :class:`FaultInjector`.
-
-    ``transient=True`` marks failures that a retry may survive (the
-    injector disarms after ``max_fires``); the fallback chain retries
-    those on the same rung and skips straight to the next rung otherwise.
-    """
-
-    def __init__(self, message: str, *, transient: bool = True) -> None:
-        super().__init__(message)
-        self.transient = transient
+    """An artificial failure raised by :class:`FaultInjector`."""
 
 
 class _PerturbedHeuristic:
@@ -104,8 +94,8 @@ class FaultInjector:
     All ``*_at`` parameters are engine step indices (0-based); ``None``
     disables that fault class.  ``max_fires`` bounds the total number of
     injected faults across the injector's lifetime — shared across runs,
-    so a fallback chain's retry sees a clean re-execution once the
-    injector is spent.
+    so a fallback chain's later rungs run clean once the injector is
+    spent.
     """
 
     def __init__(
@@ -122,7 +112,6 @@ class FaultInjector:
         perturb_heuristic: bool = False,
         perturb_scale: float = 100.0,
         raise_at: int | None = None,
-        transient: bool = True,
         stall_at: int | None = None,
         stall_seconds: float = 0.05,
         flip_dist_at: int | None = None,
@@ -145,7 +134,6 @@ class FaultInjector:
         self.perturb_heuristic = perturb_heuristic
         self.perturb_scale = float(perturb_scale)
         self.raise_at = raise_at
-        self.transient = transient
         self.stall_at = stall_at
         self.stall_seconds = float(stall_seconds)
         self.flip_dist_at = flip_dist_at
@@ -225,11 +213,7 @@ class FaultInjector:
             self._record(step, "stall")
         if self.raise_at == step and self._armed():
             self._record(step, "raise")
-            raise InjectedFault(
-                f"injected {'transient' if self.transient else 'permanent'} "
-                f"fault at step {step}",
-                transient=self.transient,
-            )
+            raise InjectedFault(f"injected fault at step {step}")
         if self.corrupt_dist_at == step and self._armed():
             finite = np.flatnonzero(np.isfinite(dist))
             if len(finite):

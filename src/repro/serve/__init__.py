@@ -23,13 +23,14 @@ For a *stream* of queries rather than a pre-assembled batch, the
 :class:`~repro.serve.service.QueryService` micro-batcher coalesces
 individual submissions into right-sized batches over a persistent warm
 worker pool and resolves each one as a future — see ``repro serve`` and
-the service section of ``docs/robustness.md``.
+the service section of ``docs/robustness.md``.  It sheds a new
+submission at the door once its oldest queued query has waited longer
+than :data:`~repro.serve.service.SHED_AFTER_S`.
 
 A stalled pool worker cannot hang a batch: ``shard_deadline`` times
 the batch out on the process backend, the pool quarantines its
 workers, and the pipeline re-answers the shard through its breaker and
-resilient chain.  :mod:`repro.serve.overload` supplies the retry token
-bucket and the CoDel admission control the query service runs under.
+resilient chain, which runs each rung once.
 """
 
 from .admission import (
@@ -40,15 +41,15 @@ from .admission import (
     REPAIRED,
     SHED,
     TIMEOUT,
-    AdmissionController,
     ServeQuery,
+    admit,
 )
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
 from .checkpoint import CheckpointCorrupt, CheckpointStore, batch_fingerprint
-from .overload import CoDelShedder, OverloadController, RetryBudget
 from .pipeline import SERVE_METHODS, PipelineResult, ServePipeline, serve_batch
 from .service import (
     FLUSH_REASONS,
+    SHED_AFTER_S,
     QueryService,
     ServiceClosed,
     ServiceFuture,
@@ -65,8 +66,9 @@ __all__ = [
     "ServiceResult",
     "ServiceClosed",
     "FLUSH_REASONS",
+    "SHED_AFTER_S",
     "ServeQuery",
-    "AdmissionController",
+    "admit",
     "CheckpointStore",
     "CheckpointCorrupt",
     "batch_fingerprint",
@@ -82,7 +84,4 @@ __all__ = [
     "FAILED",
     "REPAIRED",
     "OUTCOMES",
-    "RetryBudget",
-    "CoDelShedder",
-    "OverloadController",
 ]

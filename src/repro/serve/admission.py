@@ -21,7 +21,7 @@ from ..core.answer import FAILED, INEXACT, OK, OUTCOMES, REPAIRED, SHED, TIMEOUT
 
 __all__ = [
     "ServeQuery",
-    "AdmissionController",
+    "admit",
     "OK",
     "INEXACT",
     "SHED",
@@ -60,29 +60,17 @@ class ServeQuery:
         return (self.source, self.target)
 
 
-class AdmissionController:
+def admit(
+    queries: list[ServeQuery], max_queue: int | None
+) -> tuple[list[ServeQuery], list[ServeQuery]]:
     """Bounded priority admission over one submitted batch.
 
     ``max_queue`` is the service capacity in queries; ``None`` admits
-    everything.  :meth:`admit` partitions the submissions into the
-    admitted prefix (in execution order: priority descending, then
-    submission order) and the shed remainder (the lowest-priority,
-    latest-submitted queries — the ones a loaded service can refuse at
-    least cost).
+    everything.  Returns the admitted prefix (in execution order:
+    priority descending, then submission order) and the shed remainder
+    (the lowest-priority, latest-submitted queries — the ones a loaded
+    service can refuse at least cost).
     """
-
-    def __init__(self, max_queue: int | None = None) -> None:
-        if max_queue is not None and max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        self.max_queue = max_queue
-        self.admitted = 0
-        self.shed = 0
-
-    def admit(self, queries: list[ServeQuery]) -> tuple[list[ServeQuery], list[ServeQuery]]:
-        order = sorted(range(len(queries)), key=lambda i: (-queries[i].priority, i))
-        cut = len(order) if self.max_queue is None else min(self.max_queue, len(order))
-        admitted = [queries[i] for i in order[:cut]]
-        shed = [queries[i] for i in order[cut:]]
-        self.admitted += len(admitted)
-        self.shed += len(shed)
-        return admitted, shed
+    order = sorted(range(len(queries)), key=lambda i: (-queries[i].priority, i))
+    cut = len(order) if max_queue is None else min(max_queue, len(order))
+    return [queries[i] for i in order[:cut]], [queries[i] for i in order[cut:]]

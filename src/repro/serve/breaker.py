@@ -49,7 +49,7 @@ class CircuitBreaker:
     name : str
         The guarded method; used on metrics and in transition records.
     failure_threshold : int
-        Consecutive failures (including retries) that trip the breaker.
+        Consecutive failures that trip the breaker.
     cooldown : float
         Seconds an open breaker refuses traffic before admitting a
         half-open probe.

@@ -55,16 +55,8 @@ from ..core.batch import BATCH_METHODS, solve_batch
 from ..parallel.cost_model import WorkDepthMeter
 from ..robustness.budget import Budget
 from ..robustness.clock import as_clock
-from ..robustness.resilient import DEFAULT_CHAIN, resilient_ppsp
-from .admission import (
-    FAILED,
-    OK,
-    REPAIRED,
-    SHED,
-    TIMEOUT,
-    AdmissionController,
-    ServeQuery,
-)
+from ..robustness.resilient import resilient_ppsp
+from .admission import FAILED, OK, REPAIRED, SHED, TIMEOUT, ServeQuery, admit
 from .breaker import BreakerBoard
 from .checkpoint import CheckpointCorrupt, CheckpointStore, batch_fingerprint
 
@@ -136,10 +128,6 @@ class ServePipeline:
         Consecutive failures that open a method's breaker, and seconds
         before its half-open probe, for the pipeline's
         :class:`~repro.serve.breaker.BreakerBoard`.
-    resilient_methods : tuple of str
-        Rung order for chain execution and shard fallback.
-    retries : int
-        Transient-failure retries per rung (see ``resilient_ppsp``).
     clock : callable or SimClock or None
         Time source for deadlines and breaker cooldowns; ``None`` means
         real time.  Chaos tests pass a
@@ -171,8 +159,6 @@ class ServePipeline:
         Wall seconds a pool batch may take from submission
         (``backend="process"``); past it the pool quarantines its
         workers and the shard routes through the resilient chain.
-    retry_budget : repro.serve.overload.RetryBudget or None
-        Token bucket gating the resilient chain's transient retries.
     verify : bool
         Turn on the answer-verification stage: certificates are
         requested from every solver, checked per answer, and failing
@@ -205,8 +191,6 @@ class ServePipeline:
         budget: Budget | None = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
-        resilient_methods: tuple[str, ...] = DEFAULT_CHAIN,
-        retries: int = 1,
         clock=None,
         fault_injector=None,
         observer=None,
@@ -219,7 +203,6 @@ class ServePipeline:
         workers: int | None = None,
         pool=None,
         shard_deadline: float | None = None,
-        retry_budget=None,
     ) -> None:
         if method not in SERVE_METHODS:
             raise ValueError(f"unknown serve method {method!r}; options: {SERVE_METHODS}")
@@ -229,6 +212,8 @@ class ServePipeline:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if deadline_ms is not None and deadline_ms < 0:
             raise ValueError(f"deadline_ms must be nonnegative, got {deadline_ms}")
+        if max_queue is not None and max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if shard_deadline is not None and shard_deadline <= 0:
             raise ValueError(f"shard_deadline must be > 0, got {shard_deadline}")
         self.graph = graph
@@ -238,8 +223,6 @@ class ServePipeline:
         self.deadline_ms = deadline_ms
         self.max_queue = max_queue
         self.budget = budget
-        self.retries = int(retries)
-        self.resilient_methods = tuple(resilient_methods)
         self._now = as_clock(clock)
         self.observer = observer
         self.fault_injector = fault_injector
@@ -249,7 +232,6 @@ class ServePipeline:
         self.pool = pool
         self._pool = None
         self.shard_deadline = shard_deadline
-        self.retry_budget = retry_budget
         self.verify = bool(verify)
         self.certify = bool(certify) or self.verify
         self.collect_paths = bool(collect_paths)
@@ -321,7 +303,7 @@ class ServePipeline:
             result.details["empty"] = True
             return result
 
-        admitted, shed = AdmissionController(self.max_queue).admit(submitted)
+        admitted, shed = admit(submitted, self.max_queue)
         for q in shed:
             result.answers[q.key] = QueryAnswer(math.inf, False, SHED)
             if obs is not None:
@@ -589,10 +571,7 @@ class ServePipeline:
                 self.graph,
                 q.source,
                 q.target,
-                methods=self.resilient_methods,
                 budget=self._shard_budget([q]),
-                retries=self.retries,
-                retry_budget=self.retry_budget,
                 breakers=self.breakers,
                 fault_injector=self.fault_injector,
                 observer=self.observer,

@@ -20,14 +20,11 @@ A batch is flushed when the first of two triggers fires:
   service clock (an injectable :class:`~repro.robustness.SimClock` in
   tests, real time in production), bounding tail latency on a trickle.
 
-On top of the flush triggers sits a degradation ladder — **exact ->
-inexact -> shed**: when queue sojourn stays above the CoDel-style
-target for a full interval and ``degrade_budget_ms`` is configured,
-flushed queries gain a wall-clock budget and degrade to certified
-upper bounds instead of queueing further; and when the oldest queued
-query has waited past ``shed_multiple x target`` (the queue has
-stopped draining), brand-new submissions are shed at the door with an
-immediately-resolved ``shed`` future.
+One door rule guards the queue: once the oldest queued query has
+waited longer than :data:`SHED_AFTER_S` (the queue has stopped
+draining), a brand-new submission is shed at the door with an
+immediately-resolved ``shed`` future.  A flushed query's wall budget
+comes from ``deadline_ms``, as in the pipeline.
 
 Duplicate ``(s, t)`` submissions inside one window coalesce into a
 single execution and fan back out to every waiting future — an
@@ -63,7 +60,6 @@ from ..api import validate_query
 from ..core.answer import QueryAnswer
 from ..robustness.clock import as_clock
 from .admission import FAILED, SHED, ServeQuery
-from .overload import OverloadController
 from .pipeline import ServePipeline
 
 __all__ = [
@@ -72,10 +68,15 @@ __all__ = [
     "ServiceResult",
     "ServiceClosed",
     "FLUSH_REASONS",
+    "SHED_AFTER_S",
 ]
 
 #: every trigger that can flush a coalesced batch.
 FLUSH_REASONS = ("size", "wait", "drain", "shutdown", "manual")
+
+#: a new query is shed at the door once the oldest queued one has
+#: waited longer than this many seconds on the service clock.
+SHED_AFTER_S = 0.8
 
 logger = logging.getLogger("repro.service")
 
@@ -185,13 +186,9 @@ class QueryService:
     batcher knobs:
 
     max_batch : int
-        Coalesced batch size; also the default ``checkpoint_every`` (one
-        pipeline shard per flush).
+        Coalesced batch size; each flush runs as one pipeline shard.
     max_wait_ms : float
         Longest a queued query waits before a partial batch flushes.
-    codel_target_ms, codel_interval_ms, shed_multiple, degrade_budget_ms :
-        Knobs of the service's :class:`~repro.serve.overload.
-        OverloadController`.
     certify, collect_paths : bool
         Attach each answer's certificate / shortest path to its
         :class:`ServiceResult`.
@@ -216,11 +213,6 @@ class QueryService:
         observer=None,
         certify: bool = False,
         collect_paths: bool = False,
-        checkpoint_every: int | None = None,
-        codel_target_ms: float = 100.0,
-        codel_interval_ms: float = 1000.0,
-        shed_multiple: float = 8.0,
-        degrade_budget_ms: float | None = None,
         **pipeline_kwargs,
     ) -> None:
         if max_batch < 1:
@@ -234,14 +226,6 @@ class QueryService:
         self._real_clock = clock is None
         self.observer = observer
         self.backend = backend
-        self._overload = OverloadController(
-            clock=clock,
-            target_ms=codel_target_ms,
-            interval_ms=codel_interval_ms,
-            shed_multiple=shed_multiple,
-            degrade_budget_ms=degrade_budget_ms,
-            observer=observer,
-        )
 
         self._own_pool = False
         self._pool = pool
@@ -261,10 +245,7 @@ class QueryService:
             backend=backend,
             workers=workers,
             pool=self._pool,
-            # One pipeline shard per coalesced batch unless the caller
-            # wants finer checkpoint granularity.
-            checkpoint_every=self.max_batch if checkpoint_every is None
-            else checkpoint_every,
+            checkpoint_every=self.max_batch,  # one shard per flush
             **pipeline_kwargs,
         )
 
@@ -282,7 +263,7 @@ class QueryService:
         self._next_batch_index = 0
         self._counts = {
             "submitted": 0, "executed": 0, "deduped": 0, "errors": 0,
-            "shed": 0, "degraded": 0,
+            "shed": 0,
         }
         self._flush_reasons = {reason: 0 for reason in FLUSH_REASONS}
         self._seen_respawns = 0
@@ -299,11 +280,6 @@ class QueryService:
     def pool(self):
         """The persistent worker pool (``None`` for the serial backend)."""
         return self._pool
-
-    @property
-    def overload(self):
-        """The adaptive overload controller."""
-        return self._overload
 
     def start(self) -> "QueryService":
         """Warm the pool and launch the dispatcher thread (idempotent)."""
@@ -401,23 +377,21 @@ class QueryService:
                 if self.observer is not None:
                     self.observer.on_service_dedup()
             else:
-                if self._pending:
-                    # Door shedding: a *new* query is refused outright
-                    # when the oldest queued one has waited past the
-                    # shed threshold — the queue has stopped draining,
-                    # and queueing more only manufactures timeouts.
-                    # Duplicates of queued queries always coalesce
-                    # (they cost nothing extra).
-                    oldest = next(iter(self._pending.values()))
-                    if self._overload.should_shed(
-                        oldest_sojourn_s=self._clock() - oldest.submitted
-                    ):
-                        self._counts["submitted"] += 1
-                        self._counts["shed"] += 1
-                        future._resolve(ServiceResult(
-                            key[0], key[1], QueryAnswer(float("inf"), False, SHED)
-                        ))
-                        return future
+                # Door shedding: a *new* query is refused outright once
+                # the oldest queued one has waited past SHED_AFTER_S —
+                # the queue has stopped draining, and queueing more
+                # only manufactures timeouts.  Duplicates of queued
+                # queries always coalesce (they cost nothing extra).
+                oldest = next(iter(self._pending.values()), None)
+                if oldest is not None and self._clock() - oldest.submitted > SHED_AFTER_S:
+                    self._counts["submitted"] += 1
+                    self._counts["shed"] += 1
+                    if self.observer is not None:
+                        self.observer.on_overload_shed()
+                    future._resolve(ServiceResult(
+                        key[0], key[1], QueryAnswer(float("inf"), False, SHED)
+                    ))
+                    return future
                 self._pending[key] = _Pending(
                     query=ServeQuery(key[0], key[1], priority=priority,
                                      deadline=deadline),
@@ -523,19 +497,6 @@ class QueryService:
             self._next_batch_index += 1
             if self.observer is not None:
                 self.observer.on_service_flush(reason, len(entries), waited)
-            # Degradation ladder, middle rung: under persistent queue
-            # delay (CoDel) with degrade_budget_ms set, the batch runs
-            # under a wall budget — certified upper bounds now beat
-            # exact answers later.
-            if self._overload.flush_mode(waited) == "inexact":
-                degrade_deadline = flushed_at + self._overload.degrade_budget_s
-                for e in entries:
-                    q = e.query
-                    q.deadline = (
-                        degrade_deadline if q.deadline is None
-                        else min(q.deadline, degrade_deadline)
-                    )
-                self._counts["degraded"] += len(entries)
             try:
                 res = self._pipeline.run([e.query for e in entries])
             except Exception:  # noqa: BLE001 — futures must resolve
@@ -625,6 +586,5 @@ class QueryService:
                 "flush_reasons": dict(self._flush_reasons),
                 "respawns": 0 if self._pool is None else self._pool.respawns,
                 "breakers": self._pipeline.breakers.states(),
-                "overload": {"decisions": dict(self._overload.counts)},
             }
             return out

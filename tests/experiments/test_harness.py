@@ -8,26 +8,12 @@ from repro.experiments.harness import (
     render_table,
     run_single_query,
     timed,
-    tune_delta,
 )
 from repro.experiments.suite import build_graph
 
 
 # run_single_query must accept every method name the tables use.
 ALL = ("sssp", "et", "bids", "astar", "bidastar", "gi-et", "gi-astar", "mbq-et", "mbq-astar")
-
-
-class TestTuneDelta:
-    def test_positive_and_cached(self, small_road):
-        d1 = tune_delta(small_road)
-        d2 = tune_delta(small_road)
-        assert d1 > 0
-        assert d1 == d2  # cache hit
-
-    def test_empty_graph(self):
-        from repro.graphs import build_graph as bg
-
-        assert tune_delta(bg([], num_vertices=2)) == 1.0
 
 
 class TestRunSingleQuery:

@@ -72,13 +72,23 @@ def test_default_strategy_modes():
         default_strategy(g, calibrate="sometimes")
 
 
-def test_harness_tune_delta_delegates():
+def test_experiments_tune_a_reweighted_graph_on_its_own(monkeypatch):
+    """``Graph.with_weights`` keeps the name; the Δ an experiment runs
+    with must still come from the reweighted graph, not the original."""
+    from repro.core.engine import run_policy
     from repro.experiments import harness
 
-    harness._DELTA_CACHE.clear()
     g = road_graph(5, 5, seed=2, name="tune-me")
-    d = harness.tune_delta(g, doublings=2)
-    assert d > 0
-    assert g.fingerprint() in calibrate._DELTA_CACHE
-    # Historical per-name cache still works.
-    assert harness.tune_delta(g, doublings=2) == d
+    heavy = g.with_weights(g.weights * 1000)
+    assert heavy.name == g.name
+    used = []
+
+    def spy(graph, policy, *, strategy):
+        used.append(strategy.delta)
+        return run_policy(graph, policy, strategy=strategy)
+
+    monkeypatch.setattr(harness, "run_policy", spy)
+    harness.run_single_query(g, "bids", 0, 24)
+    harness.run_single_query(heavy, "bids", 0, 24)
+    assert used == [calibrate_delta(g), calibrate_delta(heavy)]
+    assert used[1] != used[0]

@@ -120,18 +120,20 @@ class TestResilientInstrumentation:
         assert _counter(obs, "repro_fallback_attempts_total",
                         method=ans.method, outcome="ok") == 1
 
-    def test_failing_rungs_and_retries_counted(self, grid):
+    def test_failing_rungs_counted(self, grid):
         obs = Observer()
-        # A permanent fault at step 0 fires on every fresh engine rung
-        # until max_fires is spent: bidastar errors, bids retries then
-        # errors, and the chain lands on a later rung.
-        injector = FaultInjector(seed=1, raise_at=0, transient=True, max_fires=2)
-        ans = resilient_ppsp(grid, 0, 99, retries=1, observer=obs, fault_injector=injector)
+        # A fault at step 0 fires on every fresh engine rung until
+        # max_fires is spent: bidastar and bids error once each, and
+        # the chain lands on et.
+        injector = FaultInjector(seed=1, raise_at=0, max_fires=2)
+        ans = resilient_ppsp(grid, 0, 99, observer=obs, fault_injector=injector)
         assert ans.exact
-        errors = _counter(obs, "repro_fallback_attempts_total",
-                          method="bidastar", outcome="error")
-        assert errors >= 1
-        assert _counter(obs, "repro_fallback_retries_total") >= 1
+        assert ans.method == "et"
+        for method in ("bidastar", "bids"):
+            assert _counter(obs, "repro_fallback_attempts_total",
+                            method=method, outcome="error") == 1
+        assert _counter(obs, "repro_fallback_attempts_total",
+                        method="et", outcome="ok") == 1
 
     def test_reference_rung_counted(self, grid):
         obs = Observer()

@@ -137,19 +137,18 @@ class TestFallbackChainRecoversEachClass:
         res = self.recovered(grid, s, t, true, injector)
         assert res.method in ("bids", "et")
 
-    def test_recovers_from_transient_crash_by_retry(self, grid, grid_query):
+    def test_recovers_from_raised_fault(self, grid, grid_query):
         s, t, true = grid_query
-        injector = FaultInjector(seed=SEED, raise_at=2, transient=True, max_fires=1)
-        res = self.recovered(grid, s, t, true, injector, retries=1)
-        assert res.method == "bidastar"
+        injector = FaultInjector(seed=SEED, raise_at=2, max_fires=1)
+        res = self.recovered(grid, s, t, true, injector)
+        assert res.method == "bids"
         assert [(a.method, a.outcome) for a in res.attempts] == [
-            ("bidastar", "error"), ("bidastar", "ok"),
+            ("bidastar", "error"), ("bids", "ok"),
         ]
 
     def test_recovers_from_persistent_crashes_via_reference(self, grid, grid_query):
         s, t, true = grid_query
-        injector = FaultInjector(seed=SEED, raise_at=0, transient=False,
-                                 max_fires=100)
+        injector = FaultInjector(seed=SEED, raise_at=0, max_fires=100)
         res = self.recovered(grid, s, t, true, injector)
         assert res.method == REFERENCE_RUNG
 

@@ -48,25 +48,24 @@ class TestDegradedRungs:
         assert res.distance == pytest.approx(6.0)
         assert res.attempts[0].method == "bidastar"
         assert res.attempts[0].outcome == "error"
-        assert not res.attempts[0].transient
 
-    def test_transient_fault_retried_same_rung(self, grid, grid_query):
+    def test_failed_rung_hands_query_to_next_rung(self, grid, grid_query):
         s, t, true = grid_query
-        injector = FaultInjector(seed=1, raise_at=2, transient=True, max_fires=1)
-        res = resilient_ppsp(grid, s, t, fault_injector=injector, retries=1)
+        injector = FaultInjector(seed=1, raise_at=2, max_fires=1)
+        res = resilient_ppsp(grid, s, t, fault_injector=injector)
         assert res.exact
-        assert res.method == "bidastar"  # retry of the SAME rung succeeded
+        assert res.distance == pytest.approx(true)
+        # Each rung runs once: the failed one is not tried again.
         assert [(a.method, a.outcome) for a in res.attempts] == [
             ("bidastar", "error"),
-            ("bidastar", "ok"),
+            ("bids", "ok"),
         ]
-        assert res.attempts[0].transient
 
     def test_permanent_faults_drop_to_reference(self, grid, grid_query):
         s, t, true = grid_query
         # Fire a permanent fault at step 0 of every engine rung: only the
         # engine-free Dijkstra oracle can answer.
-        injector = FaultInjector(seed=1, raise_at=0, transient=False, max_fires=100)
+        injector = FaultInjector(seed=1, raise_at=0, max_fires=100)
         res = resilient_ppsp(grid, s, t, fault_injector=injector)
         assert res.exact
         assert res.method == REFERENCE_RUNG
@@ -94,7 +93,7 @@ class TestDegradedRungs:
 
     def test_reference_rung_has_no_path_state(self, grid, grid_query):
         s, t, _ = grid_query
-        injector = FaultInjector(seed=1, raise_at=0, transient=False, max_fires=100)
+        injector = FaultInjector(seed=1, raise_at=0, max_fires=100)
         res = resilient_ppsp(grid, s, t, fault_injector=injector)
         with pytest.raises(NotImplementedError, match="dijkstra-reference"):
             res.path()
@@ -105,25 +104,3 @@ class TestDegradedRungs:
         assert res.exact
         assert not res.reachable
         assert np.isinf(res.distance)
-
-
-class TestRetryBudget:
-    """A shared retry budget gates the chain's transient retries."""
-
-    def test_dry_retry_budget_degrades_to_next_rung(self, grid, grid_query):
-        from repro.serve import RetryBudget
-
-        s, t, true = grid_query
-        budget = RetryBudget(capacity=0.0, refill_per_s=0.0)
-        res = resilient_ppsp(
-            grid, s, t,
-            retries=2,
-            retry_budget=budget,
-            fault_injector=FaultInjector(
-                seed=1, raise_at=2, transient=True, max_fires=1
-            ),
-        )
-        assert res.exact
-        assert res.distance == pytest.approx(true)
-        assert res.method != DEFAULT_CHAIN[0]  # degraded, not retried
-        assert budget.denied == 1

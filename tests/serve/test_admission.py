@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.serve import ServePipeline, ServeQuery
-from repro.serve.admission import OUTCOMES, SHED, AdmissionController
+from repro.serve import QueryService, ServePipeline, ServeQuery
+from repro.serve.admission import OUTCOMES, SHED, admit
 
 pytestmark = pytest.mark.serve
 
@@ -20,31 +20,37 @@ class TestServeQuery:
 
 
 class TestAdmissionController:
+    """``admit`` orders one batch by priority and cuts it at capacity."""
+
     def test_unbounded_admits_all_in_priority_order(self):
         qs = [ServeQuery(0, 1, priority=0), ServeQuery(2, 3, priority=5),
               ServeQuery(4, 5, priority=5)]
-        admitted, shed = AdmissionController(None).admit(qs)
+        admitted, shed = admit(qs, None)
         assert [q.key for q in admitted] == [(2, 3), (4, 5), (0, 1)]
         assert shed == []
 
     def test_sheds_lowest_priority_latest_submitted(self):
         qs = [ServeQuery(0, 1, priority=1), ServeQuery(2, 3, priority=0),
               ServeQuery(4, 5, priority=0), ServeQuery(6, 7, priority=2)]
-        admitted, shed = AdmissionController(2).admit(qs)
+        admitted, shed = admit(qs, 2)
         assert [q.key for q in admitted] == [(6, 7), (0, 1)]
         # ties broken by submission order; the later 0-priority sheds last
         assert [q.key for q in shed] == [(2, 3), (4, 5)]
 
     def test_deterministic(self):
         qs = [ServeQuery(i, i + 1, priority=i % 3) for i in range(9)]
-        first = AdmissionController(4).admit(qs)
-        second = AdmissionController(4).admit(qs)
+        first = admit(qs, 4)
+        second = admit(qs, 4)
         assert [q.key for q in first[0]] == [q.key for q in second[0]]
         assert [q.key for q in first[1]] == [q.key for q in second[1]]
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError, match="max_queue"):
-            AdmissionController(0)
+    def test_rejects_nonpositive_capacity(self, serve_graph):
+        # Refused when built, not by failing every query of every run.
+        for max_queue in (0, -1):
+            with pytest.raises(ValueError, match="max_queue"):
+                ServePipeline(serve_graph, max_queue=max_queue)
+            with pytest.raises(ValueError, match="max_queue"):
+                QueryService(serve_graph, max_queue=max_queue)
 
     def test_outcome_vocabulary_is_closed(self):
         assert set(OUTCOMES) == {

@@ -178,7 +178,7 @@ class TestBreakerRouting:
         pipe = ServePipeline(
             serve_graph, method="multi", breaker_threshold=1,
             breaker_cooldown=30.0, clock=sim, observer=obs,
-            fault_injector=FaultInjector(raise_at=0, transient=False, max_fires=2),
+            fault_injector=FaultInjector(raise_at=0, max_fires=2),
         )
         res = pipe.run(serve_pairs[:4])
         assert res.counts() == {"ok": 4}
@@ -198,7 +198,7 @@ class TestBreakerRouting:
         pipe = ServePipeline(
             serve_graph, method="multi", breaker_threshold=1,
             breaker_cooldown=5.0, clock=sim, observer=obs,
-            fault_injector=FaultInjector(raise_at=0, transient=False, max_fires=1),
+            fault_injector=FaultInjector(raise_at=0, max_fires=1),
         )
         first = pipe.run(serve_pairs[:2])
         assert first.breaker_states["multi"] == OPEN

@@ -17,6 +17,8 @@ from repro.robustness import SimClock
 from repro.serve import (
     FLUSH_REASONS,
     OUTCOMES,
+    SHED,
+    SHED_AFTER_S,
     QueryService,
     ServiceClosed,
 )
@@ -214,6 +216,53 @@ class TestOutcomesAndResults:
         assert "repro_service_dedup_total 1" in text
         assert "repro_service_coalesce_size_count 1" in text
         assert "repro_service_queue_depth 0" in text
+
+
+class TestDoorShedding:
+    """One door rule: a new query is shed once the oldest queued one has
+    waited longer than ``SHED_AFTER_S`` on the service clock."""
+
+    def test_healthy_service_sheds_nothing(self, serve_graph, serve_pairs):
+        svc, _ = _service(serve_graph)
+        futs = [svc.submit(s, t) for s, t in serve_pairs[:4]]
+        svc.close()
+        assert all(f.result().outcome == "ok" for f in futs)
+        assert svc.stats()["shed"] == 0
+
+    def test_stuck_queue_sheds_new_queries_at_the_door(self, serve_graph,
+                                                       serve_pairs):
+        from repro.obs import Observer
+
+        obs = Observer()
+        svc, clock = _service(serve_graph, observer=obs)
+        first = svc.submit(*serve_pairs[0])
+        clock.advance(SHED_AFTER_S)  # at the threshold: still admitted
+        second = svc.submit(*serve_pairs[1])
+        assert not second.done()
+        clock.advance(0.01)  # oldest sojourn now past 0.8 s
+        shed = svc.submit(*serve_pairs[2])
+        assert shed.done()  # refused synchronously
+        res = shed.result()
+        assert res.outcome == SHED
+        assert res.batch_index == -1
+        assert res.distance == float("inf")
+        assert "repro_overload_shed_total 1" in obs.export_text()
+        svc.close()
+        assert first.result().outcome == "ok"
+        assert second.result().outcome == "ok"
+        assert svc.stats()["shed"] == 1
+
+    def test_duplicate_of_a_queued_query_still_coalesces(self, serve_graph,
+                                                         serve_pairs):
+        svc, clock = _service(serve_graph)
+        first = svc.submit(*serve_pairs[0])
+        clock.advance(1.0)
+        dup = svc.submit(*serve_pairs[0])
+        assert not dup.done()
+        svc.close()
+        assert first.result().outcome == dup.result().outcome == "ok"
+        assert svc.stats()["shed"] == 0
+        assert svc.stats()["deduped"] == 1
 
 
 class TestLifecycle:

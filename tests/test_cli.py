@@ -301,3 +301,35 @@ class TestServeBatch:
     def test_empty_input_rejected(self, road_file):
         with pytest.raises(SystemExit, match="no queries"):
             main(["serve-batch", "--graph", road_file])
+
+
+class TestServe:
+    def test_pairs_file_streams_one_answer_per_submission(
+        self, road_file, small_road, tmp_path, capsys
+    ):
+        from repro import ppsp
+
+        pf = tmp_path / "pairs.txt"
+        pf.write_text("0 50\n10 99 3\n\n0 50\n20 80\n")
+        stats = tmp_path / "stats.prom"
+        # A long max-wait keeps every query queued until shutdown, so
+        # the duplicate coalesces whatever the dispatcher's timing.
+        rc = main(["serve", "--graph", road_file, "--pairs-file", str(pf),
+                   "--max-wait-ms", "60000", "--stats-out", str(stats)])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        lines = [json.loads(line) for line in out.splitlines()]
+        asked = [(0, 50), (10, 99), (0, 50), (20, 80)]
+        assert [(r["source"], r["target"]) for r in lines] == asked
+        for r, (s, t) in zip(lines, asked):
+            assert (r["outcome"], r["exact"]) == ("ok", True)
+            assert r["distance"] == pytest.approx(ppsp(small_road, s, t).distance, rel=1e-9)
+        summary = json.loads(err)
+        assert {"stats", "batches"} <= set(summary)
+        assert summary["stats"]["deduped"] == 1
+        assert "repro_service_batches_total" in stats.read_text()
+
+    def test_removed_overload_flag_rejected(self, road_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--graph", road_file, "--shed-multiple", "8"])
+        assert "--shed-multiple" in capsys.readouterr().err

@@ -210,9 +210,10 @@ def test_single_query(seed):
             assert (report.exhausted, report.reason, report.steps) == (False, None, steps), ctx
             if steps:
                 cut = ppsp(graph, s, t, method=method, budget=Budget(max_steps=steps - 1))
-                assert not cut.exact and cut.budget_report.exhausted, ctx
+                # A self pair is answered by its bind: exact even when cut.
+                assert cut.exact == (s == t) and cut.budget_report.exhausted, ctx
                 assert cut.budget_report.reason == f"max_steps={steps - 1} reached", ctx
-                check_distance(cut.distance, want, False)
+                check_distance(cut.distance, want, cut.exact)
 
 
 # Batch entry points: solve_batch, QueryGraph, batch_ppsp, ServePipeline
@@ -255,7 +256,10 @@ def test_batch(seed):
         assert cut.details["budget_report"].exhausted, ctx
         check_batch(graph, seed, pairs, cut, certified=certify)
         for key, ans in cut.answers.items():
-            if ans.exact:  # a unit the budget let finish answers as if unbudgeted
+            # A unit the budget let finish answers as if unbudgeted.  A
+            # self pair is exact by its bind even in a cut unit, whose
+            # certificate samples the cut rows; check_batch proved it.
+            if ans.exact and key[0] != key[1]:
                 assert record_key(ans) == record_key(res.answers[key]), (ctx, key)
         if seed % 2 == 0:
             out = ServePipeline(graph, method=method, budget=cut_budget).run(pairs)

@@ -10,11 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import batch_ppsp, ppsp, validate_query
+from repro import batch_ppsp, ppsp, solve_batch, validate_query
 from repro.core.paths import PathError
-from repro.graphs import build_graph, from_edges
+from repro.graphs import build_graph, from_edges, road_graph
 from repro.graphs.csr import Graph
 from repro.heuristics import ZeroHeuristic
+from repro.robustness import Budget
+from repro.verify import CertificateChecker
 
 METHODS = ["sssp", "et", "bids", "astar", "bidastar"]
 BATCH_METHODS = ["multi", "plain-bids", "plain-star-bids", "sssp-plain", "sssp-vc"]
@@ -47,6 +49,42 @@ class TestSourceEqualsTarget:
     def test_batch_with_identical_pair(self, small_road):
         res = batch_ppsp(small_road, [(3, 3), (0, 10)])
         assert res.distances[(3, 3)] == 0.0
+
+
+class TestSelfPairUnderBudget:
+    """A self pair is answered by its bind (μ = 0), so it is exact under
+    any budget, even one that cuts the run before its first step."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_ppsp_cut_before_first_step(self, method):
+        g = road_graph(10, 10, seed=1)
+        ans = ppsp(g, 5, 5, method=method, budget=Budget(max_steps=0), certify=True)
+        assert ans.distance == 0.0
+        assert ans.exact
+        report = CertificateChecker().check(g, ans.certificate, expected_distance=0.0)
+        assert report.proven == "exact"
+
+    def test_plain_batch_unit_cut_before_first_step(self):
+        g = road_graph(10, 10, seed=1)
+        res = solve_batch(g, [(0, 99), (5, 5)], method="plain-bids",
+                          budget=Budget(max_steps=11))
+        assert res.answers[(5, 5)].distance == 0.0
+        assert res.answers[(5, 5)].exact
+        assert res.answers[(5, 5)].outcome == "ok"
+
+    def test_cut_multi_unit_certifies_its_self_pair_exact(self):
+        # One composite unit that a relaxation budget cuts: every other
+        # key degrades to an upper bound, the self pair stays exact.
+        g = road_graph(30, 30, seed=3)
+        pairs = [(715, 551), (551, 848), (848, 715), (541, 848), (69, 2), (709, 709)]
+        res = solve_batch(g, pairs, method="multi",
+                          budget=Budget(max_relaxations=1500), certify=True)
+        assert [a.exact for a in res.answers.values()] == [False] * 5 + [True]
+        ans = res.answers[(709, 709)]
+        assert (ans.distance, ans.outcome) == (0.0, "ok")
+        assert ans.certificate.exact
+        report = CertificateChecker().check(g, ans.certificate, expected_distance=0.0)
+        assert report.proven == "exact"
 
 
 class TestUnreachable:
