@@ -31,11 +31,12 @@ test-slow:
 	$(PYTHON) -m pytest tests/ -m slow
 
 # Multi-process backend suites: the conformance matrix's process-pool
-# cells (answer records byte-equal to serial), worker-kill chaos,
-# shared-memory leak checks and worker CPU pinning (fork-heavy, not
-# tier-1; POOL_SMOKE=1 trims the matrix cells to the CI slice).
+# cells (answer records byte-equal to serial), the CLI's
+# --backend process paths, worker-kill chaos, shared-memory leak checks
+# and worker CPU pinning (fork-heavy, not tier-1; POOL_SMOKE=1 trims the
+# matrix cells to the CI slice).
 test-pool:
-	$(PYTHON) -m pytest tests/test_conformance.py -q -m pool
+	$(PYTHON) -m pytest tests/test_conformance.py tests/test_cli.py -q -m pool
 	$(PYTHON) -m pytest tests/parallel/test_pool_chaos.py tests/graphs/test_shm.py \
 		tests/parallel/test_pool_affinity.py -q -m ''
 

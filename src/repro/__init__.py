@@ -74,7 +74,7 @@ from .verify import (
     build_certificate,
 )
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "ppsp",

@@ -31,6 +31,7 @@ Graphs are read/written in the formats of :mod:`repro.graphs.io`
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -81,35 +82,17 @@ def _parse_budget(spec: str | None):
         raise SystemExit(f"bad --budget: {err}") from None
 
 
+def _pool(args):
+    """The ``--backend process`` pool for one command, closed on exit."""
+    if args.backend != "process":
+        return contextlib.nullcontext()
+    from .parallel.pool import ProcessPool
+
+    return ProcessPool(args.workers)
+
+
 def _cmd_query(args) -> int:
     graph = _load_graph(args.graph)
-    if args.backend == "process":
-        # A single point-to-point query routed through the process-pool
-        # batch backend (one-pair plain-bids batch).  Serial-only
-        # features are engine-local and cannot ship to a worker.
-        for flag in ("trace", "verbose", "resilient", "checked"):
-            if getattr(args, flag):
-                raise SystemExit(f"--{flag} is serial-only; drop --backend process")
-        if args.budget:
-            raise SystemExit("--budget is serial-only; drop --backend process")
-        from .core.batch import solve_batch
-
-        res = solve_batch(
-            graph, [(args.source, args.target)], method="plain-bids",
-            backend="process", workers=args.workers,
-        )
-        dist = res.distance(args.source, args.target)
-        payload = {
-            "source": args.source,
-            "target": args.target,
-            "method": "plain-bids",
-            "backend": "process",
-            "distance": dist,
-            "exact": res.exact,
-            "reachable": dist != float("inf"),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
     trace = None
     if args.trace or args.verbose:
         from .core.tracing import StepTrace
@@ -205,7 +188,6 @@ def _cmd_bench(args) -> int:
         work_tolerance=args.work_tolerance,
         wall_tolerance=args.wall_tolerance,
         check=args.check,
-        backend=args.backend,
     )
     print(json.dumps(
         {
@@ -236,11 +218,8 @@ def _cmd_batch(args) -> int:
         from .robustness.auditor import InvariantAuditor
 
         kwargs["auditor"] = InvariantAuditor()
-    if args.backend != "serial":
-        kwargs["backend"] = args.backend
-        if args.workers is not None:
-            kwargs["workers"] = args.workers
-    res = batch_ppsp(graph, pairs, method=args.method, **kwargs)
+    with _pool(args) as pool:
+        res = batch_ppsp(graph, pairs, method=args.method, pool=pool, **kwargs)
     payload = {
         "method": res.method,
         "num_searches": res.num_searches,
@@ -336,23 +315,23 @@ def _cmd_serve_batch(args) -> int:
     if not queries:
         raise SystemExit("no queries given (inline pairs or --pairs-file)")
 
-    pipeline = ServePipeline(
-        graph,
-        method=args.method,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        deadline_ms=args.deadline_ms,
-        max_queue=args.max_queue,
-        budget=_parse_budget(args.budget),
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        verify=args.verify,
-        fault_injector=_serve_chaos_injector(args),
-        backend=args.backend,
-        workers=args.workers,
-        shard_deadline=args.shard_deadline,
-    )
-    res = pipeline.run(queries, resume=args.resume)
+    with _pool(args) as pool:
+        pipeline = ServePipeline(
+            graph,
+            method=args.method,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            deadline_ms=args.deadline_ms,
+            max_queue=args.max_queue,
+            budget=_parse_budget(args.budget),
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown=args.breaker_cooldown,
+            verify=args.verify,
+            fault_injector=_serve_chaos_injector(args),
+            pool=pool,
+            shard_deadline=args.shard_deadline,
+        )
+        res = pipeline.run(queries, resume=args.resume)
     payload = {
         "method": res.method,
         "counts": res.counts(),
@@ -567,11 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--resilient", action="store_true",
                    help="run the bidastar->bids->et->dijkstra fallback chain "
                         "instead of a single method")
-    q.add_argument("--backend", default="serial", choices=("serial", "process"),
-                   help="process: route through the multi-process pool "
-                        "(one-pair plain-bids batch; serial-only flags rejected)")
-    q.add_argument("--workers", type=int,
-                   help="pool size for --backend process (default: cpu count)")
     q.add_argument("--verbose", action="store_true",
                    help="include work/depth and the mu-settlement step of "
                         "the run just executed")
@@ -733,9 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allowed relative increase of deterministic counters")
     bench.add_argument("--wall-tolerance", type=float, default=1.00,
                        help="allowed relative increase of wall-clock numbers")
-    bench.add_argument("--backend", default="serial", choices=("serial", "process"),
-                       help="process: additionally measure the process-pool "
-                             "backend (extra 'pool' section; never gated)")
     bench.add_argument("--check", action="store_true",
                        help="exit nonzero when the tolerance gate fails")
     bench.set_defaults(func=_cmd_bench)

@@ -18,11 +18,11 @@ composite runs that each pack consecutive query-graph components into
 one shared frontier (Alg. 2), one per query for the plain modes, one per
 covering source for the SSSP methods.  :func:`run_unit`
 answers one unit and :func:`reassemble` merges the unit results in the
-serial order with the method's meter-merge structure.  The serial
-backend runs the units inline; the process backend
-(:mod:`repro.parallel.pool`) cuts the same units, in plan order, into
-tasks whose workers call the same :func:`run_unit`, so the two backends
-agree bit for bit by construction.
+serial order with the method's meter-merge structure.  Without a pool
+the units run inline; with a caller's
+:class:`~repro.parallel.pool.ProcessPool` (``pool=``) the same units
+are cut, in plan order, into tasks whose worker processes call the
+same :func:`run_unit`, so the two agree bit for bit by construction.
 
 Each solve returns a :class:`BatchResult` carrying one
 :class:`~repro.core.answer.QueryAnswer` per query, built by the unit
@@ -202,8 +202,6 @@ def solve_batch(
     budget=None,
     observer=None,
     certify: bool = False,
-    backend: str = "serial",
-    workers: int | None = None,
     pool=None,
     shard_deadline: float | None = None,
     **engine_kwargs,
@@ -225,7 +223,7 @@ def solve_batch(
     endpoints is processed in units of at most this many, run in turn
     on the simulated machine, a larger component cut into query
     subsets — the space-control strategy of Sec. 4.2 ("process a subset
-    of queries in turn").  Both backends honour it.
+    of queries in turn").  A pool run honours it too.
 
     ``budget`` (a :class:`repro.robustness.Budget`) is shared across the
     whole batch: one meter covers every engine run, and a run the meter
@@ -244,21 +242,22 @@ def solve_batch(
     solver's dist rows are still alive.  Budget-degraded answers get
     one-sided upper-bound certificates.
 
-    ``backend="process"`` ships the batch's units to a pool of worker
-    processes attached to a shared-memory view of the graph
-    (:mod:`repro.parallel.pool`): ``workers`` sets the pool size, or
-    pass an existing :class:`~repro.parallel.pool.ProcessPool` as
-    ``pool`` to amortize worker startup and graph export across batches.
-    Workers run the same units through the same :func:`run_unit`, so the
-    answers — distances, paths, and certificates — are bit-identical
-    to ``backend="serial"``; features that are inherently single-process
-    (``budget``, a ``kernel``) are rejected with a ``ValueError``.
+    ``pool`` (a caller-owned :class:`~repro.parallel.pool.ProcessPool`)
+    ships the batch's units to worker processes attached to a
+    shared-memory view of the graph; without one they run in this
+    process.  Workers run the same units through the same
+    :func:`run_unit`, so the answers — distances, paths, and
+    certificates — are bit-identical either way; features that are
+    inherently single-process (``budget``, a ``kernel``) are rejected
+    with a ``ValueError`` when a pool is given.  The caller opens and
+    closes the pool, so its worker processes and graph export serve many
+    batches.
 
-    ``shard_deadline`` (wall seconds from submission) bounds a process
+    ``shard_deadline`` (wall seconds from submission) bounds a pool
     batch: a stuck worker raises
     :class:`~repro.parallel.pool.ShardTimeout` after the pool has
-    quarantined its workers, instead of hanging the batch.  Process
-    backend only.
+    quarantined its worker processes, instead of hanging the batch.  It
+    needs a pool.
 
     Remaining keyword arguments flow into every engine run this batch
     launches (all five solvers), e.g. a caller-built ``kernel=``
@@ -267,8 +266,6 @@ def solve_batch(
     """
     if method not in BATCH_METHODS:
         raise ValueError(f"unknown batch method {method!r}; options: {BATCH_METHODS}")
-    if backend not in ("serial", "process"):
-        raise ValueError(f"unknown backend {backend!r}; options: serial, process")
     if not isinstance(queries, QueryGraph):
         queries = list(queries)
         if len(queries) == 0:
@@ -291,27 +288,23 @@ def solve_batch(
     if max_sources is not None and method != "multi":
         raise ValueError("max_sources applies to the 'multi' method only")
 
-    if backend == "process":
+    if pool is not None:
         from ..parallel.pool import run_units, shippable_kwargs  # lazy: pool imports this module
 
         engine_kwargs, injector = shippable_kwargs(engine_kwargs, budget=budget)
-    else:
-        if workers is not None or pool is not None:
-            raise ValueError("workers/pool apply to backend='process' only")
-        if shard_deadline is not None:
-            raise ValueError("shard_deadline applies to backend='process' only")
+    elif shard_deadline is not None:
+        raise ValueError("shard_deadline applies to a batch run on a pool only")
 
     plan = plan_units(graph, qg, method, max_sources=max_sources)
     if certify:
         engine_kwargs = {**engine_kwargs, "track_processed": True}
     bmeter = None
-    if backend == "process":
+    if pool is not None:
         results = run_units(
             graph,
             plan.units,
+            pool,
             label=method,
-            pool=pool,
-            workers=workers,
             injector=injector,
             observer=observer,
             deadline=shard_deadline,
@@ -373,11 +366,12 @@ def plan_units(
     most ``max_sources`` (default :data:`PACK_SOURCES`) endpoints and is
     closed once it reaches ``ceil(K / ceil(K / bound))`` of the batch's
     ``K`` endpoints, which balances the units; the rule reads only the
-    batch, so both backends run one plan.  By default a component is
-    never split (a larger one is a unit of its own) and the units run
-    concurrently on the simulated machine (``merge_parallel``).  Only an
-    explicit ``max_sources`` below ``K`` cuts a larger component into
-    greedy query subsets, and then every unit runs in turn (``merge``).
+    batch, so inline and pool runs share one plan.  By default a
+    component is never split (a larger one is a unit of its own) and the
+    units run concurrently on the simulated machine (``merge_parallel``).
+    Only an explicit ``max_sources`` below ``K`` cuts a larger component
+    into greedy query subsets, and then every unit runs in turn
+    (``merge``).
 
     The plain modes run one BiDS per query; the SSSP methods one full
     SSSP per source (the distinct sources of non-self queries for

@@ -103,37 +103,16 @@ class DijkstraOrder(SteppingStrategy):
         return float(priorities.min())
 
 
-#: weight dispersion (std/mean) above which the static 2×mean Δ guess is
-#: considered poor and the measured doubling procedure takes over.  A
-#: uniform distribution sits at ~0.58 and exponential at 1.0, so the
-#: benchmark/test graphs keep the cheap static guess; heavy-tailed
-#: weights (lognormal with σ ≳ 1.2, power-law costs) cross it.
-CALIBRATE_CV_THRESHOLD = 1.5
+def default_strategy(graph) -> DeltaStepping:
+    """Δ*-stepping with Δ = twice the mean edge weight.
 
-
-def default_strategy(graph, *, calibrate: str = "auto") -> DeltaStepping:
-    """A reasonable Δ for ``graph``.
-
-    The static guess is twice the mean edge weight — good whenever the
-    weight distribution is tight.  When the dispersion (std/mean) says
-    otherwise (``calibrate="auto"``, the default), Δ comes from the
-    paper's Sec. 6.1 doubling procedure instead
-    (:func:`repro.kernels.calibrate.calibrate_delta`), whose per-graph
-    result is fingerprint-cached so the tuning runs are paid once per
-    process.  ``calibrate="never"`` forces the static guess,
-    ``"always"`` forces the measured procedure.
+    A function of the graph's weights alone, so every process that
+    answers part of a batch picks the same Δ.  The paper's Sec. 6.1
+    doubling procedure (:func:`repro.kernels.calibrate.calibrate_delta`)
+    times SSSP runs; callers that want its Δ pass
+    ``DeltaStepping(calibrate_delta(graph))`` themselves.
     """
-    if calibrate not in ("auto", "never", "always"):
-        raise ValueError(f"unknown calibrate mode {calibrate!r}")
     if graph.num_edges == 0:
         return DeltaStepping(1.0)
-    mean_w, std_w = graph.weight_stats()
-    if calibrate == "always" or (
-        calibrate == "auto"
-        and mean_w > 0
-        and std_w > CALIBRATE_CV_THRESHOLD * mean_w
-    ):
-        from ..kernels.calibrate import calibrate_delta  # lazy: avoids a cycle
-
-        return DeltaStepping(calibrate_delta(graph))
+    mean_w, _ = graph.weight_stats()
     return DeltaStepping(max(mean_w * 2.0, 1e-12))

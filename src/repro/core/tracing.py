@@ -92,10 +92,6 @@ class StepTrace:
         }
 
     # -- Serialization ---------------------------------------------------
-    def to_dicts(self) -> list[dict]:
-        """All records as plain dicts (non-finite floats kept as floats)."""
-        return [r.as_dict() for r in self.records]
-
     def to_json(self, *, indent: int | None = None) -> str:
         """The full trace as JSON: ``{"summary": ..., "records": [...]}``.
 

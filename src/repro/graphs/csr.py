@@ -146,8 +146,8 @@ class Graph:
         """``(mean, std)`` of the edge weights (cached; ``(0, 0)`` if empty).
 
         Two O(m) reductions paid once per graph: ``default_strategy``
-        derives its Δ guess from the mean and uses the dispersion to
-        decide whether the static guess is trustworthy.
+        derives its Δ from the mean; the dispersion says how far a
+        graph's weights stray from it.
         """
         if self._weight_stats is None:
             if len(self.weights) == 0:

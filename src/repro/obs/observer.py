@@ -218,10 +218,6 @@ class Observer:
     # ------------------------------------------------------------------
     # Spans
     # ------------------------------------------------------------------
-    @property
-    def current_span(self) -> QuerySpan | None:
-        return self._span
-
     @contextmanager
     def span(self, method: str, *, source: int | None = None, target: int | None = None):
         """Open a :class:`QuerySpan`; events inside fold into it.

@@ -4,19 +4,21 @@ The rest of :mod:`repro.parallel` *simulates* the paper's machine; this
 module runs a batch on actual worker processes.  It owns no batch
 logic: :func:`~repro.core.batch.solve_batch` plans the batch's units
 (:func:`~repro.core.batch.plan_units`) and merges their results
-(:func:`~repro.core.batch.reassemble`) for both backends, and
-:func:`run_units` here only executes the units.  It cuts them, in plan
-order, into at most :data:`TASKS_PER_WORKER` tasks per worker of
-consecutive units and submits every task at once; the executor's queue
-hands each task to the next free worker, the way the paper's
-work-stealing scheduler runs a batch's independent searches (Sec. 4).
-Workers attach the graph zero-copy via
-:meth:`~repro.graphs.csr.Graph.from_shm` (fingerprint-gated), answer
-each unit with the serial backend's own
+(:func:`~repro.core.batch.reassemble`) whether or not its caller passes
+a pool, and :func:`run_units` here only executes the units on the
+caller's :class:`ProcessPool`.  It cuts them, in plan order, into at
+most :data:`TASKS_PER_WORKER` tasks per worker of consecutive units and
+submits every task at once; the executor's queue hands each task to the
+next free worker, the way the paper's work-stealing scheduler runs a
+batch's independent searches (Sec. 4).  Workers attach the graph
+zero-copy via :meth:`~repro.graphs.csr.Graph.from_shm`
+(fingerprint-gated), answer each unit with the inline run's own
 :func:`~repro.core.batch.run_unit`, walk its paths, and send the unit
-results back.  Results are therefore **bit-identical** to
-``backend="serial"`` by construction: same distances, same paths, same
-certificates, same work/depth meter.
+results back.  Results are therefore **bit-identical** to an inline
+run by construction: same distances, same paths, same certificates,
+same work/depth meter.  Nothing here picks Δ or builds a pool: workers
+take the same default strategy from the graph as the parent, and the
+caller owns the pool's lifetime.
 
 A batch may carry a deadline counted from submission: a stuck (not
 crashed) worker then surfaces as :class:`ShardTimeout` after the pool
@@ -293,7 +295,7 @@ class ProcessPool:
         upward.  That holds whether the death is found at a result or
         already at submission (a worker that died while idle).  Any
         ordinary exception from a worker propagates as-is, after the
-        remaining tasks are cancelled, exactly as the serial backend
+        remaining tasks are cancelled, exactly as an inline run
         would raise it.
         """
         if self._closed:
@@ -458,8 +460,8 @@ def shippable_kwargs(engine_kwargs: dict, *, budget=None) -> tuple[dict, object]
     """
     if budget is not None:
         raise ValueError(
-            "budget is not supported by backend='process'; "
-            "it is inherently single-process — use backend='serial'"
+            "budget is not supported on a process pool; "
+            "it is inherently single-process — run the batch without pool="
         )
     engine_kwargs = dict(engine_kwargs)
     if engine_kwargs.get("kernel", False) is None:
@@ -467,15 +469,15 @@ def shippable_kwargs(engine_kwargs: dict, *, budget=None) -> tuple[dict, object]
     injector = engine_kwargs.pop("fault_injector", None)
     if injector is not None and injector.has_engine_faults():
         raise ValueError(
-            "backend='process' cannot replay engine-level fault injection "
+            "a process pool cannot replay engine-level fault injection "
             "(the injector's seeded RNG lives in the parent); its "
             "pool-level and parent-side faults are supported"
         )
     unsupported = set(engine_kwargs) - _SHIPPABLE_ENGINE_KWARGS
     if unsupported:
         raise ValueError(
-            f"engine kwargs {sorted(unsupported)} are not supported by "
-            f"backend='process'; shippable: {sorted(_SHIPPABLE_ENGINE_KWARGS)}"
+            f"engine kwargs {sorted(unsupported)} are not supported on a "
+            f"process pool; shippable: {sorted(_SHIPPABLE_ENGINE_KWARGS)}"
         )
     return engine_kwargs, injector
 
@@ -483,16 +485,15 @@ def shippable_kwargs(engine_kwargs: dict, *, budget=None) -> tuple[dict, object]
 def run_units(
     graph,
     units: list,
+    pool: ProcessPool,
     *,
     label: str,
-    pool: ProcessPool | None = None,
-    workers: int | None = None,
     injector=None,
     observer=None,
     deadline: float | None = None,
     **run_kwargs,
 ) -> list:
-    """Run batch units on worker processes; results in unit order.
+    """Run batch units on ``pool``'s workers; results in unit order.
 
     The units are cut, in order, into ``min(len(units),
     TASKS_PER_WORKER * pool.workers)`` tasks of consecutive units, all
@@ -500,38 +501,29 @@ def run_units(
     answers its units with ``run_unit(graph, unit, **run_kwargs)``.
     ``injector`` kill/stall faults are armed by task index, and
     ``deadline`` bounds the batch (see :meth:`ProcessPool.run_shards`).
-    ``label`` names the batch method for the observer.  Pass an existing
-    :class:`ProcessPool` to reuse workers and the shared graph across
-    batches; otherwise an ephemeral pool of ``workers`` processes is
-    created and torn down (segments unlinked) around this one call,
-    exception paths included.
+    ``label`` names the batch method for the observer.  The pool is the
+    caller's: it stays open, with the shared graph attached, for the
+    next batch.
     """
-    own_pool = pool is None
-    if own_pool:
-        pool = ProcessPool(workers)
-    try:
-        descriptor = pool.share(graph)
-        count = min(len(units), TASKS_PER_WORKER * pool.workers)
-        tasks = []
-        for index in range(count):
-            task = {
-                "shard": index,
-                "graph": descriptor,
-                "units": units[index * len(units) // count:
-                               (index + 1) * len(units) // count],
-                "run": run_kwargs,
-            }
-            if injector is not None:
-                if injector.take_worker_kill(index):
-                    task["kill"] = True
-                stall = injector.take_worker_stall(index)
-                if stall:
-                    task["stall"] = stall
-            tasks.append(task)
-        if observer is not None:
-            observer.on_pool_batch(label, pool.workers)
-        done = pool.run_shards(tasks, observer=observer, deadline=deadline)
-    finally:
-        if own_pool:
-            pool.close()
+    descriptor = pool.share(graph)
+    count = min(len(units), TASKS_PER_WORKER * pool.workers)
+    tasks = []
+    for index in range(count):
+        task = {
+            "shard": index,
+            "graph": descriptor,
+            "units": units[index * len(units) // count:
+                           (index + 1) * len(units) // count],
+            "run": run_kwargs,
+        }
+        if injector is not None:
+            if injector.take_worker_kill(index):
+                task["kill"] = True
+            stall = injector.take_worker_stall(index)
+            if stall:
+                task["stall"] = stall
+        tasks.append(task)
+    if observer is not None:
+        observer.on_pool_batch(label, pool.workers)
+    done = pool.run_shards(tasks, observer=observer, deadline=deadline)
     return [res for task in done for res in task["units"]]

@@ -54,8 +54,8 @@ BATCH_METHODS = ("multi", "plain-bids", "sssp-vc")
 #: emission or checking going superlinear — at double today's cost.
 VERIFY_MAX_OVERHEAD = 0.25
 #: the acceptance bar: steady-state micro-batched service throughput on
-#: a warm persistent pool vs per-call process-backend batches (which
-#: pay pool spin-up + graph export every call).
+#: a warm persistent pool vs a fresh pool per batch call (which pays
+#: pool spin-up + graph export every call).
 MIN_SERVICE_SPEEDUP = 2.0
 # Wall-clock baselines shorter than this are too noisy to gate on.
 _WALL_FLOOR_S = 5e-3
@@ -114,14 +114,8 @@ def _workload_key(scale: str) -> str:
     return f"schema{SCHEMA}-scale:{scale}-seed:{SEED}"
 
 
-def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
-    """Execute the full workload and return the snapshot payload.
-
-    ``backend="process"`` additionally measures the multi-process batch
-    backend against the serial one (additive ``"pool"`` section, never
-    gated — wall clock depends on core count, and the bit-identity flag
-    is the real signal).
-    """
+def run_benchmark(scale: str = "small") -> dict:
+    """Execute the full workload and return the snapshot payload."""
     from ..api import batch_ppsp, ppsp
 
     wl = build_workload(scale)
@@ -171,7 +165,6 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
     verify = _verify_overhead(wl)
     service = _service_section(wl)
     gates = _gates(verify, service)
-    pool = _pool_section(wl) if backend == "process" else None
     return {
         "schema": SCHEMA,  # additive sections (e.g. "obs", "verify") do NOT
         # bump this: the workload key must stay comparable across snapshots.
@@ -195,48 +188,8 @@ def run_benchmark(scale: str = "small", *, backend: str = "serial") -> dict:
         "obs": _observed_metrics(wl),
         "verify": verify,
         "service": service,
-        **({"pool": pool} if pool is not None else {}),
         "gates": gates,
     }
-
-
-def _pool_section(wl: dict, *, workers: int = 2) -> dict:
-    """Additive ``"pool"`` section: process backend vs serial, per batch
-    method and graph.
-
-    Never gated: the wall-clock ratio is a function of the host's core
-    count (on a single-core box the pool is strictly overhead), so the
-    section records ``speedup`` for trending and ``identical`` — a
-    distance-for-distance comparison against the serial answers — as
-    the invariant worth failing over.  One shared pool serves the whole
-    section so fork/attach cost is paid once, like a serving process.
-    """
-    from ..core.batch import solve_batch
-    from ..parallel.pool import ProcessPool
-
-    out: dict[str, dict] = {"workers": workers, "graphs": {}}
-    with ProcessPool(workers) as pool:
-        for name in sorted(wl["graphs"]):
-            g = wl["graphs"][name]
-            bpairs = wl["batch_pairs"][name]
-            rows: dict[str, dict] = {}
-            for bmethod in BATCH_METHODS:
-                t0 = time.perf_counter()
-                serial = solve_batch(g, bpairs, method=bmethod)
-                serial_s = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                proc = solve_batch(
-                    g, bpairs, method=bmethod, backend="process", pool=pool
-                )
-                process_s = time.perf_counter() - t0
-                rows[bmethod] = {
-                    "serial_s": serial_s,
-                    "process_s": process_s,
-                    "speedup": serial_s / process_s if process_s > 0 else float("inf"),
-                    "identical": serial.distances == proc.distances,
-                }
-            out["graphs"][name] = rows
-    return out
 
 
 def _observed_metrics(wl: dict) -> dict:
@@ -339,10 +292,10 @@ def _service_section(wl: dict, *, workers: int = 2) -> dict:
     Both sides answer the same seeded query stream — which *arrives*
     in client chunks of ``service_chunk`` pairs — with the same batch
     method on the same worker count.  The **per-call** side does what
-    callers did before the service existed: one ``solve_batch(backend=
-    "process")`` call per arrival chunk, no pool, paying executor
-    spin-up and the shared graph export on every call.  The
-    **service** side submits the same chunks to a warm
+    callers did before the service existed: one ``solve_batch`` call per
+    arrival chunk on a fresh ``ProcessPool(workers)`` closed after it,
+    paying executor spin-up and the shared graph export on every call.
+    The **service** side submits the same chunks to a warm
     :class:`~repro.serve.QueryService`, which coalesces them into
     ``max_batch`` windows executed on a persistent pool that attached
     the graph before timing began — so its steady-state cost is
@@ -360,6 +313,7 @@ def _service_section(wl: dict, *, workers: int = 2) -> dict:
     """
     from ..core.batch import solve_batch
     from ..graphs.connectivity import largest_component
+    from ..parallel.pool import ProcessPool
     from ..serve import QueryService
 
     cfg = wl["config"]
@@ -402,8 +356,8 @@ def _service_section(wl: dict, *, workers: int = 2) -> dict:
                 best["service"] = min(best["service"], time.perf_counter() - t0)
                 t0 = time.perf_counter()
                 for part in chunks:
-                    solve_batch(g, part, method="multi",
-                                backend="process", workers=workers)
+                    with ProcessPool(workers) as pool:
+                        solve_batch(g, part, method="multi", pool=pool)
                 best["per_call"] = min(best["per_call"], time.perf_counter() - t0)
             reference: dict[tuple[int, int], float] = {}
             for record in svc.batches:
@@ -559,7 +513,6 @@ def bench_command(
     work_tolerance: float = 0.10,
     wall_tolerance: float = 1.00,
     check: bool = False,
-    backend: str = "serial",
 ) -> tuple[dict, int]:
     """Run, compare, write, and summarize one benchmark snapshot.
 
@@ -569,7 +522,7 @@ def bench_command(
     """
     directory = Path(directory)
     out_path = Path(output) if output else next_bench_path(directory)
-    payload = run_benchmark(scale, backend=backend)
+    payload = run_benchmark(scale)
 
     base_path = Path(baseline) if baseline else find_baseline(directory, exclude=out_path)
     if base_path is not None and base_path.exists():

@@ -28,7 +28,7 @@ submission at the door once its oldest queued query has waited longer
 than :data:`~repro.serve.service.SHED_AFTER_S`.
 
 A stalled pool worker cannot hang a batch: ``shard_deadline`` times
-the batch out on the process backend, the pool quarantines its
+out a batch run on the caller's ``pool``, the pool quarantines its
 workers, and the pipeline re-answers the shard through its breaker and
 resilient chain, which runs each rung once.
 """

@@ -19,8 +19,9 @@ internally consistent.  A crash between the two writes leaves the old
 manifest's checksum disagreeing with the new sidecar — the load then
 raises :class:`CheckpointCorrupt` and the pipeline *quarantines* the
 checkpoint (recomputes from scratch) rather than resuming from bytes it
-cannot vouch for.  The same exception covers unreadable npz payloads
-(torn writes, bit rot) and mismatched array lengths.
+cannot vouch for.  The same exception covers a manifest with no
+checksum, unreadable npz payloads (torn writes, bit rot) and mismatched
+array lengths.
 
 On resume the manifest's fingerprint must match the new run's
 configuration exactly; a mismatch (different graph content or name,
@@ -153,16 +154,20 @@ class CheckpointStore:
                 f"this build reads version {CHECKPOINT_VERSION}"
             )
         expected = manifest.get("sidecar_sha256")
-        if expected is not None:
-            # Absent in pre-PR-6 checkpoints (same format version);
-            # those load unchecked for compatibility.
-            actual = _sha256_file(self.sidecar)
-            if actual != expected:
-                raise CheckpointCorrupt(
-                    f"checkpoint sidecar {self.sidecar!r} fails its checksum "
-                    f"(manifest says {expected[:12]}…, file hashes {actual[:12]}…); "
-                    "refusing to resume from corrupt bytes"
-                )
+        if expected is None:
+            # Nothing vouches for the sidecar's bytes, and resumed
+            # answers are not re-verified: quarantine, never trust.
+            raise CheckpointCorrupt(
+                f"checkpoint {self.path!r} records no sidecar checksum; "
+                "refusing to resume from unverifiable bytes"
+            )
+        actual = _sha256_file(self.sidecar)
+        if actual != expected:
+            raise CheckpointCorrupt(
+                f"checkpoint sidecar {self.sidecar!r} fails its checksum "
+                f"(manifest says {expected[:12]}…, file hashes {actual[:12]}…); "
+                "refusing to resume from corrupt bytes"
+            )
         try:
             with np.load(self.sidecar) as data:
                 arrays = {k: data[k] for k in ("s", "t", "dist", "exact")}

@@ -38,9 +38,11 @@ many-query service needs:
    *quarantined* on resume — the run recomputes from scratch rather
    than trusting bytes that fail their checksum.
 
-The pipeline is strictly opt-in: nothing in the core engine or the
-batch solvers changes when it is not used, preserving the zero-overhead
-default path the bench gate pins.
+Shards run in this process unless the caller passes a
+:class:`~repro.parallel.pool.ProcessPool` as ``pool=``; the pipeline
+never builds or closes one.  The pipeline is strictly opt-in: nothing
+in the core engine or the batch solvers changes when it is not used,
+preserving the zero-overhead default path the bench gate pins.
 """
 
 from __future__ import annotations
@@ -141,24 +143,19 @@ class ServePipeline:
         ``checkpoint_hook(manifest)`` after each durable write — the
         crash/resume tests raise from here to simulate a kill exactly
         at a checkpoint boundary.
-    backend : str
-        ``"serial"`` (default) or ``"process"``: run each shard's batch
-        on the :mod:`repro.parallel.pool` worker backend.  Answers are
-        bit-identical either way.  A worker death surfaces as a shard
-        failure — the breaker trips and the shard's queries route
-        through the per-query resilient chain, exactly like any other
-        shard fault, so checkpoint/resume semantics are unchanged.
-        Shards that carry a budget or live deadlines run serially (the
-        budget meter is inherently single-process).
-    workers : int or None
-        Pool size for ``backend="process"`` (default: CPU count).
     pool : repro.parallel.pool.ProcessPool or None
-        Reuse an existing pool (and its shared graph export) across
-        runs; by default each ``run()`` builds and tears down its own.
+        The caller's worker pool: each shard's batch without a budget
+        runs on it, bit-identical to running here.  A worker death
+        surfaces as a shard failure — the breaker trips and the shard's
+        queries route through the per-query resilient chain, exactly
+        like any other shard fault, so checkpoint/resume semantics are
+        unchanged.  Shards that carry a budget or live deadlines still
+        run in this process (the budget meter is inherently
+        single-process).  The caller opens and closes the pool.
     shard_deadline : float or None
-        Wall seconds a pool batch may take from submission
-        (``backend="process"``); past it the pool quarantines its
-        workers and the shard routes through the resilient chain.
+        Wall seconds a pool batch may take from submission (needs
+        ``pool``); past it the pool quarantines its worker processes
+        and the shard routes through the resilient chain.
     verify : bool
         Turn on the answer-verification stage: certificates are
         requested from every solver, checked per answer, and failing
@@ -199,15 +196,11 @@ class ServePipeline:
         checker=None,
         certify: bool = False,
         collect_paths: bool = False,
-        backend: str = "serial",
-        workers: int | None = None,
         pool=None,
         shard_deadline: float | None = None,
     ) -> None:
         if method not in SERVE_METHODS:
             raise ValueError(f"unknown serve method {method!r}; options: {SERVE_METHODS}")
-        if backend not in ("serial", "process"):
-            raise ValueError(f"unknown backend {backend!r}; options: serial, process")
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if deadline_ms is not None and deadline_ms < 0:
@@ -216,6 +209,8 @@ class ServePipeline:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if shard_deadline is not None and shard_deadline <= 0:
             raise ValueError(f"shard_deadline must be > 0, got {shard_deadline}")
+        if shard_deadline is not None and pool is None:
+            raise ValueError("shard_deadline applies to shards run on a pool only")
         self.graph = graph
         self.method = method
         self.checkpoint_path = checkpoint_path
@@ -227,10 +222,7 @@ class ServePipeline:
         self.observer = observer
         self.fault_injector = fault_injector
         self.checkpoint_hook = checkpoint_hook
-        self.backend = backend
-        self.workers = workers
         self.pool = pool
-        self._pool = None
         self.shard_deadline = shard_deadline
         self.verify = bool(verify)
         self.certify = bool(certify) or self.verify
@@ -313,48 +305,35 @@ class ServePipeline:
             admitted[i : i + self.checkpoint_every]
             for i in range(0, len(admitted), self.checkpoint_every)
         ]
-        fingerprint = batch_fingerprint(
-            self.graph, admitted, self.method, self.checkpoint_every
-        )
 
-        store = None
+        store = fingerprint = None
         completed: set[int] = set()
         if self.checkpoint_path is not None:
             store = CheckpointStore(self.checkpoint_path)
+            fingerprint = batch_fingerprint(
+                self.graph, admitted, self.method, self.checkpoint_every
+            )
             if resume:
                 completed = self._restore(store, fingerprint, shards, result)
         elif resume:
             raise ValueError("resume=True needs a checkpoint_path to resume from")
 
-        self._pool = self.pool
-        own_pool = self.backend == "process" and self._pool is None
-        if own_pool:
-            from ..parallel.pool import ProcessPool
-
-            self._pool = ProcessPool(self.workers)
-        try:
-            for si, shard in enumerate(shards):
-                if si in completed:
-                    continue
-                if obs is not None:
-                    with obs.span("serve-shard"):
-                        shard_results = self._process_shard(shard)
-                else:
+        for si, shard in enumerate(shards):
+            if si in completed:
+                continue
+            if obs is not None:
+                with obs.span("serve-shard"):
                     shard_results = self._process_shard(shard)
-                for key, ans in shard_results.items():
-                    result.answers[key] = ans
-                    if obs is not None:
-                        obs.on_serve_query(ans.outcome)
-                completed.add(si)
-                if store is not None:
-                    self._checkpoint(store, fingerprint, shards, completed, result)
-                    result.checkpoints_written += 1
-        finally:
-            # Segments must not outlive the run, even when a checkpoint
-            # hook (the crash-simulation path) raises mid-batch.
-            if own_pool:
-                self._pool.close()
-            self._pool = None
+            else:
+                shard_results = self._process_shard(shard)
+            for key, ans in shard_results.items():
+                result.answers[key] = ans
+                if obs is not None:
+                    obs.on_serve_query(ans.outcome)
+            completed.add(si)
+            if store is not None:
+                self._checkpoint(store, fingerprint, shards, completed, result)
+                result.checkpoints_written += 1
 
         result.breaker_states = self.breakers.states()
         result.details["num_shards"] = len(shards)
@@ -513,15 +492,11 @@ class ServePipeline:
         board = self.breakers
         if board.allow(self.method):
             budget = self._shard_budget(live)
-            backend_kwargs = {}
-            if self.backend == "process" and budget is None:
+            pool_kwargs = {}
+            if self.pool is not None and budget is None:
                 # Budgeted/deadline shards are single-process by nature;
-                # those shards run serially, everything else goes to
-                # the pool.
-                backend_kwargs = {
-                    "backend": "process", "pool": self._pool,
-                    "shard_deadline": self.shard_deadline,
-                }
+                # those shards run here, everything else goes to the pool.
+                pool_kwargs = {"pool": self.pool, "shard_deadline": self.shard_deadline}
             try:
                 res = solve_batch(
                     self.graph,
@@ -531,7 +506,7 @@ class ServePipeline:
                     fault_injector=self.fault_injector,
                     observer=self.observer,
                     certify=self.certify,
-                    **backend_kwargs,
+                    **pool_kwargs,
                 )
             except Exception:  # noqa: BLE001 — shard failure must be contained
                 board.record_failure(self.method)

@@ -31,7 +31,9 @@ single execution and fan back out to every waiting future — an
 adversarial same-pair flood costs one search, not N.
 
 Underneath, ``backend="process"`` runs on a **persistent**
-:class:`~repro.parallel.pool.ProcessPool`: workers are spawned once
+:class:`~repro.parallel.pool.ProcessPool` — the caller's ``pool=``, or
+one of ``workers`` processes the service builds and closes itself —
+and hands the pipeline only that pool: workers are spawned once
 (:meth:`~repro.parallel.pool.ProcessPool.open`), attach the
 shared-memory CSR graph once, and are reused across every coalesced
 batch, so the steady-state per-batch cost is task pickling only.
@@ -125,13 +127,12 @@ class ServiceFuture:
     is still queued.
     """
 
-    __slots__ = ("key", "_event", "_result", "_error")
+    __slots__ = ("key", "_event", "_result")
 
     def __init__(self, key: tuple[int, int]) -> None:
         self.key = key
         self._event = threading.Event()
         self._result: ServiceResult | None = None
-        self._error: BaseException | None = None
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -140,16 +141,10 @@ class ServiceFuture:
         """The resolved :class:`ServiceResult` (blocks until available)."""
         if not self._event.wait(timeout):
             raise TimeoutError(f"query {self.key} is still queued or executing")
-        if self._error is not None:
-            raise self._error
         return self._result
 
     def _resolve(self, result: ServiceResult) -> None:
         self._result = result
-        self._event.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
         self._event.set()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -182,9 +177,13 @@ class QueryService:
 
     Parameters mirror :class:`~repro.serve.pipeline.ServePipeline`
     (``method``, ``verify``, ``deadline_ms``, ``max_queue``, ``clock``,
-    ``observer``, ``backend``, ``workers``, ``pool``, ...) plus the
-    batcher knobs:
+    ``observer``, ``pool``, ...) plus the batcher knobs:
 
+    backend : str
+        ``"serial"`` (default) runs every batch in this process;
+        ``"process"`` runs them on ``pool``, or on a pool of
+        ``workers`` processes (default: CPU count) the service owns.
+        ``pool`` and ``workers`` are rejected with ``"serial"``.
     max_batch : int
         Coalesced batch size; each flush runs as one pipeline shard.
     max_wait_ms : float
@@ -193,7 +192,7 @@ class QueryService:
         Attach each answer's certificate / shortest path to its
         :class:`ServiceResult`.
 
-    >>> with QueryService(g, max_batch=32, workers=4) as svc:
+    >>> with QueryService(g, max_batch=32, backend="process", workers=4) as svc:
     ...     svc.start()                      # dispatcher thread
     ...     futs = [svc.submit(s, t) for s, t in stream]
     ...     answers = [f.result() for f in futs]
@@ -225,6 +224,10 @@ class QueryService:
         self._clock = as_clock(clock)
         self._real_clock = clock is None
         self.observer = observer
+        if backend not in ("serial", "process"):
+            raise ValueError(f"unknown backend {backend!r}; options: serial, process")
+        if backend == "serial" and (workers is not None or pool is not None):
+            raise ValueError("workers/pool apply to backend='process' only")
         self.backend = backend
 
         self._own_pool = False
@@ -242,8 +245,6 @@ class QueryService:
             observer=observer,
             certify=certify,
             collect_paths=collect_paths,
-            backend=backend,
-            workers=workers,
             pool=self._pool,
             checkpoint_every=self.max_batch,  # one shard per flush
             **pipeline_kwargs,

@@ -121,10 +121,8 @@ class TestPoolLifetime:
         g1 = road_graph(8, 8, seed=1, name="shm-a")
         g2 = road_graph(6, 6, seed=2, name="shm-b")
         with ProcessPool(2) as pool:
-            solve_batch(g1, [(0, 63), (1, 62)], method="multi",
-                        backend="process", pool=pool)
-            solve_batch(g2, [(0, 35)], method="plain-bids",
-                        backend="process", pool=pool)
+            solve_batch(g1, [(0, 63), (1, 62)], method="multi", pool=pool)
+            solve_batch(g2, [(0, 35)], method="plain-bids", pool=pool)
             assert len(_shm_segments() - before) == 2  # one per fingerprint
         assert _shm_segments() == before
 
@@ -138,18 +136,9 @@ class TestPoolLifetime:
         with pytest.raises(WorkerCrashError):
             with ProcessPool(2) as pool:
                 solve_batch(
-                    g, [(0, 63), (1, 62), (2, 61)], method="multi",
-                    backend="process", pool=pool,
+                    g, [(0, 63), (1, 62), (2, 61)], method="multi", pool=pool,
                     fault_injector=FaultInjector(seed=1, kill_worker_at=0),
                 )
-        assert _shm_segments() == before
-
-    def test_ephemeral_pool_cleans_up_after_itself(self):
-        from repro.core.batch import solve_batch
-
-        before = _shm_segments()
-        g = road_graph(8, 8, seed=9, name="shm-eph")
-        solve_batch(g, [(0, 63)], method="multi", backend="process", workers=2)
         assert _shm_segments() == before
 
     def test_segments_unlinked_when_executor_shutdown_raises(self):

@@ -53,13 +53,12 @@ class TestWorkerKill:
         with ProcessPool(2) as pool:
             with pytest.raises(WorkerCrashError):
                 solve_batch(
-                    graph, pairs, method="multi", backend="process",
-                    pool=pool, fault_injector=injector,
+                    graph, pairs, method="multi", pool=pool, fault_injector=injector,
                 )
             assert ("kill-worker" in [kind for _, kind in injector.fired])
             retry = solve_batch(
-                graph, pairs, method="multi", backend="process",
-                pool=pool, fault_injector=injector,  # spent: fires at most once
+                graph, pairs, method="multi", pool=pool,
+                fault_injector=injector,  # spent: fires at most once
             )
         assert retry.distances == serial.distances
         assert retry.exact == serial.exact
@@ -72,11 +71,12 @@ class TestWorkerKill:
         graph, pairs = instance
         truth = _ground_truth(graph, pairs)
         reference = ServePipeline(graph, method=method).run(pairs)
-        pipe = ServePipeline(
-            graph, method=method, backend="process", workers=2, verify=True,
-            fault_injector=FaultInjector(seed=3, kill_worker_at=0),
-        )
-        res = pipe.run(pairs)
+        with ProcessPool(2) as pool:
+            pipe = ServePipeline(
+                graph, method=method, pool=pool, verify=True,
+                fault_injector=FaultInjector(seed=3, kill_worker_at=0),
+            )
+            res = pipe.run(pairs)
         assert "failed" not in res.counts()
         # Queries on the crashed shard recover through the resilient
         # per-query chain — a different (but exact) method, so their
@@ -112,18 +112,20 @@ class TestWorkerKill:
             graph, method="multi", checkpoint_every=2,
         ).run(pairs)
         path = tmp_path / "job.json"
-        pipe = ServePipeline(
-            graph, method="multi", backend="process", workers=2,
-            checkpoint_path=path, checkpoint_every=2,
-            checkpoint_hook=kill_after_first,
-            fault_injector=FaultInjector(seed=5, kill_worker_at=1),
-        )
-        with pytest.raises(Killed):
-            pipe.run(pairs)
-        resumed = ServePipeline(
-            graph, method="multi", backend="process", workers=2,
-            checkpoint_path=path, checkpoint_every=2,
-        ).run(pairs, resume=True)
+        with ProcessPool(2) as pool:
+            pipe = ServePipeline(
+                graph, method="multi", pool=pool,
+                checkpoint_path=path, checkpoint_every=2,
+                checkpoint_hook=kill_after_first,
+                fault_injector=FaultInjector(seed=5, kill_worker_at=1),
+            )
+            with pytest.raises(Killed):
+                pipe.run(pairs)
+        with ProcessPool(2) as pool:
+            resumed = ServePipeline(
+                graph, method="multi", pool=pool,
+                checkpoint_path=path, checkpoint_every=2,
+            ).run(pairs, resume=True)
         assert "failed" not in resumed.counts()
         assert set(resumed.distances) == set(reference.distances)
         for key, want in reference.distances.items():
@@ -152,7 +154,7 @@ _IDLE_KILL_SCRIPT = textwrap.dedent(
     serial = solve_batch(graph, pairs, method="multi", certify=True)
     pool = ProcessPool(2).open()  # the service's warm(): open, then share
     name = pool.share(graph)["shm_name"]
-    solve_batch(graph, pairs, method="multi", backend="process", pool=pool)
+    solve_batch(graph, pairs, method="multi", pool=pool)
 
     victim = next(iter(pool._executor._processes.values()))
     os.kill(victim.pid, signal.SIGKILL)
@@ -165,13 +167,13 @@ _IDLE_KILL_SCRIPT = textwrap.dedent(
     while not pool._executor._broken:
         time.sleep(0.01)
     try:
-        solve_batch(graph, pairs, method="multi", backend="process", pool=pool)
+        solve_batch(graph, pairs, method="multi", pool=pool)
     except WorkerCrashError:
         pass  # the break is found at dispatch; the executor is dropped
     else:
         raise AssertionError("a broken executor answered a batch")
     again = solve_batch(
-        graph, pairs, method="multi", certify=True, backend="process", pool=pool
+        graph, pairs, method="multi", certify=True, pool=pool
     )
     assert pool.respawns == 1, pool.respawns
     assert again.distances == serial.distances
@@ -215,11 +217,12 @@ class TestParentSideFaults:
         pairs = [(0, 399), (5, 200), (17, 300), (42, 111), (3, 250), (90, 10)]
 
         def run(injector, name):
-            return ServePipeline(
-                graph, method="multi", backend="process", workers=2,
-                checkpoint_every=2, checkpoint_path=str(tmp_path / name),
-                fault_injector=injector,
-            ).run(pairs)
+            with ProcessPool(2) as pool:
+                return ServePipeline(
+                    graph, method="multi", pool=pool,
+                    checkpoint_every=2, checkpoint_path=str(tmp_path / name),
+                    fault_injector=injector,
+                ).run(pairs)
 
         clean = run(None, "clean.json")
         armed = run(FaultInjector(flip_checkpoint=True, max_fires=0), "armed.json")

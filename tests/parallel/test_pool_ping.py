@@ -327,8 +327,7 @@ def grid():
 
 def test_tasks_cut_plan_order_up_to_the_cap(inline_pool, grid):
     graph, pairs = grid
-    res = solve_batch(graph, pairs, method="plain-bids", backend="process",
-                      pool=inline_pool)
+    res = solve_batch(graph, pairs, method="plain-bids", pool=inline_pool)
     (tasks,) = inline_pool.shipped
     assert len(tasks) == TASKS_PER_WORKER * inline_pool.workers == 16
     assert [task["shard"] for task in tasks] == list(range(16))
@@ -343,8 +342,7 @@ def test_tasks_cut_plan_order_up_to_the_cap(inline_pool, grid):
 
 def test_small_batch_ships_one_unit_per_task(inline_pool, grid):
     graph, pairs = grid
-    solve_batch(graph, pairs[:3], method="plain-bids", backend="process",
-                pool=inline_pool)
+    solve_batch(graph, pairs[:3], method="plain-bids", pool=inline_pool)
     (tasks,) = inline_pool.shipped
     assert [len(task["units"]) for task in tasks] == [1, 1, 1]
 
@@ -352,7 +350,7 @@ def test_small_batch_ships_one_unit_per_task(inline_pool, grid):
 def test_empty_plan_ships_no_tasks(inline_pool, grid):
     graph, _ = grid
     res = solve_batch(graph, [(5, 5), (9, 9)], method="sssp-plain",
-                      backend="process", pool=inline_pool)
+                      pool=inline_pool)
     assert sum(len(tasks) for tasks in inline_pool.shipped) == 0
     assert res.num_searches == 0
     assert res.distances == {(5, 5): 0.0, (9, 9): 0.0}
@@ -361,8 +359,7 @@ def test_empty_plan_ships_no_tasks(inline_pool, grid):
 def test_worker_faults_index_tasks(inline_pool, grid):
     graph, pairs = grid
     injector = FaultInjector(stall_worker_at=5, stall_worker_seconds=0.01)
-    solve_batch(graph, pairs, method="plain-bids", backend="process",
-                pool=inline_pool, fault_injector=injector)
+    solve_batch(graph, pairs, method="plain-bids", pool=inline_pool, fault_injector=injector)
     (tasks,) = inline_pool.shipped
     assert [i for i, task in enumerate(tasks) if "stall" in task] == [5]
     assert tasks[5]["stall"] == 0.01

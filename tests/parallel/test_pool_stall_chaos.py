@@ -88,14 +88,14 @@ class TestStalledShardMatrix:
             start = time.perf_counter()
             with pytest.raises(ShardTimeout):
                 solve_batch(
-                    graph, pairs, method=method, backend="process", pool=pool,
+                    graph, pairs, method=method, pool=pool,
                     fault_injector=_stall_injector(),
                     shard_deadline=SHARD_DEADLINE_S,
                 )
             wall = time.perf_counter() - start
             assert pool.quarantines == 1
             res = solve_batch(
-                graph, pairs, method=method, backend="process", pool=pool,
+                graph, pairs, method=method, pool=pool,
                 shard_deadline=STALL_S,
             )
             assert pool.quarantines == 1
@@ -116,15 +116,16 @@ class TestPipelineRecovery:
         everything exactly."""
         graph, pairs = instance
         obs = Observer()
-        pipe = ServePipeline(
-            graph, method="multi", backend="process", workers=2,
-            shard_deadline=SHARD_DEADLINE_S,
-            fault_injector=_stall_injector(),
-            observer=obs,
-        )
-        start = time.perf_counter()
-        res = pipe.run(pairs)
-        wall = time.perf_counter() - start
+        with ProcessPool(2) as pool:
+            pipe = ServePipeline(
+                graph, method="multi", pool=pool,
+                shard_deadline=SHARD_DEADLINE_S,
+                fault_injector=_stall_injector(),
+                observer=obs,
+            )
+            start = time.perf_counter()
+            res = pipe.run(pairs)
+            wall = time.perf_counter() - start
         assert wall < STALL_S - 1.0, f"recovery waited out the stall ({wall:.1f}s)"
         assert "failed" not in res.counts()
         for s, t in pairs:
@@ -138,15 +139,16 @@ class TestPipelineRecovery:
         shard passes verification, nothing is repaired or failed."""
         graph, pairs = instance
         obs = Observer()
-        pipe = ServePipeline(
-            graph, method="multi", backend="process", workers=2, verify=True,
-            shard_deadline=SHARD_DEADLINE_S,
-            fault_injector=_stall_injector(),
-            observer=obs,
-        )
-        start = time.perf_counter()
-        res = pipe.run(pairs)
-        wall = time.perf_counter() - start
+        with ProcessPool(2) as pool:
+            pipe = ServePipeline(
+                graph, method="multi", pool=pool, verify=True,
+                shard_deadline=SHARD_DEADLINE_S,
+                fault_injector=_stall_injector(),
+                observer=obs,
+            )
+            start = time.perf_counter()
+            res = pipe.run(pairs)
+            wall = time.perf_counter() - start
         assert wall < STALL_S - 1.0, f"recovery waited out the stall ({wall:.1f}s)"
         assert res.counts() == {"ok": len(pairs)}
         for s, t in pairs:

@@ -143,6 +143,16 @@ class TestDeadlines:
         assert qs[0].deadline == 12.0
         assert qs[1].deadline == pytest.approx(70.0)
 
+    def test_shard_deadline_needs_a_pool(self, serve_graph, serve_pairs):
+        """Only a batch on a pool can be timed out; without one the
+        deadline would bound nothing, so both layers refuse it."""
+        from repro import solve_batch
+
+        with pytest.raises(ValueError, match="pool"):
+            ServePipeline(serve_graph, shard_deadline=1.0)
+        with pytest.raises(ValueError, match="pool"):
+            solve_batch(serve_graph, serve_pairs, shard_deadline=1.0)
+
 
 class TestStallFaultClass:
     def test_stall_trips_wall_budget_deterministically(self, serve_graph, serve_pairs):

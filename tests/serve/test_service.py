@@ -288,6 +288,18 @@ class TestLifecycle:
         assert svc.pool is None
         svc.close()
 
+    def test_serial_service_rejects_a_pool_before_forking(self, serve_graph):
+        """A serial service would run nothing on the pool, and start()
+        would still fork its workers: refuse the pair up front."""
+        from repro.parallel.pool import ProcessPool
+
+        pool = ProcessPool(2)
+        for kwargs in ({"pool": pool}, {"workers": 2}, {"pool": pool, "workers": 2}):
+            with pytest.raises(ValueError, match="backend='process'"):
+                QueryService(serve_graph, backend="serial", **kwargs)
+        assert pool._executor is None and not pool._shared
+        pool.close()
+
     def test_breakers_persist_across_batches(self, serve_graph, serve_pairs):
         svc, _ = _service(serve_graph, max_batch=2)
         board = svc.pipeline.breakers

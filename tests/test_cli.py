@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graphs.io import load_npz, save_npz
 
 
@@ -53,6 +53,14 @@ class TestQuery:
         main(["query", "--graph", road_file, "--source", "3", "--target", "99"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["distance"] == pytest.approx(dijkstra(small_road, 3)[99])
+
+    def test_removed_backend_flag_rejected(self, road_file, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "query", "--graph", road_file, "--source", "0", "--target", "1",
+                "--backend", "process",
+            ])
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestBatch:
@@ -250,6 +258,33 @@ class TestBenchCommand:
         assert summary["comparison"]["baseline_file"] == "BENCH_2.json"
         assert summary["comparison"]["status"] == "ok"
         assert rc == 0
+
+    def test_removed_backend_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--backend", "process"])
+        assert "--backend" in capsys.readouterr().err
+
+
+@pytest.mark.pool
+class TestProcessBackend:
+    """``--backend process`` builds a pool around one command: the same
+    distances as serial, and no shared-memory segment left behind."""
+
+    @pytest.mark.parametrize("cmd", ["batch", "serve-batch"])
+    def test_matches_serial_and_leaves_no_segment(self, cmd, road_file, capsys):
+        from tests.graphs.test_shm import _shm_segments
+
+        pairs = ["0", "50", "10", "99", "20", "80", "3", "77"]
+        before = _shm_segments()
+        assert main([cmd, "--graph", road_file, *pairs]) == 0
+        serial = json.loads(capsys.readouterr().out)
+        argv = [cmd, "--graph", road_file, "--backend", "process", "--workers", "2"]
+        assert main(argv + pairs) == 0
+        proc = json.loads(capsys.readouterr().out)
+        assert _shm_segments() == before
+        field = "distances" if cmd == "batch" else "results"
+        assert len(proc[field]) == 4
+        assert proc[field] == serial[field]
 
 
 class TestServeBatch:

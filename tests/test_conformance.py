@@ -6,9 +6,9 @@ every third instance directed.  Axes: method (``PPSP_METHODS``,
 ``BATCH_METHODS``); entry point (``ppsp``, ``solve_batch`` on raw
 pairs and on a ``QueryGraph``, ``batch_ppsp``, ``ServePipeline.run``,
 ``QueryService`` futures replayed against the batches the service
-recorded); backend (serial, a
-persistent and an ephemeral process pool, and ``max_sources`` on the
-pool); certify; directed; kernel
+recorded); backend (serial, or a caller's persistent process pool, with
+``max_sources`` and a heavy-tailed graph on the pool); certify;
+directed; kernel
 (the default or the ``np.minimum.at`` oracle); budget (none, spent
 exactly — ``max_steps`` equal to the unbudgeted steps, summed over a
 batch's units — or cut one step short).
@@ -379,10 +379,13 @@ def test_kernel_string_rejected():
 @pytest.mark.parametrize("kernel", [Kernel(), UfuncAtKernel(), "sort_reduceat"])
 def test_kernel_rejected_by_process_backend(kernel):
     """A kernel cannot ship to pool workers; the check runs before any fork."""
+    from repro.parallel.pool import ProcessPool
+
     graph, pairs = instance(1)
-    with pytest.raises(ValueError, match="kernel"):
-        solve_batch(graph, pairs, method="multi", backend="process", workers=1,
-                    kernel=kernel)
+    with ProcessPool(1) as pool:
+        with pytest.raises(ValueError, match="kernel"):
+            solve_batch(graph, pairs, method="multi", pool=pool, kernel=kernel)
+        assert pool._executor is None and not pool._shared
 
 
 # Service: futures replayed against the batches the service recorded
@@ -525,8 +528,7 @@ def test_process_backend(pool, seed, method):
     graph, pairs = instance(seed)
     for certify in (True, False):
         serial = solve_batch(graph, pairs, method=method, certify=certify)
-        proc = solve_batch(graph, pairs, method=method, certify=certify,
-                           backend="process", pool=pool)
+        proc = solve_batch(graph, pairs, method=method, certify=certify, pool=pool)
         assert batch_key(proc, pairs) == batch_key(serial, pairs), (seed, method, certify)
         check_batch(graph, seed, pairs, proc, certified=certify)
 
@@ -541,16 +543,31 @@ def test_process_backend_max_sources(pool, seed):
     for bound in (2, 4):
         serial = solve_batch(graph, pairs, method="multi", certify=True, max_sources=bound)
         proc = solve_batch(graph, pairs, method="multi", certify=True, max_sources=bound,
-                           backend="process", pool=pool)
+                           pool=pool)
         assert batch_key(proc, pairs) == batch_key(serial, pairs), (seed, bound)
         check_batch(graph, seed, pairs, proc, certified=True)
 
 
 @pytest.mark.pool
-def test_process_backend_ephemeral_pool():
-    """backend='process' without a pool builds and tears one down."""
-    graph, pairs = instance(4)
-    serial = solve_batch(graph, pairs, method="multi")
-    proc = solve_batch(graph, pairs, method="multi", backend="process", workers=2)
+def test_process_backend_heavy_tailed(pool, monkeypatch):
+    """On heavy-tailed weights (CH5, std/mean 3.5) the workers take Δ
+    from the graph as the parent does.  A timed Δ in the parent — a
+    patched ``calibrate_delta`` returning mean/100, which the doubling
+    never picks, installed after the workers forked — must reach
+    neither side's records."""
+    from repro.experiments.suite import build_graph
+    from repro.graphs.connectivity import largest_component
+    from repro.kernels import calibrate
+
+    graph = build_graph("CH5", "tiny")
+    ends = np.random.default_rng(5).choice(largest_component(graph), 20, replace=False)
+    pairs = [(int(s), int(t)) for s, t in zip(ends[0::2], ends[1::2])]
+    pool.open()
+    mean_w, std_w = graph.weight_stats()
+    assert std_w > 1.5 * mean_w
+    monkeypatch.setattr(calibrate, "calibrate_delta", lambda g, **kw: mean_w / 100)
+    serial = solve_batch(graph, pairs, method="multi", certify=True)
+    proc = solve_batch(graph, pairs, method="multi", certify=True, pool=pool)
     assert batch_key(proc, pairs) == batch_key(serial, pairs)
-    check_batch(graph, 4, pairs, proc, certified=False)
+    for s, t in pairs:
+        assert proc.distance(s, t) == pytest.approx(dijkstra(graph, s)[t], rel=1e-9)

@@ -87,18 +87,33 @@ def test_unreadable_sidecar_is_corrupt(grid, tmp_path):
         store.load()
 
 
-def test_missing_checksum_tolerated_for_old_checkpoints(grid, tmp_path):
-    ckpt = str(tmp_path / "job.json")
-    pairs = [(0, 140), (3, 97)]
-    ServePipeline(grid, method="multi", checkpoint_path=ckpt).run(pairs)
+def test_missing_checksum_quarantined(tmp_path):
+    """A manifest with no sidecar checksum vouches for nothing: with it
+    gone and a sidecar distance rewritten, resume must recompute rather
+    than serve the planted 1.0 for (0, 99) (true distance 7794.71)."""
     import json
 
+    g = road_graph(10, 10, seed=1)
+    pairs = [(0, 99), (5, 90), (3, 77), (12, 64)]
+    ckpt = str(tmp_path / "job.json")
+    ServePipeline(g, method="multi", checkpoint_path=ckpt, checkpoint_every=2).run(pairs)
     store = CheckpointStore(ckpt)
     manifest = json.load(open(store.path))
     del manifest["sidecar_sha256"]
     json.dump(manifest, open(store.path, "w"))
-    loaded = store.load()  # pre-PR-6 checkpoint: loads unchecked
-    assert loaded is not None
+    with np.load(store.sidecar) as data:
+        arrays = {k: data[k].copy() for k in ("s", "t", "dist", "exact")}
+    assert (arrays["s"][0], arrays["t"][0]) == (0, 99)
+    arrays["dist"][0] = 1.0
+    np.savez(store.sidecar, **arrays)
+    with pytest.raises(CheckpointCorrupt, match="no sidecar checksum"):
+        store.load()
+    res = ServePipeline(g, method="multi", checkpoint_path=ckpt,
+                        checkpoint_every=2).run(pairs, resume=True)
+    assert "checkpoint_quarantined" in res.details
+    assert res.resumed_queries == 0
+    ans = res.answers[(0, 99)]
+    assert (ans.outcome, round(ans.distance, 2)) == ("ok", 7794.71)
 
 
 def test_pipeline_quarantines_corrupt_checkpoint(grid, truth, pairs, tmp_path):
